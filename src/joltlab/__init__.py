@@ -60,7 +60,9 @@ from .montecarlo import (
     MCReport,
     TrialMix,
     run_cell,
+    run_cells,
     summarize,
     sweep,
+    sweeps,
 )
 from .timeseries import TimeSeries, log_transform, read_csv, validate, write_csv

@@ -44,9 +44,9 @@ from .metrics import compute_metrics
 from .montecarlo import (
     MCCell,
     TrialMix,
-    run_cell,
+    run_cells,
     summarize,
-    sweep,
+    sweeps,
     write_heatmap,
     write_report_json,
     write_table1,
@@ -300,13 +300,12 @@ def cmd_mc(cfg: dict) -> int:
     out = _out_dir(cfg)
     tracker = _OutputTracker()
     try:
-        results = []
-        for cell in _mc_cells(cfg):
-            counts = run_cell(cell, jobs=int(cfg["jobs"]))
-            results.append(
-                CellResult(noise=cell.noise, params={}, counts=counts,
-                           rates=summarize(counts))
-            )
+        cells = list(_mc_cells(cfg))
+        results = [
+            CellResult(noise=cell.noise, params={}, counts=counts,
+                       rates=summarize(counts))
+            for cell, counts in zip(cells, run_cells(cells, jobs=int(cfg["jobs"])))
+        ]
         write_table1(results, tracker.declare(out / "table1.csv"))
         metadata = {
             "master_seed": cfg["seed"],
@@ -334,15 +333,12 @@ def cmd_sweep(cfg: dict) -> int:
     }
     axis_names = list(axes.keys())
     try:
-        all_cells = []
-        metadata_runs = []
-        for template in _mc_cells(cfg):
-            report = sweep(
-                axes, template, budget=int(cfg["sweep"]["budget"]),
-                jobs=int(cfg["jobs"]),
-            )
-            all_cells.extend(report.cells)
-            metadata_runs.append(report.metadata)
+        reports = sweeps(
+            axes, list(_mc_cells(cfg)), budget=int(cfg["sweep"]["budget"]),
+            jobs=int(cfg["jobs"]),
+        )
+        all_cells = [cell for report in reports for cell in report.cells]
+        metadata_runs = [report.metadata for report in reports]
         write_heatmap(all_cells, axis_names, tracker.declare(out / "heatmap.csv"))
         best = best_joint_configuration(all_cells, axis_names)
         metadata = {"runs": metadata_runs, "detector": cfg["detector"]}

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +25,13 @@ from .errors import (
     TooFewPermutations,
     TooFewPoints,
 )
-from .estimation import SavitzkyGolay, _savgol_matrix, default_savgol, edge_mask
+from .estimation import (
+    SavitzkyGolay,
+    _savgol_matrix,
+    default_savgol,
+    edge_mask,
+    savgol_weights,
+)
 from .growth import smoothstep
 from .timeseries import TimeSeries, uniform_spacing, validate
 
@@ -109,17 +116,16 @@ def _resolve_smoother(n: int, smoother: SavitzkyGolay | None) -> SavitzkyGolay:
     return smoother if smoother is not None else default_savgol(n, poly_order=2)
 
 
-def _signal_rows(log_rows: np.ndarray, cfg: SavitzkyGolay, dt: float) -> np.ndarray:
-    """Second SavGol derivative of log-value rows, with a numerical floor.
+def _log_signal(logv: np.ndarray, cfg: SavitzkyGolay, dt: float) -> np.ndarray:
+    """Second SavGol derivative of log-values, with a numerical floor.
 
     Values whose magnitude is below the rounding floor of the filter are
     snapped to exactly zero so that noiseless exponentials (log-linear input)
     yield an identically zero signal instead of amplified rounding noise.
     """
-    n = log_rows.shape[-1]
-    mat = _savgol_matrix(n, cfg.window, cfg.poly_order, 2)
-    s = (log_rows @ mat.T) / dt**2
-    floor = 1e-11 * max(1.0, float(np.max(np.abs(log_rows)))) / dt**2
+    mat = _savgol_matrix(logv.size, cfg.window, cfg.poly_order, 2)
+    s = (mat @ logv) / dt**2
+    floor = 1e-11 * max(1.0, float(np.max(np.abs(logv)))) / dt**2
     s[np.abs(s) <= floor] = 0.0
     return s
 
@@ -132,7 +138,7 @@ def detection_signal(series: TimeSeries, smoother: SavitzkyGolay | None = None) 
         raise InvalidSpec("detection signal needs poly_order >= 2")
     dt = uniform_spacing(series)
     logv = np.log(series.values)
-    s = _signal_rows(logv[None, :], cfg, dt)[0]
+    s = _log_signal(logv, cfg, dt)
     return Signal(series.times, s, edge_mask(len(series), cfg.window))
 
 
@@ -223,6 +229,28 @@ def duration_score(s: np.ndarray, min_duration_frac: float = 0.25) -> float:
 
 # --- permutation test ---------------------------------------------------------
 
+@lru_cache(maxsize=256)
+def _permutation_weights(n: int, window: int, poly_order: int):
+    """(w, resid_scale) of the permutation test at one (n, window, poly_order).
+
+    ``w @ x`` is the interior mean of ``M2 @ x`` in index space, M2 being the
+    deriv-2 SavGol operator: its interior rows are shifted copies of the
+    centre kernel, so their column sums are the kernel convolved with a box.
+    ``resid_scale`` is the degrees-of-freedom correction
+    sqrt(n / (n - 2 tr M0 + sum M0^2)) for residuals of the smoother M0.
+    """
+    h = window // 2
+    box = np.ones(n - 2 * h)
+    w = np.convolve(box, savgol_weights(window, poly_order, 2)) / box.size
+    w.setflags(write=False)
+    smooth_op = _savgol_matrix(n, window, poly_order, 0)
+    flat = smooth_op.ravel()
+    nu = float(np.trace(smooth_op))
+    nu2 = float(np.vdot(flat, flat))
+    denom = max(n - 2.0 * nu + nu2, 1.0)
+    return w, math.sqrt(n / denom)
+
+
 def permutation_test(series: TimeSeries, config: DetectorConfig) -> float:
     """P-value of mean(S) against an exponential null with permuted residuals.
 
@@ -233,7 +261,18 @@ def permutation_test(series: TimeSeries, config: DetectorConfig) -> float:
     of freedom), so the null distribution reflects measurement noise rather
     than systematic misfit of the null model; a noiseless jolting series
     therefore attains the minimum p-value. Deterministic for a fixed config
-    seed. p = (1 + #{surrogate >= observed}) / (n_perm + 1).
+    seed.
+
+    The statistic, the interior mean of S = M2 log C / dt^2, is linear in
+    log C, so it is a single dot product ``w @ x`` per surrogate x = fit +
+    permuted residuals; the permutations are never smoothed one by one.
+    Ties are stated on the scalar: a surrogate counts as an exceedance when
+    ``stat >= observed - floor``, with the filter's rounding floor
+    ``1e-11 * max(1, max|fit| + max|resid|) / dt^2``. Surrogates of a
+    noiseless exponential (statistic zero up to rounding) therefore tie with
+    its zero observed statistic, giving p = 1. The observed statistic is the
+    interior mean of the floored detection signal.
+    p = (1 + #exceedances) / (n_perm + 1).
     """
     validate(series, require_positive=True)
     if config.n_perm < 99:
@@ -242,28 +281,24 @@ def permutation_test(series: TimeSeries, config: DetectorConfig) -> float:
     dt = uniform_spacing(series)
     logv = np.log(series.values)
     n = logv.size
-    mask = edge_mask(n, cfg.window)
-    interior = ~mask
+    interior = ~edge_mask(n, cfg.window)
 
-    observed = float(_signal_rows(logv[None, :], cfg, dt)[0][interior].mean())
+    observed = float(_log_signal(logv, cfg, dt)[interior].mean())
 
+    w, resid_scale = _permutation_weights(n, cfg.window, cfg.poly_order)
+    w = w / dt**2
     smooth_op = _savgol_matrix(n, cfg.window, cfg.poly_order, 0)
-    resid = logv - smooth_op @ logv
-    # degrees-of-freedom variance correction for smoother residuals
-    nu = float(np.trace(smooth_op))
-    nu2 = float(np.sum(smooth_op * smooth_op))
-    denom = max(n - 2.0 * nu + nu2, 1.0)
-    resid = resid * math.sqrt(n / denom)
+    resid = (logv - smooth_op @ logv) * resid_scale
 
     null_fit = np.polynomial.Polynomial.fit(series.times, logv, 1)
     fitted = null_fit(series.times)
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     perms = np.broadcast_to(resid, (config.n_perm, n)).copy()
-    perms = rng.permuted(perms, axis=1)
-    surrogates = fitted[None, :] + perms
-    stats = _signal_rows(surrogates, cfg, dt)[:, interior].mean(axis=1)
-    exceed = int(np.sum(stats >= observed))
+    rng.permuted(perms, axis=1, out=perms)
+    stats = float(fitted @ w) + perms @ w
+    floor = 1e-11 * max(1.0, float(np.max(np.abs(fitted)) + np.max(np.abs(resid)))) / dt**2
+    exceed = int(np.count_nonzero(stats >= observed - floor))
     return (1 + exceed) / (config.n_perm + 1)
 
 

@@ -27,6 +27,7 @@ from .errors import (
     InvalidSpec,
     OrderExceedsPoly,
     OutOfRange,
+    SeriesTooShort,
     SpanTooSmall,
     WindowTooLarge,
 )
@@ -58,12 +59,25 @@ class Loess:
             raise InvalidSpec("loess span must lie in (0, 1]")
 
 
+_MIN_DEFAULT_WINDOW = 11
+
+
 def default_savgol(n: int, poly_order: int = 4) -> SavitzkyGolay:
-    """Default detection pipeline smoother: window = max(11, ~n/10, odd)."""
+    """Default detection pipeline smoother: window = max(11, ~n/10, odd).
+
+    A series shorter than the window floor of 11 has no default smoother:
+    it raises SeriesTooShort naming n rather than shrinking the window until
+    every point is a boundary point.
+    """
+    if n < _MIN_DEFAULT_WINDOW:
+        raise SeriesTooShort(
+            f"series has {n} points; the default smoother needs at least "
+            f"{_MIN_DEFAULT_WINDOW}"
+        )
     w = int(round(n / 10))
     if w % 2 == 0:
         w += 1
-    w = max(11, w)
+    w = max(_MIN_DEFAULT_WINDOW, w)
     w = min(w, n if n % 2 == 1 else n - 1)
     return SavitzkyGolay(window=w, poly_order=poly_order)
 

@@ -195,29 +195,40 @@ def _run_chunk(args):
     return [_run_trial(cell, is_positive, i) for i in indices]
 
 
-def _cell_outcomes(cell: MCCell, jobs: int = 1):
-    """(scores, p_values) arrays per class, ordered by trial index."""
-    out = {}
-    tasks = []
-    for is_positive in (True, False):
-        chunks = np.array_split(np.arange(cell.n_trials), max(1, min(jobs * 4, cell.n_trials)))
-        tasks.extend((cell, is_positive, list(chunk)) for chunk in chunks if len(chunk))
+def _outcomes(cells, jobs: int = 1) -> list:
+    """Per cell, (scores, p_values) arrays per class, ordered by trial index.
+
+    Every cell's (class, chunk) tasks go through one ``pool.map`` on one
+    worker pool, so the pool and its warm operator caches serve all cells.
+    """
+    keys, tasks = [], []
+    for k, cell in enumerate(cells):
+        n_chunks = max(1, min(jobs * 4, cell.n_trials))
+        for is_positive in (True, False):
+            for chunk in np.array_split(np.arange(cell.n_trials), n_chunks):
+                if len(chunk):
+                    keys.append((k, is_positive))
+                    tasks.append((cell, is_positive, chunk.tolist()))
     if jobs <= 1:
         chunk_results = [_run_chunk(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk_results = list(pool.map(_run_chunk, tasks))
-    for task, results in zip(tasks, chunk_results):
-        _, is_positive, _ = task
-        out.setdefault(is_positive, []).extend(results)
-    arrays = {}
-    for is_positive in (True, False):
-        rows = sorted(out[is_positive])
-        arrays[is_positive] = (
-            np.array([r[1] for r in rows]),
-            np.array([r[2] for r in rows]),
-        )
-    return arrays
+    # map keeps task order and chunks ascend, so each class's rows are
+    # already ordered by trial index
+    rows = {}
+    for key, results in zip(keys, chunk_results):
+        rows.setdefault(key, []).extend(results)
+    return [
+        {
+            is_positive: (
+                np.array([r[1] for r in rows[k, is_positive]]),
+                np.array([r[2] for r in rows[k, is_positive]]),
+            )
+            for is_positive in (True, False)
+        }
+        for k in range(len(cells))
+    ]
 
 
 def _tally(outcomes, config: DetectorConfig) -> ConfusionCounts:
@@ -233,9 +244,18 @@ def _tally(outcomes, config: DetectorConfig) -> ConfusionCounts:
     )
 
 
+def run_cells(cells, jobs: int = 1) -> list:
+    """Confusion counts of several Monte Carlo cells, run on one worker pool;
+    deterministic for fixed master seeds and independent of ``jobs``."""
+    return [
+        _tally(outcomes, cell.detector)
+        for cell, outcomes in zip(cells, _outcomes(cells, jobs))
+    ]
+
+
 def run_cell(cell: MCCell, jobs: int = 1) -> ConfusionCounts:
     """Run one Monte Carlo cell; deterministic for a fixed master seed."""
-    return _tally(_cell_outcomes(cell, jobs), cell.detector)
+    return run_cells([cell], jobs)[0]
 
 
 def summarize(counts: ConfusionCounts, class_weights=(0.5, 0.5)) -> RateSummary:
@@ -287,12 +307,13 @@ def apply_axes(config: DetectorConfig, assignment: dict) -> DetectorConfig:
     return replace(config, **kwargs)
 
 
-def sweep(axes: dict, template: MCCell, budget: int = 64, jobs: int = 1) -> MCReport:
-    """Grid sweep over detector hyperparameters for one cell template.
+def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> list:
+    """Grid sweeps over detector hyperparameters, one report per cell template.
 
     Cells differing only in decision_threshold / alpha_sig share their trial
     outcomes (scores and p-values do not depend on those fields), which keeps
-    the sweep affordable without changing any reported number.
+    the sweep affordable without changing any reported number. The trials of
+    every template's outcome groups run through one worker pool per call.
     """
     for name, values in axes.items():
         if name not in _CONFIG_AXES:
@@ -305,16 +326,31 @@ def sweep(axes: dict, template: MCCell, budget: int = 64, jobs: int = 1) -> MCRe
         raise BudgetExceeded(f"{len(combos)} cells exceed budget {budget}")
 
     group_names = [n for n in names if n not in _THRESHOLD_AXES]
-    outcome_cache = {}
+
+    def group_key(assignment):
+        return tuple(assignment[n] for n in group_names)
+
+    group_keys = list(dict.fromkeys(group_key(a) for a in combos))
+    group_cells = [
+        replace(template, detector=apply_axes(template.detector, dict(zip(group_names, key))))
+        for template in templates
+        for key in group_keys
+    ]
+    outcomes = iter(_outcomes(group_cells, jobs))
+    reports = []
+    for template in templates:
+        by_group = {key: next(outcomes) for key in group_keys}
+        reports.append(_sweep_report(
+            axes, template, combos, [by_group[group_key(a)] for a in combos]
+        ))
+    return reports
+
+
+def _sweep_report(axes: dict, template: MCCell, combos, outcomes) -> MCReport:
+    """Tally one template's sweep cells, each from its group's outcomes."""
     cells = []
-    for assignment in combos:
-        group_key = tuple(assignment[n] for n in group_names)
-        if group_key not in outcome_cache:
-            config = apply_axes(template.detector, {n: assignment[n] for n in group_names})
-            cell = replace(template, detector=config)
-            outcome_cache[group_key] = _cell_outcomes(cell, jobs)
-        config = apply_axes(template.detector, assignment)
-        counts = _tally(outcome_cache[group_key], config)
+    for assignment, cell_outcomes in zip(combos, outcomes):
+        counts = _tally(cell_outcomes, apply_axes(template.detector, assignment))
         cells.append(
             CellResult(
                 noise=template.noise,
@@ -324,7 +360,7 @@ def sweep(axes: dict, template: MCCell, budget: int = 64, jobs: int = 1) -> MCRe
             )
         )
 
-    first_axis = names[0] if names else None
+    first_axis = next(iter(axes), None)
     best = min(
         cells,
         key=lambda c: (
@@ -342,6 +378,12 @@ def sweep(axes: dict, template: MCCell, budget: int = 64, jobs: int = 1) -> MCRe
         "mix": dataclasses.asdict(template.mix),
     }
     return MCReport(cells=cells, best=best, metadata=metadata)
+
+
+def sweep(axes: dict, template: MCCell, budget: int = 64, jobs: int = 1) -> MCReport:
+    """Grid sweep over detector hyperparameters for one cell template; see
+    :func:`sweeps`."""
+    return sweeps(axes, [template], budget, jobs)[0]
 
 
 # --- report emission ----------------------------------------------------------

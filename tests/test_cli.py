@@ -91,6 +91,17 @@ def test_detect_short_series_exit_3(tmp_path):
     assert run(["detect", str(path), "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("n_points", [4, 7])
+def test_metrics_short_series_exit_3_names_length(tmp_path, capsys, n_points):
+    path = tmp_path / "short.csv"
+    rows = "\n".join(f"{i},{2.0 ** i}" for i in range(n_points))
+    path.write_text("t,value\n" + rows + "\n")
+    out = tmp_path / "o"
+    assert run(["metrics", str(path), "--out", str(out)]) == 3
+    assert f"series has {n_points} points" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
 def test_detect_malformed_csv_exit_2(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time;value\n0;1\n")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,8 +19,18 @@ from joltlab.errors import (
     TooFewPermutations,
     TooFewPoints,
 )
-from joltlab.growth import Logistic, evaluate, smoothstep
-from joltlab.timeseries import TimeSeries
+from joltlab.estimation import SavitzkyGolay, _savgol_matrix, default_savgol, edge_mask
+from joltlab.growth import (
+    Exponential,
+    InjectedJolt,
+    Logistic,
+    LogQuadratic,
+    NoiseSpec,
+    add_noise,
+    evaluate,
+    smoothstep,
+)
+from joltlab.timeseries import TimeSeries, uniform_spacing
 
 
 def make_series(fn, n=200, t0=0.0, t1=20.0):
@@ -118,9 +129,13 @@ def test_permutation_minimum_p_on_noiseless_jolt():
 
 
 def test_permutation_p_high_on_exponential():
-    s = make_series(lambda t: np.exp(0.1 * t))
-    p = permutation_test(s, DetectorConfig())
-    assert p == 1.0
+    # surrogates of a log-linear series equal its zero statistic up to
+    # rounding; the scalar tie rule counts them as exceedances
+    for k in (0.03, 0.07, 0.1, 0.12):
+        for c0 in (1e-3, 1.0, 1e6):
+            for shift in (0.0, 1000.0):
+                s = make_series(lambda t: c0 * np.exp(k * (t - shift)), t0=shift, t1=20.0 + shift)
+                assert permutation_test(s, DetectorConfig()) == 1.0
 
 
 def test_permutation_determinism():
@@ -130,6 +145,60 @@ def test_permutation_determinism():
     s = TimeSeries(t, np.abs(v))
     cfg = DetectorConfig(seed=7)
     assert permutation_test(s, cfg) == permutation_test(s, cfg)
+
+
+def _dense_permutation_p(series, config):
+    """Reference permutation test: every surrogate is pushed through the
+    dense deriv-2 operator, floored elementwise like the detection signal,
+    reduced to its interior mean and compared with ``>=``."""
+    cfg = config.smoother or default_savgol(len(series), poly_order=2)
+    dt = uniform_spacing(series)
+    logv = np.log(series.values)
+    n = logv.size
+    interior = ~edge_mask(n, cfg.window)
+    m2 = _savgol_matrix(n, cfg.window, cfg.poly_order, 2)
+
+    def signal_rows(rows):
+        s = (rows @ m2.T) / dt**2
+        floor = 1e-11 * max(1.0, float(np.max(np.abs(rows)))) / dt**2
+        s[np.abs(s) <= floor] = 0.0
+        return s
+
+    observed = float(signal_rows(logv[None, :])[0][interior].mean())
+    m0 = _savgol_matrix(n, cfg.window, cfg.poly_order, 0)
+    nu = float(np.trace(m0))
+    nu2 = float(np.sum(m0 * m0))
+    resid = (logv - m0 @ logv) * math.sqrt(n / max(n - 2.0 * nu + nu2, 1.0))
+    fitted = np.polynomial.Polynomial.fit(series.times, logv, 1)(series.times)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    perms = rng.permuted(np.broadcast_to(resid, (config.n_perm, n)).copy(), axis=1)
+    stats = signal_rows(fitted[None, :] + perms)[:, interior].mean(axis=1)
+    return (1 + int(np.sum(stats >= observed))) / (config.n_perm + 1)
+
+
+_T = np.linspace(0.0, 20.0, 200)
+_JOLT = InjectedJolt(Exponential(1.0, 0.06), jolt_start=6.0, jolt_end=12.0, ramp_strength=0.2)
+_ORACLE_CASES = {
+    "low": add_noise(TimeSeries(_T, evaluate(Exponential(1.0, 0.08), _T)),
+                     NoiseSpec("low", seed=1)).values,
+    "medium": add_noise(TimeSeries(_T, evaluate(LogQuadratic(1.0, 0.05, 0.01), _T)),
+                        NoiseSpec("medium", seed=2)).values,
+    "high": add_noise(TimeSeries(_T, evaluate(_JOLT, _T)), NoiseSpec("high", seed=3)).values,
+    "exponential": evaluate(Exponential(2.0, 0.1), _T),
+    "logquadratic": evaluate(LogQuadratic(1.0, 0.03, 0.01), _T),
+    "injected_jolt": evaluate(_JOLT, _T),
+}
+
+
+@pytest.mark.parametrize("window", [None, 7])
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_permutation_matches_dense_reference(case, window):
+    values = _ORACLE_CASES[case]
+    smoother = None if window is None else SavitzkyGolay(window, 2)
+    config = DetectorConfig(smoother=smoother, seed=11)
+    for series in (TimeSeries(_T, values), TimeSeries(_T, values * 1e6),
+                   TimeSeries(_T + 1000.0, values)):
+        assert permutation_test(series, config) == _dense_permutation_p(series, config)
 
 
 def test_too_few_permutations():

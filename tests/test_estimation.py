@@ -10,6 +10,7 @@ from joltlab.errors import (
     InvalidSpec,
     OrderExceedsPoly,
     OutOfRange,
+    SeriesTooShort,
     SpanTooSmall,
     WindowTooLarge,
 )
@@ -119,6 +120,9 @@ def test_default_savgol_scales_with_length():
     assert default_savgol(50).window == 11
     cfg = default_savgol(1000)
     assert cfg.window == 101 and cfg.window % 2 == 1
+    assert default_savgol(11).window == 11
+    with pytest.raises(SeriesTooShort, match="10 points"):
+        default_savgol(10)
 
 
 def test_estimate_derivatives_needs_cubic_capable_order():

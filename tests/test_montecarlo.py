@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from joltlab.montecarlo import (
     sample_trial_spec,
     summarize,
     sweep,
+    sweeps,
     wilson_interval,
     write_heatmap,
     write_table1,
@@ -164,6 +167,19 @@ def test_sweep_cell_matches_standalone_run():
     standalone = run_cell(template)  # default decision_threshold is 0.5
     matching = [c for c in report.cells if c.params["decision_threshold"] == 0.5]
     assert matching[0].counts == standalone
+
+
+def test_sweeps_schedule_invariant_and_match_run_cell():
+    # two templates x two windows: four outcome groups share one pool
+    templates = [small_cell(n_trials=10), small_cell(n_trials=10, noise="high")]
+    axes = {"window": [7, 11], "decision_threshold": [0.3, 0.5]}
+    serial = [sweep(axes, template, jobs=1) for template in templates]
+    parallel = sweeps(axes, templates, jobs=2)
+    assert [r.cells for r in parallel] == [r.cells for r in serial]
+    for template, report in zip(templates, serial):
+        for cell in report.cells:
+            config = apply_axes(template.detector, cell.params)
+            assert cell.counts == run_cell(replace(template, detector=config))
 
 
 def test_sweep_budget_enforced():
