@@ -18,7 +18,6 @@ from .detector import (
 from .errors import JoltlabError
 from .estimation import (
     DerivativeEstimate,
-    Loess,
     SavitzkyGolay,
     bootstrap_derivative_ci,
     derivatives_from_model,

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .estimation import (
     SavitzkyGolay,
-    _savgol_matrix,
+    _savgol_filter,
     default_savgol,
     edge_mask,
     savgol_weights,
@@ -42,7 +42,6 @@ class DetectorConfig:
 
     smoother: SavitzkyGolay | None = None  # None -> window scaled to n
     threshold_peak: float = 3.0
-    threshold_pattern: float = 0.5  # reserved; pattern score enters directly
     min_duration_frac: float = 0.25
     combine_weights: tuple = (1 / 3, 1 / 3, 1 / 3)
     decision_threshold: float = 0.5
@@ -53,8 +52,6 @@ class DetectorConfig:
     def __post_init__(self):
         if self.threshold_peak <= 0:
             raise InvalidSpec("threshold_peak must be > 0")
-        if not 0 <= self.threshold_pattern <= 1:
-            raise InvalidSpec("threshold_pattern must lie in [0, 1]")
         if not 0 < self.min_duration_frac <= 1:
             raise InvalidSpec("min_duration_frac must lie in (0, 1]")
         w = np.asarray(self.combine_weights, dtype=float)
@@ -123,8 +120,7 @@ def _log_signal(logv: np.ndarray, cfg: SavitzkyGolay, dt: float) -> np.ndarray:
     snapped to exactly zero so that noiseless exponentials (log-linear input)
     yield an identically zero signal instead of amplified rounding noise.
     """
-    mat = _savgol_matrix(logv.size, cfg.window, cfg.poly_order, 2)
-    s = (mat @ logv) / dt**2
+    s = _savgol_filter(logv, cfg.window, cfg.poly_order, 2) / dt**2
     floor = 1e-11 * max(1.0, float(np.max(np.abs(logv)))) / dt**2
     s[np.abs(s) <= floor] = 0.0
     return s
@@ -238,15 +234,20 @@ def _permutation_weights(n: int, window: int, poly_order: int):
     centre kernel, so their column sums are the kernel convolved with a box.
     ``resid_scale`` is the degrees-of-freedom correction
     sqrt(n / (n - 2 tr M0 + sum M0^2)) for residuals of the smoother M0.
+    Neither sum needs M0 itself: the rows of the least-squares projection of
+    one window (a symmetric idempotent matrix, so its trace and its squared
+    Frobenius norm both equal poly_order + 1) are M0's h edge rows at each
+    end plus one centre row c0, and the other n - 2h - 1 rows of M0 repeat
+    c0. So tr M0 = p+1 + (n-2h-1) c0[h] and sum M0^2 = p+1 + (n-2h-1) |c0|^2.
     """
     h = window // 2
     box = np.ones(n - 2 * h)
     w = np.convolve(box, savgol_weights(window, poly_order, 2)) / box.size
     w.setflags(write=False)
-    smooth_op = _savgol_matrix(n, window, poly_order, 0)
-    flat = smooth_op.ravel()
-    nu = float(np.trace(smooth_op))
-    nu2 = float(np.vdot(flat, flat))
+    c0 = savgol_weights(window, poly_order, 0)
+    repeats = n - 2 * h - 1
+    nu = poly_order + 1 + repeats * float(c0[h])
+    nu2 = poly_order + 1 + repeats * float(c0 @ c0)
     denom = max(n - 2.0 * nu + nu2, 1.0)
     return w, math.sqrt(n / denom)
 
@@ -287,8 +288,7 @@ def permutation_test(series: TimeSeries, config: DetectorConfig) -> float:
 
     w, resid_scale = _permutation_weights(n, cfg.window, cfg.poly_order)
     w = w / dt**2
-    smooth_op = _savgol_matrix(n, cfg.window, cfg.poly_order, 0)
-    resid = (logv - smooth_op @ logv) * resid_scale
+    resid = (logv - _savgol_filter(logv, cfg.window, cfg.poly_order, 0)) * resid_scale
 
     null_fit = np.polynomial.Polynomial.fit(series.times, logv, 1)
     fitted = null_fit(series.times)

@@ -1,9 +1,14 @@
 """Smoothing, curve fitting and derivative estimation up to third order.
 
-Savitzky-Golay filtering is implemented from first principles as local
-least-squares polynomial projection on a uniform grid. Interior points use
-centered windows; boundary points use one-sided fits over a shrunken window
-and are flagged in an edge mask so downstream consumers can exclude them.
+Savitzky-Golay filtering is one least-squares polynomial projection per
+window on a uniform grid: a (poly_order+1) x window pseudo-inverse maps a
+window of values to its fitted polynomial, whose derivative at the window
+centre is the interior convolution kernel. The window//2 boundary points at
+each end evaluate the fit of the first or last full window at their own
+offsets (Gorry, Anal. Chem. 62:570, 1990), so the filter takes O(n * window)
+time and no working array larger than the window beside its output. The
+boundary points are flagged in an edge mask so downstream consumers can
+exclude them.
 
 Model fitting (polynomials, least-squares cubic splines) uses orthogonalizing
 factorizations throughout, with AIC/BIC/blocked-CV model selection, and
@@ -17,8 +22,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial import polynomial as P
 from scipy.interpolate import LSQUnivariateSpline
-from scipy.stats import t as t_dist
 
 from .errors import (
     IllConditioned,
@@ -48,15 +54,6 @@ class SavitzkyGolay:
             raise InvalidOrder("window must be an odd integer >= 5")
         if not 0 <= self.poly_order < self.window:
             raise InvalidOrder("poly_order must satisfy 0 <= poly_order < window")
-
-
-@dataclass(frozen=True)
-class Loess:
-    span: float = 0.3
-
-    def __post_init__(self):
-        if not 0 < self.span <= 1:
-            raise InvalidSpec("loess span must lie in (0, 1]")
 
 
 _MIN_DEFAULT_WINDOW = 11
@@ -108,87 +105,71 @@ class DerivativeEstimate:
 
 # --- Savitzky-Golay core ------------------------------------------------------
 
-def _ls_weights(m: int, poly_order: int, deriv: int, eval_idx: int) -> np.ndarray:
-    """Least-squares projection weights for the ``deriv``-th derivative of a
-    degree-``poly_order`` fit over ``m`` points, evaluated at ``eval_idx``.
+@lru_cache(maxsize=64)
+def _savgol_operator(window: int, poly_order: int, deriv: int):
+    """(coef, kernel, left, right) of the ``deriv``-th SavGol filter.
 
-    The index offsets are integers, so the normal equations are solved in
-    exact rational arithmetic; the returned weights are correct to the last
-    double-precision bit (the filter reproduces polynomials exactly).
+    ``coef`` ((poly_order+1) x window) maps one window of values to the
+    coefficients of its least-squares polynomial in u = (j - h)/h, h =
+    window//2; scaling the offsets into [-1, 1] keeps the pseudo-inverse well
+    conditioned. ``kernel`` is that fit's index-space derivative at the
+    centre, and ``left``/``right`` (h x (poly_order+1)) evaluate it at the h
+    offsets before and after the centre.
     """
     if deriv > poly_order:
-        return np.zeros(m)
-    from fractions import Fraction
-
-    k = poly_order + 1
-    offsets = [j - eval_idx for j in range(m)]
-    gram = [
-        [Fraction(sum(x ** (p + q) for x in offsets)) for q in range(k)]
-        for p in range(k)
-    ]
-    rhs = [Fraction(1 if p == deriv else 0) for p in range(k)]
-    # Gaussian elimination with partial pivoting over the rationals
-    for col in range(k):
-        piv = max(range(col, k), key=lambda r: abs(gram[r][col]))
-        gram[col], gram[piv] = gram[piv], gram[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = Fraction(1, 1) / gram[col][col]
-        for r in range(k):
-            if r == col:
-                continue
-            factor = gram[r][col] * inv
-            gram[r] = [a - factor * b for a, b in zip(gram[r], gram[col])]
-            rhs[r] -= factor * rhs[col]
-    coef = [rhs[p] / gram[p][p] for p in range(k)]
-    fact = math.factorial(deriv)
-    return np.array(
-        [float(fact * sum(coef[p] * x**p for p in range(k))) for x in offsets]
-    )
-
-
-@lru_cache(maxsize=256)
-def _savgol_matrix(n: int, window: int, poly_order: int, deriv: int) -> np.ndarray:
-    """Dense n x n operator mapping values to index-space SavGol output."""
+        raise OrderExceedsPoly(
+            f"derivative order {deriv} exceeds poly_order {poly_order}"
+        )
     h = window // 2
-    mat = np.zeros((n, n))
-    center = _ls_weights(window, poly_order, deriv, h)
-    for i in range(h, n - h):
-        mat[i, i - h : i + h + 1] = center
-    for i in range(h):
-        # one-sided fits over the full window so edge rows keep the same
-        # polynomial degree (and polynomial exactness) as the interior
-        mat[i, :window] = _ls_weights(window, poly_order, deriv, i)
-        mat[n - 1 - i, n - window :] = _ls_weights(window, poly_order, deriv, window - 1 - i)
-    mat.setflags(write=False)
-    return mat
+    u = (np.arange(window) - h) / h
+    coef = np.linalg.pinv(P.polyvander(u, poly_order))
+    # row j maps fit coefficients to the fit's derivative at offset j;
+    # d/dj = (1/h) d/du
+    deriv_at = P.polyvander(u, poly_order - deriv) @ P.polyder(np.eye(poly_order + 1), deriv)
+    deriv_at /= h**deriv
+    parts = (coef, deriv_at[h] @ coef, deriv_at[:h].copy(), deriv_at[h + 1 :].copy())
+    for part in parts:
+        part.setflags(write=False)
+    return parts
+
+
+def _savgol_filter(x: np.ndarray, window: int, poly_order: int, deriv: int) -> np.ndarray:
+    """Index-space SavGol output along the last axis of ``x``.
+
+    Interior points correlate the centre kernel with a strided view of ``x``
+    (nothing is copied). The h points at each end take the least-squares fit
+    of the first or last full window, evaluated at their own offsets (Gorry's
+    edge-point method), so they keep the interior's polynomial degree and
+    polynomial exactness.
+    """
+    n = x.shape[-1]
+    if window > n:
+        raise WindowTooLarge(f"window {window} exceeds series length {n}")
+    coef, kernel, left, right = _savgol_operator(window, poly_order, deriv)
+    h = window // 2
+    out = np.empty(x.shape)
+    out[..., h : n - h] = sliding_window_view(x, window, axis=-1) @ kernel
+    out[..., :h] = (x[..., :window] @ coef.T) @ left.T
+    out[..., n - h :] = (x[..., n - window :] @ coef.T) @ right.T
+    return out
 
 
 def savgol_weights(window: int, poly_order: int, deriv: int = 0) -> np.ndarray:
-    """Center-point weights of the interior SavGol filter (index space)."""
+    """Center-point weights of the interior SavGol filter (index space).
+
+    They are the ``deriv``-th derivative, at the window centre, of the window's
+    least-squares polynomial, as a linear map of the window's values. The
+    returned array is read-only.
+    """
     cfg = SavitzkyGolay(window, poly_order)
-    if deriv > cfg.poly_order:
-        raise OrderExceedsPoly("derivative order exceeds poly_order")
-    return _ls_weights(window, poly_order, deriv, window // 2)
-
-
-def _check_savgol(series: TimeSeries, config: SavitzkyGolay, deriv: int) -> float:
-    validate(series)
-    if config.window > len(series):
-        raise WindowTooLarge(
-            f"window {config.window} exceeds series length {len(series)}"
-        )
-    if deriv > config.poly_order:
-        raise OrderExceedsPoly(
-            f"derivative order {deriv} exceeds poly_order {config.poly_order}"
-        )
-    return uniform_spacing(series)
+    return _savgol_operator(cfg.window, cfg.poly_order, deriv)[1]
 
 
 def savgol_apply(series: TimeSeries, config: SavitzkyGolay, deriv: int = 0) -> np.ndarray:
     """SavGol output values (derivative ``deriv``) in physical time units."""
-    dt = _check_savgol(series, config, deriv)
-    mat = _savgol_matrix(len(series), config.window, config.poly_order, deriv)
-    return (mat @ series.values) / dt**deriv
+    validate(series)
+    dt = uniform_spacing(series)
+    return _savgol_filter(series.values, config.window, config.poly_order, deriv) / dt**deriv
 
 
 def savgol_smooth(series: TimeSeries, config: SavitzkyGolay) -> TimeSeries:
@@ -312,8 +293,6 @@ class FitModel:
     candidates: list
     _predictors: tuple = field(repr=False, default=())
     coefficients: np.ndarray | None = None
-    coef_cov: np.ndarray | None = None
-    n_obs: int = 0
 
     def predict(self, times, order: int = 0) -> np.ndarray:
         return self._predictors[order](np.asarray(times, dtype=float))
@@ -347,15 +326,8 @@ def _fit_polynomial(t, v, degree):
     predictors = tuple(
         (lambda f: (lambda x: np.asarray(f(x), dtype=float)))(p) for p in preds
     )
-    # covariance of the mapped-domain coefficients, for t-tests
-    n, k = t.size, degree + 1
-    cov = None
-    if n > k:
-        sigma2 = rss / (n - k)
-        gram_inv = np.linalg.pinv(design.T @ design)
-        cov = sigma2 * gram_inv
     unscaled = series_poly.convert().coef
-    return predictors, rss, unscaled, cov
+    return predictors, rss, unscaled
 
 
 def _fit_spline(t, v, n_knots):
@@ -373,11 +345,10 @@ def _fit_spline(t, v, n_knots):
 
 def _fit_one(t, v, spec):
     if isinstance(spec, PolynomialModel):
-        predictors, rss, coefs, cov = _fit_polynomial(t, v, spec.degree)
-        return predictors, rss, coefs, cov
+        return _fit_polynomial(t, v, spec.degree)
     if isinstance(spec, CubicSplineModel):
         predictors, rss = _fit_spline(t, v, spec.knots)
-        return predictors, rss, None, None
+        return predictors, rss, None
     raise InvalidSpec(f"unknown model kind {type(spec).__name__}")
 
 
@@ -390,7 +361,7 @@ def _blocked_cv(t, v, spec, folds=5):
         if train.size < spec.n_params + 1:
             return math.inf
         try:
-            predictors, _, _, _ = _fit_one(t[train], v[train], spec)
+            predictors, _, _ = _fit_one(t[train], v[train], spec)
         except Exception:
             return math.inf
         pred = predictors[0](t[block])
@@ -427,20 +398,20 @@ def fit_model(
     errors = []
     for spec in candidates:
         try:
-            predictors, rss, coefs, cov = _fit_one(t, v, spec)
+            predictors, rss, coefs = _fit_one(t, v, spec)
         except IllConditioned as exc:
             errors.append(exc)
             continue
         aic, bic = _information_criteria(n, rss, spec.n_params, _rms_scale(v))
         cv = _blocked_cv(t, v, spec, cv_folds)
         diags.append(FitDiagnostics(spec, spec.n_params, rss, aic, bic, cv))
-        fits[id(spec)] = (predictors, coefs, cov)
+        fits[id(spec)] = (predictors, coefs)
     if not diags:
         raise errors[0] if errors else InsufficientData("no candidate could be fitted")
 
     key = {"aic": lambda d: d.aic, "bic": lambda d: d.bic, "cv": lambda d: d.cv}[criterion]
     best = min(diags, key=key)
-    predictors, coefs, cov = fits[id(best.spec)]
+    predictors, coefs = fits[id(best.spec)]
     return FitModel(
         spec=best.spec,
         t_range=(float(t[0]), float(t[-1])),
@@ -448,33 +419,7 @@ def fit_model(
         candidates=diags,
         _predictors=predictors,
         coefficients=coefs,
-        coef_cov=cov,
-        n_obs=n,
     )
-
-
-def coefficient_t_tests(model: FitModel, min_order: int = 3):
-    """Classical t-tests on fitted polynomial coefficients of order >= 3.
-
-    Returns a list of (order, coefficient, std_error, t_stat, p_value). The
-    standard errors come from the mapped-domain least-squares covariance, so
-    the tests are performed in that basis (same t statistics as any affine
-    reparametrization of the time axis).
-    """
-    if not isinstance(model.spec, PolynomialModel) or model.coef_cov is None:
-        raise InvalidSpec("t-tests require a fitted polynomial model")
-    dof = model.n_obs - model.spec.n_params
-    out = []
-    for order in range(min_order, model.spec.degree + 1):
-        se = math.sqrt(max(model.coef_cov[order, order], 0.0))
-        coef = float(model.coefficients[order])
-        if se == 0:
-            out.append((order, coef, 0.0, math.inf if coef else 0.0, 0.0 if coef else 1.0))
-            continue
-        tstat = coef / se
-        p = 2.0 * float(t_dist.sf(abs(tstat), dof))
-        out.append((order, coef, se, tstat, p))
-    return out
 
 
 def derivatives_from_model(model: FitModel, times) -> DerivativeEstimate:
@@ -522,8 +467,7 @@ def bootstrap_derivative_ci(
     n = len(series)
     idx = rng.integers(0, n, size=(n_boot, n))
     replicates = base.c[None, :] + resid[idx]
-    mat3 = _savgol_matrix(n, config.window, config.poly_order, 3)
-    c3_rep = (replicates @ mat3.T) / dt**3
+    c3_rep = _savgol_filter(replicates, config.window, config.poly_order, 3) / dt**3
     lo = np.percentile(c3_rep, 2.5, axis=0)
     hi = np.percentile(c3_rep, 97.5, axis=0)
     base.c3_lo = np.minimum(lo, base.c3)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import joltlab
 from joltlab.cli import main
 from joltlab.timeseries import read_csv
 
@@ -102,6 +107,16 @@ def test_metrics_short_series_exit_3_names_length(tmp_path, capsys, n_points):
     assert not (out / "metrics.csv").exists()
 
 
+def test_detect_window_larger_than_series_exit_2(tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    rows = "\n".join(f"{i},{np.exp(0.1 * i)}" for i in range(35))
+    path.write_text("t,value\n" + rows + "\n")
+    cfg = write_config(tmp_path, {"detector": {"window": 41}})
+    assert run(["detect", str(path), "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "window 41" in err and "length 35" in err
+
+
 def test_detect_malformed_csv_exit_2(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time;value\n0;1\n")
@@ -158,3 +173,13 @@ def test_sweep_small(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["best"] is not None
     assert set(report["best"]["params"]) == {"window", "decision_threshold"}
+
+
+# --- import path --------------------------------------------------------------
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = Path(joltlab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, joltlab.cli; sys.exit('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0

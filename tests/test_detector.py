@@ -18,8 +18,9 @@ from joltlab.errors import (
     SeriesTooShort,
     TooFewPermutations,
     TooFewPoints,
+    WindowTooLarge,
 )
-from joltlab.estimation import SavitzkyGolay, _savgol_matrix, default_savgol, edge_mask
+from joltlab.estimation import SavitzkyGolay, default_savgol, edge_mask
 from joltlab.growth import (
     Exponential,
     InjectedJolt,
@@ -31,6 +32,7 @@ from joltlab.growth import (
     smoothstep,
 )
 from joltlab.timeseries import TimeSeries, uniform_spacing
+from savgol_oracle import dense_savgol
 
 
 def make_series(fn, n=200, t0=0.0, t1=20.0):
@@ -156,7 +158,7 @@ def _dense_permutation_p(series, config):
     logv = np.log(series.values)
     n = logv.size
     interior = ~edge_mask(n, cfg.window)
-    m2 = _savgol_matrix(n, cfg.window, cfg.poly_order, 2)
+    m2 = dense_savgol(n, cfg.window, cfg.poly_order, 2)
 
     def signal_rows(rows):
         s = (rows @ m2.T) / dt**2
@@ -165,7 +167,7 @@ def _dense_permutation_p(series, config):
         return s
 
     observed = float(signal_rows(logv[None, :])[0][interior].mean())
-    m0 = _savgol_matrix(n, cfg.window, cfg.poly_order, 0)
+    m0 = dense_savgol(n, cfg.window, cfg.poly_order, 0)
     nu = float(np.trace(m0))
     nu2 = float(np.sum(m0 * m0))
     resid = (logv - m0 @ logv) * math.sqrt(n / max(n - 2.0 * nu + nu2, 1.0))
@@ -238,6 +240,15 @@ def test_noiseless_logquadratic_verdict_true():
     assert r.score > DetectorConfig().decision_threshold
     assert r.p_value <= 0.05
     assert len(r.intervals) >= 1
+
+
+def test_window_larger_than_series_raises():
+    s = make_series(lambda t: np.exp(0.1 * t), n=35)
+    smoother = SavitzkyGolay(41, 2)
+    with pytest.raises(WindowTooLarge, match="window 41 exceeds series length 35"):
+        detection_signal(s, smoother)
+    with pytest.raises(WindowTooLarge, match="window 41 exceeds series length 35"):
+        permutation_test(s, DetectorConfig(smoother=smoother))
 
 
 def test_series_too_short():

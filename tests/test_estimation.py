@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from joltlab.detector import detection_signal
 from joltlab.errors import (
     IllConditioned,
     InsufficientData,
@@ -18,6 +21,7 @@ from joltlab.estimation import (
     CubicSplineModel,
     PolynomialModel,
     SavitzkyGolay,
+    _savgol_filter,
     bootstrap_derivative_ci,
     default_savgol,
     derivatives_from_model,
@@ -25,12 +29,14 @@ from joltlab.estimation import (
     estimate_derivatives,
     fit_model,
     loess_smooth,
+    savgol_apply,
     savgol_derivative,
     savgol_smooth,
     savgol_weights,
 )
 from joltlab.growth import NoiseSpec, add_noise
 from joltlab.timeseries import TimeSeries
+from savgol_oracle import dense_savgol
 
 
 # --- Savitzky-Golay -----------------------------------------------------------
@@ -48,6 +54,30 @@ def test_window5_order2_weights_match_ls_oracle():
     # independent least-squares oracle for the classic 5-point quadratic filter
     oracle = np.array([-3.0, 12.0, 17.0, 12.0, -3.0]) / 35.0
     np.testing.assert_allclose(savgol_weights(5, 2, 0), oracle, atol=1e-12)
+
+
+@pytest.mark.parametrize("poly_order", [2, 3, 4])
+@pytest.mark.parametrize("window", [5, 7, 11, 21, 41])
+def test_savgol_filter_matches_exact_oracle(window, poly_order):
+    # n covers every edge row and several interior rows; unit spacing, so
+    # savgol_apply is the index-space operator itself
+    n = 2 * window + 3
+    rng = np.random.default_rng(100 * window + poly_order)
+    x = rng.standard_normal(n)
+    xs = rng.standard_normal((4, n))
+    series = TimeSeries(np.arange(float(n)), x)
+    for deriv in range(min(poly_order, 3) + 1):
+        oracle = dense_savgol(n, window, poly_order, deriv)
+        rows = _savgol_filter(np.eye(n), window, poly_order, deriv).T
+        row_max = np.abs(oracle).max(axis=1, keepdims=True)
+        assert np.all(np.abs(rows - oracle) <= 1e-13 * row_max)
+        for got, want in (
+            (savgol_apply(series, SavitzkyGolay(window, poly_order), deriv), oracle @ x),
+            (_savgol_filter(xs, window, poly_order, deriv), xs @ oracle.T),
+        ):
+            np.testing.assert_allclose(
+                got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
+            )
 
 
 def test_quadratic_reproduced_window5_order2():
@@ -111,8 +141,24 @@ def test_derivative_order_exceeds_poly():
 
 def test_window_too_large():
     s = TimeSeries(np.arange(9.0), np.arange(9.0) + 1)
-    with pytest.raises(WindowTooLarge):
+    with pytest.raises(WindowTooLarge, match="window 11 exceeds series length 9"):
         savgol_smooth(s, SavitzkyGolay(11, 2))
+
+
+def test_memory_bounded_in_n():
+    # the default window at n=20,000 is 2001; a dense n x n operator would
+    # need 3.2 GB, the banded filter a few output-sized arrays
+    n = 20_000
+    t = np.linspace(0.0, 20.0, n)
+    series = TimeSeries(t, np.exp(0.1 * t + 0.002 * t**2))
+    for estimate in (estimate_derivatives, detection_signal):
+        tracemalloc.start()
+        try:
+            estimate(series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6, f"{estimate.__name__} peaked at {peak / 1e6:.1f} MB"
 
 
 def test_default_savgol_scales_with_length():
