@@ -46,10 +46,8 @@ from .growth import (
 )
 from .metrics import (
     JoltMetrics,
-    composite_jolt,
     compute_metrics,
     dimensionless_jolt,
-    effective_jolt,
     growth_and_doubling,
     jolt_magnitude,
 )

@@ -3,7 +3,8 @@
 Subcommands: generate, detect, metrics, mc, sweep. Runs are declarative: a
 YAML config file holds model specs, noise, detector settings, Monte Carlo
 grids and seeds; CLI flags override config keys one-to-one. Unknown config
-keys are rejected (fail-closed).
+keys, and values whose type differs from the default's, are rejected
+(fail-closed).
 
 Exit codes: 0 success, 2 usage/config error, 3 data contract violation,
 4 internal numerical failure. Detection verdicts never drive exit codes.
@@ -103,6 +104,20 @@ DEFAULT_CONFIG = {
 }
 
 
+def _check_type(full: str, default, value) -> None:
+    # a None default takes a number or null, a float default any number, and
+    # any other default exactly its own type (so a bool is not an int)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if default is None:
+        ok, expected = number or value is None, "a number or null"
+    elif isinstance(default, float):
+        ok, expected = number, "a number"
+    else:
+        ok, expected = type(value) is type(default), type(default).__name__
+    if not ok:
+        raise ConfigError(f"config key {full} must be {expected}, got {value!r}")
+
+
 def _merge(defaults: dict, user: dict, path: str = "") -> dict:
     out = copy.deepcopy(defaults)
     for key, value in user.items():
@@ -114,6 +129,7 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
         if isinstance(defaults[key], dict):
             out[key] = _merge(defaults[key], value, f"{full}.")
         else:
+            _check_type(full, defaults[key], value)
             out[key] = value
     return out
 
@@ -252,15 +268,17 @@ def _load_input(path: str):
 
 
 def cmd_detect(cfg: dict, input_csv: str) -> int:
-    out = _out_dir(cfg)
     series = _load_input(input_csv)
     config = build_detector(cfg, len(series))
     result = hybrid_detect(series, config)
-    result.to_json(out / "detection.json")
     # derivative estimation needs poly_order >= 4; independent of the
     # detection smoother, which only takes a second derivative of log-values
     estimate = estimate_derivatives(series, None)
-    compute_metrics(estimate).write_csv(out / "metrics.csv")
+    metrics = compute_metrics(estimate)
+    # every output is computed before any is written, so a failure leaves none
+    out = _out_dir(cfg)
+    result.to_json(out / "detection.json")
+    metrics.write_csv(out / "metrics.csv")
     estimate.write_csv(out / "derivatives.csv")
     print(
         f"verdict={result.verdict} score={result.score:.3f} "

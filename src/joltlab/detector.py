@@ -276,8 +276,6 @@ def permutation_test(series: TimeSeries, config: DetectorConfig) -> float:
     p = (1 + #exceedances) / (n_perm + 1).
     """
     validate(series, require_positive=True)
-    if config.n_perm < 99:
-        raise TooFewPermutations("n_perm must be >= 99")
     cfg = _resolve_smoother(len(series), config.smoother)
     dt = uniform_spacing(series)
     logv = np.log(series.values)

@@ -10,9 +10,11 @@ time and no working array larger than the window beside its output. The
 boundary points are flagged in an edge mask so downstream consumers can
 exclude them.
 
-Model fitting (polynomials, least-squares cubic splines) uses orthogonalizing
-factorizations throughout, with AIC/BIC/blocked-CV model selection, and
-derivatives taken analytically from the fitted model.
+Model fitting is one linear least-squares fit of a basis with closed-form
+derivatives: the power columns of a polynomial, or a cubic plus one
+truncated power per interior knot for a least-squares cubic spline. AIC,
+BIC or blocked cross-validation selects among the candidates, and C', C''
+and C''' come analytically from the fitted coefficients.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import polynomial as P
-from scipy.interpolate import LSQUnivariateSpline
 
 from .errors import (
     IllConditioned,
@@ -291,65 +292,50 @@ class FitModel:
     bic: float
     cv: float
     candidates: list
-    _predictors: tuple = field(repr=False, default=())
-    coefficients: np.ndarray | None = None
+    basis_coef: np.ndarray = field(repr=False)  # of _basis over t_range
+    coefficients: np.ndarray | None = None  # a polynomial's, in powers of t
 
     def predict(self, times, order: int = 0) -> np.ndarray:
-        return self._predictors[order](np.asarray(times, dtype=float))
+        x, half = _unit(np.ravel(times), self.t_range)
+        values = _basis(x, self.spec, order) @ self.basis_coef / half**order
+        return values.reshape(np.shape(times))
 
 
-def _information_criteria(n, rss, k, scale=1.0):
-    # Gaussian log-likelihood up to constants. RSS is floored at the numerical
-    # precision of the data so that exact fits of different sizes tie on the
-    # likelihood term and the parameter penalty decides between them.
-    floor = n * (1e-12 * max(scale, 1e-150)) ** 2
-    rss = max(rss, floor)
-    aic = n * math.log(rss / n) + 2 * k
-    bic = n * math.log(rss / n) + k * math.log(n)
-    return aic, bic
+def _unit(t, t_range):
+    """x = (t - mid) / half in [-1, 1] over ``t_range``, and the half-span."""
+    lo, hi = t_range
+    half = (hi - lo) / 2
+    return (np.asarray(t, dtype=float) - (lo + hi) / 2) / half, half
 
 
-def _rms_scale(v) -> float:
-    return float(np.sqrt(np.mean(v * v)))
+def _basis(x, spec, m):
+    """The m-th x-derivative of the model's basis columns at x.
 
-
-def _fit_polynomial(t, v, degree):
-    series_poly = np.polynomial.Polynomial.fit(t, v, degree)
-    xm = series_poly.mapparms()[0] + series_poly.mapparms()[1] * t
-    design = np.vander(xm, degree + 1, increasing=True)
-    cond = np.linalg.cond(design)
-    if cond > 1e12:
-        raise IllConditioned(f"design condition number {cond:.3g} > 1e12")
-    resid = v - series_poly(t)
-    rss = float(resid @ resid)
-    preds = [series_poly.deriv(m) if m else series_poly for m in range(4)]
-    predictors = tuple(
-        (lambda f: (lambda x: np.asarray(f(x), dtype=float)))(p) for p in preds
-    )
-    unscaled = series_poly.convert().coef
-    return predictors, rss, unscaled
-
-
-def _fit_spline(t, v, n_knots):
-    interior = np.linspace(t[0], t[-1], n_knots + 2)[1:-1]
-    spl = LSQUnivariateSpline(t, v, interior, k=3)
-    resid = v - spl(t)
-    rss = float(resid @ resid)
-    predictors = tuple(
-        (lambda m: (lambda x: np.asarray(
-            spl(x) if m == 0 else spl.derivative(m)(x), dtype=float)))(m)
-        for m in range(4)
-    )
-    return predictors, rss
+    A degree-p polynomial has the columns 1, x, ..., x^p. A cubic spline adds
+    to the cubic's columns one truncated power (x - knot)_+^3 per interior
+    knot, evenly spaced on (-1, 1): the same space as the cubic B-splines on
+    those knots (de Boor, A Practical Guide to Splines, ch. IX). ``d >= 0``
+    makes the spline's third derivative right-continuous at a knot.
+    """
+    if isinstance(spec, PolynomialModel):
+        p, knots = spec.degree, np.empty(0)
+    elif isinstance(spec, CubicSplineModel):
+        p, knots = 3, np.linspace(-1.0, 1.0, spec.knots + 2)[1:-1]
+    else:
+        raise InvalidSpec(f"unknown model kind {type(spec).__name__}")
+    poly = P.polyvander(x, max(p - m, 0)) @ P.polyder(np.eye(p + 1), m)
+    d = x[:, None] - knots
+    return np.hstack([poly, math.perm(3, m) * (d >= 0) * np.maximum(d, 0) ** (3 - m)])
 
 
 def _fit_one(t, v, spec):
-    if isinstance(spec, PolynomialModel):
-        return _fit_polynomial(t, v, spec.degree)
-    if isinstance(spec, CubicSplineModel):
-        predictors, rss = _fit_spline(t, v, spec.knots)
-        return predictors, rss, None
-    raise InvalidSpec(f"unknown model kind {type(spec).__name__}")
+    """Least-squares basis coefficients of ``spec`` on (t, v), and the RSS."""
+    design = _basis(_unit(t, (t[0], t[-1]))[0], spec, 0)
+    coef, _, _, sv = np.linalg.lstsq(design, v, rcond=None)
+    if sv[0] > 1e12 * sv[-1]:
+        raise IllConditioned(f"design condition number {sv[0] / sv[-1]:.3g} > 1e12")
+    resid = v - design @ coef
+    return coef, float(resid @ resid)
 
 
 def _blocked_cv(t, v, spec, folds=5):
@@ -361,11 +347,11 @@ def _blocked_cv(t, v, spec, folds=5):
         if train.size < spec.n_params + 1:
             return math.inf
         try:
-            predictors, _, _ = _fit_one(t[train], v[train], spec)
-        except Exception:
+            coef, _ = _fit_one(t[train], v[train], spec)
+        except (IllConditioned, np.linalg.LinAlgError):
             return math.inf
-        pred = predictors[0](t[block])
-        errs.append(float(np.mean((v[block] - pred) ** 2)))
+        x = _unit(t[block], (t[train[0]], t[train[-1]]))[0]
+        errs.append(float(np.mean((v[block] - _basis(x, spec, 0) @ coef) ** 2)))
     return float(np.mean(errs))
 
 
@@ -379,7 +365,8 @@ def fit_model(
 
     ``criterion`` is one of "aic", "bic" (default) or "cv" (contiguous-block
     k-fold cross-validation). Diagnostics for every candidate are retained on
-    the returned model.
+    the returned model. Candidates that tie on the criterion, such as exact
+    fits under cv, go to the one with the fewest parameters.
     """
     validate(series)
     if candidates is None:
@@ -393,32 +380,38 @@ def fit_model(
         )
     if criterion not in ("aic", "bic", "cv"):
         raise InvalidSpec(f"unknown selection criterion {criterion!r}")
+    # RSS/n and the CV error are floored at the data's squared numerical
+    # precision, so exact fits of different sizes tie and the parameter count
+    # decides; the bound on the RMS keeps the floor positive for all-zero data
+    floor = (1e-12 * max(float(np.sqrt(np.mean(v * v))), 1e-100)) ** 2
 
     diags, fits = [], {}
     errors = []
     for spec in candidates:
         try:
-            predictors, rss, coefs = _fit_one(t, v, spec)
+            fits[id(spec)], rss = _fit_one(t, v, spec)
         except IllConditioned as exc:
             errors.append(exc)
             continue
-        aic, bic = _information_criteria(n, rss, spec.n_params, _rms_scale(v))
-        cv = _blocked_cv(t, v, spec, cv_folds)
+        # -2 x Gaussian log-likelihood, up to constants
+        misfit = n * math.log(max(rss / n, floor))
+        aic, bic = misfit + 2 * spec.n_params, misfit + spec.n_params * math.log(n)
+        cv = max(_blocked_cv(t, v, spec, cv_folds), floor)
         diags.append(FitDiagnostics(spec, spec.n_params, rss, aic, bic, cv))
-        fits[id(spec)] = (predictors, coefs)
     if not diags:
         raise errors[0] if errors else InsufficientData("no candidate could be fitted")
 
-    key = {"aic": lambda d: d.aic, "bic": lambda d: d.bic, "cv": lambda d: d.cv}[criterion]
-    best = min(diags, key=key)
-    predictors, coefs = fits[id(best.spec)]
+    best = min(diags, key=lambda d: (getattr(d, criterion), d.n_params))
+    t_range = (float(t[0]), float(t[-1]))
+    coef = fits[id(best.spec)]
+    is_poly = isinstance(best.spec, PolynomialModel)
     return FitModel(
         spec=best.spec,
-        t_range=(float(t[0]), float(t[-1])),
+        t_range=t_range,
         rss=best.rss, aic=best.aic, bic=best.bic, cv=best.cv,
         candidates=diags,
-        _predictors=predictors,
-        coefficients=coefs,
+        basis_coef=coef,
+        coefficients=P.Polynomial(coef, domain=t_range).convert().coef if is_poly else None,
     )
 
 

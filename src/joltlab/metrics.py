@@ -2,8 +2,8 @@
 
 Implements the normalized jolt J(t) = C'''/C, the dimensionless jolt
 J_N(t) = C'''*C / (C'*C''), the relative growth rate alpha(t) = C'/C and the
-doubling time ln(2)/alpha, plus resource damping and composite combination
-(shared with the growth module).
+doubling time ln(2)/alpha. Resource damping and composite combination
+live in the growth module.
 
 J_N is undefined where C' or C'' vanish (e.g. a logistic inflection point);
 such points are masked rather than raising. Masked entries are NaN and are
@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import NonPositiveCapability
 from .estimation import DerivativeEstimate
-from .growth import ResourceSchedule, apply_resource_damping, compose
-from .timeseries import TimeSeries
 
 METRICS_CSV_HEADER = "t,J,JN,alpha,t_double,singular"
 
@@ -104,13 +102,3 @@ def compute_metrics(d: DerivativeEstimate) -> JoltMetrics:
         doubling_time=doubling,
         singular_mask=mask,
     )
-
-
-def effective_jolt(jolt_series: TimeSeries, schedule: ResourceSchedule) -> TimeSeries:
-    """Resource-damped jolt: J * (R_max - R(t)) / R_max."""
-    return apply_resource_damping(jolt_series, schedule)
-
-
-def composite_jolt(contributions, interaction=None) -> TimeSeries:
-    """Weighted sum of per-factor jolt series plus interaction terms."""
-    return compose(contributions, interaction)

@@ -5,12 +5,16 @@ import pytest
 
 from joltlab.errors import NonPositiveCapability
 from joltlab.estimation import DerivativeEstimate, estimate_derivatives
-from joltlab.growth import Logistic, ResourceSchedule, evaluate
+from joltlab.growth import (
+    Logistic,
+    ResourceSchedule,
+    apply_resource_damping,
+    compose,
+    evaluate,
+)
 from joltlab.metrics import (
-    composite_jolt,
     compute_metrics,
     dimensionless_jolt,
-    effective_jolt,
     growth_and_doubling,
     jolt_magnitude,
 )
@@ -154,12 +158,12 @@ def test_effective_jolt_substitution():
     t = np.array([0.0, 1.0, 2.0])
     jolt = TimeSeries(t, np.full(3, 1.0))
     sched = ResourceSchedule(t, np.full(3, 0.25), r_max=1.0)
-    np.testing.assert_allclose(effective_jolt(jolt, sched).values, 0.75, atol=1e-12)
+    np.testing.assert_allclose(apply_resource_damping(jolt, sched).values, 0.75, atol=1e-12)
 
 
 def test_composite_jolt_weighted_sum():
     t = np.array([0.0, 1.0])
     a = TimeSeries(t, np.full(2, 2.0))
     b = TimeSeries(t, np.full(2, 4.0))
-    out = composite_jolt([(0.5, a), (0.5, b)])
+    out = compose([(0.5, a), (0.5, b)])
     np.testing.assert_allclose(out.values, 3.0, atol=1e-12)
