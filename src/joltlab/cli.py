@@ -21,7 +21,7 @@ from pathlib import Path
 
 import yaml
 
-from .detector import DetectorConfig, hybrid_detect
+from .detector import DETECTION_POLY_ORDER, DetectorConfig, hybrid_detect
 from .errors import (
     ConfigError,
     DataError,
@@ -43,6 +43,7 @@ from .growth import (
 )
 from .metrics import compute_metrics
 from .montecarlo import (
+    CellResult,
     MCCell,
     TrialMix,
     run_cells,
@@ -54,47 +55,43 @@ from .montecarlo import (
 )
 from .timeseries import read_csv, write_csv
 
+_FAMILIES = {
+    "exponential": Exponential,
+    "logistic": Logistic,
+    "logquadratic": LogQuadratic,
+    "injected_jolt": InjectedJolt,
+}
+
+
+def _defaults(*classes, skip=()) -> dict:
+    """Config section of the field defaults of ``classes``. Tuples become
+    lists, the type YAML gives them, so that ``_check_type`` accepts them."""
+    return {
+        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+        for cls in classes
+        for f in dataclasses.fields(cls)
+        if f.name not in skip
+    }
+
+
+# the library dataclasses own every default; seed, out, jobs, the Monte Carlo
+# trial count and noise levels, and the sweep grid belong to the CLI alone
 DEFAULT_CONFIG = {
     "seed": 0,
     "out": ".",
     "jobs": 1,
-    "model": {
-        "family": "logquadratic",
-        "c0": 1.0,
-        "a": 0.0,
-        "b": 0.01,
-        "k": 0.1,
-        "l": 100.0,
-        "r": 1.0,
-        "t0": 10.0,
-        "jolt_start": 5.0,
-        "jolt_end": 10.0,
-        "ramp_strength": 0.1,
-    },
-    "grid": {"t_start": 0.0, "t_end": 20.0, "n_points": 200},
-    "noise": {"level": "none", "sigma_rel": None},
+    "model": {"family": "logquadratic", **_defaults(*_FAMILIES.values(), skip={"base"})},
+    "grid": _defaults(GridSpec),
+    "noise": _defaults(NoiseSpec, skip={"seed"}),
     "detector": {
         "window": None,
-        "poly_order": 2,
-        "threshold_peak": 3.0,
-        "min_duration_frac": 0.25,
-        "combine_weights": [1 / 3, 1 / 3, 1 / 3],
-        "decision_threshold": 0.5,
-        "n_perm": 499,
-        "alpha_sig": 0.05,
+        "poly_order": DETECTION_POLY_ORDER,
+        **_defaults(DetectorConfig, skip={"smoother", "seed"}),
     },
     "mc": {
-        "n_trials": 1000,
+        "n_trials": MCCell.n_trials,
         "noise_levels": ["low", "medium", "high"],
-        "b_range": [0.005, 0.02],
-        "k_range": [0.03, 0.12],
-        "r_range": [0.5, 1.5],
-        "t0_range": [8.0, 12.0],
-        "injected_fraction": 0.5,
-        "logistic_fraction": 0.5,
-        "ramp_strength_range": [0.10, 0.35],
-        "ramp_start_range": [5.0, 10.0],
-        "ramp_len_range": [4.0, 8.0],
+        **_defaults(TrialMix, skip={"logistic_l"}),
     },
     "sweep": {
         "window": [7, 11, 15, 21],
@@ -149,66 +146,46 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, user)
 
 
+def _build(cls, section: dict, **extra):
+    """``cls`` from the keys of ``section`` that are its fields, with lists
+    turned back into tuples, plus ``extra``."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    kwargs = {
+        k: tuple(v) if isinstance(v, list) else v for k, v in section.items() if k in names
+    }
+    return cls(**kwargs, **extra)
+
+
 def build_family(model: dict):
     family = model["family"]
-    if family == "exponential":
-        return Exponential(c0=model["c0"], k=model["k"])
-    if family == "logistic":
-        return Logistic(l=model["l"], r=model["r"], t0=model["t0"])
-    if family == "logquadratic":
-        return LogQuadratic(c0=model["c0"], a=model["a"], b=model["b"])
-    if family == "injected_jolt":
-        return InjectedJolt(
-            base=Exponential(c0=model["c0"], k=model["k"]),
-            jolt_start=model["jolt_start"],
-            jolt_end=model["jolt_end"],
-            ramp_strength=model["ramp_strength"],
-        )
-    raise ConfigError(f"unknown config key: model.family value {family!r}")
+    if family not in _FAMILIES:
+        raise ConfigError(f"unknown config key: model.family value {family!r}")
+    extra = {"base": _build(Exponential, model)} if family == "injected_jolt" else {}
+    return _build(_FAMILIES[family], model, **extra)
 
 
 def build_spec(cfg: dict) -> GrowthModelSpec:
-    grid = GridSpec(**cfg["grid"])
-    noise = NoiseSpec(
-        level=cfg["noise"]["level"],
-        sigma_rel=cfg["noise"]["sigma_rel"],
-        seed=cfg["seed"],
-    )
+    grid = _build(GridSpec, cfg["grid"])
+    noise = _build(NoiseSpec, cfg["noise"], seed=cfg["seed"])
     return GrowthModelSpec(family=build_family(cfg["model"]), grid=grid, noise=noise)
 
 
 def build_detector(cfg: dict, n_points: int | None = None) -> DetectorConfig:
     d = cfg["detector"]
-    smoother = None
-    if d["window"] is not None:
-        smoother = SavitzkyGolay(window=int(d["window"]), poly_order=int(d["poly_order"]))
+    window, smoother = d["window"], None
+    if window is not None:
+        if not float(window).is_integer():
+            raise ConfigError(
+                f"config key detector.window must be a whole number or null, got {window!r}"
+            )
+        smoother = SavitzkyGolay(window=int(window), poly_order=d["poly_order"])
     elif n_points is not None:
-        smoother = default_savgol(n_points, poly_order=int(d["poly_order"]))
-    return DetectorConfig(
-        smoother=smoother,
-        threshold_peak=d["threshold_peak"],
-        min_duration_frac=d["min_duration_frac"],
-        combine_weights=tuple(d["combine_weights"]),
-        decision_threshold=d["decision_threshold"],
-        n_perm=int(d["n_perm"]),
-        alpha_sig=d["alpha_sig"],
-        seed=cfg["seed"],
-    )
+        smoother = default_savgol(n_points, poly_order=d["poly_order"])
+    return _build(DetectorConfig, d, smoother=smoother, seed=cfg["seed"])
 
 
 def build_mix(cfg: dict) -> TrialMix:
-    m = cfg["mc"]
-    return TrialMix(
-        b_range=tuple(m["b_range"]),
-        k_range=tuple(m["k_range"]),
-        r_range=tuple(m["r_range"]),
-        t0_range=tuple(m["t0_range"]),
-        injected_fraction=m["injected_fraction"],
-        logistic_fraction=m["logistic_fraction"],
-        ramp_strength_range=tuple(m["ramp_strength_range"]),
-        ramp_start_range=tuple(m["ramp_start_range"]),
-        ramp_len_range=tuple(m["ramp_len_range"]),
-    )
+    return _build(TrialMix, cfg["mc"])
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -247,9 +224,9 @@ def _spec_payload(spec: GrowthModelSpec) -> dict:
 # --- subcommands --------------------------------------------------------------
 
 def cmd_generate(cfg: dict) -> int:
-    out = _out_dir(cfg)
     spec = build_spec(cfg)
     series, label = generate(spec)
+    out = _out_dir(cfg)
     write_csv(series, out / "series.csv")
     sidecar = {"spec": _spec_payload(spec), "seed": cfg["seed"], "label": label}
     with open(out / "series.json", "w", encoding="utf-8") as fh:
@@ -288,51 +265,44 @@ def cmd_detect(cfg: dict, input_csv: str) -> int:
 
 
 def cmd_metrics(cfg: dict, input_csv: str) -> int:
-    out = _out_dir(cfg)
     series = _load_input(input_csv)
     estimate = estimate_derivatives(series, None)
-    compute_metrics(estimate).write_csv(out / "metrics.csv")
+    metrics = compute_metrics(estimate)
+    out = _out_dir(cfg)
+    metrics.write_csv(out / "metrics.csv")
     estimate.write_csv(out / "derivatives.csv")
     print(f"wrote {out / 'metrics.csv'}")
     return 0
 
 
-def _mc_cells(cfg: dict):
-    grid = GridSpec(**cfg["grid"])
-    mix = build_mix(cfg)
-    detector = build_detector(cfg, grid.n_points)
-    for noise in cfg["mc"]["noise_levels"]:
-        yield MCCell(
-            noise=noise,
-            detector=detector,
-            n_trials=int(cfg["mc"]["n_trials"]),
-            master_seed=int(cfg["seed"]),
-            mix=mix,
-            grid=grid,
-        )
+def _mc_cells(cfg: dict) -> list:
+    grid = _build(GridSpec, cfg["grid"])
+    detector, mix = build_detector(cfg, grid.n_points), build_mix(cfg)
+    return [
+        _build(MCCell, cfg["mc"], noise=noise, detector=detector,
+               master_seed=cfg["seed"], mix=mix, grid=grid)
+        for noise in cfg["mc"]["noise_levels"]
+    ]
 
 
 def cmd_mc(cfg: dict) -> int:
-    from .montecarlo import CellResult
-
+    cells = _mc_cells(cfg)
+    results = [
+        CellResult(noise=cell.noise, params={}, counts=counts, rates=summarize(counts))
+        for cell, counts in zip(cells, run_cells(cells, jobs=cfg["jobs"]))
+    ]
+    metadata = {
+        "master_seed": cfg["seed"],
+        "n_trials": cfg["mc"]["n_trials"],
+        "noise_levels": list(cfg["mc"]["noise_levels"]),
+        "grid": cfg["grid"],
+        "detector": cfg["detector"],
+        "mix": cfg["mc"],
+    }
     out = _out_dir(cfg)
     tracker = _OutputTracker()
     try:
-        cells = list(_mc_cells(cfg))
-        results = [
-            CellResult(noise=cell.noise, params={}, counts=counts,
-                       rates=summarize(counts))
-            for cell, counts in zip(cells, run_cells(cells, jobs=int(cfg["jobs"])))
-        ]
         write_table1(results, tracker.declare(out / "table1.csv"))
-        metadata = {
-            "master_seed": cfg["seed"],
-            "n_trials": cfg["mc"]["n_trials"],
-            "noise_levels": list(cfg["mc"]["noise_levels"]),
-            "grid": cfg["grid"],
-            "detector": cfg["detector"],
-            "mix": cfg["mc"],
-        }
         write_report_json(results, metadata, tracker.declare(out / "report.json"))
     except Exception:
         tracker.cleanup()
@@ -342,24 +312,16 @@ def cmd_mc(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
+    axes = {k: list(v) for k, v in cfg["sweep"].items() if k != "budget"}
+    axis_names = list(axes)
+    reports = sweeps(axes, _mc_cells(cfg), budget=cfg["sweep"]["budget"], jobs=cfg["jobs"])
+    all_cells = [cell for report in reports for cell in report.cells]
+    best = best_joint_configuration(all_cells, axis_names)
+    metadata = {"runs": [report.metadata for report in reports], "detector": cfg["detector"]}
     out = _out_dir(cfg)
     tracker = _OutputTracker()
-    axes = {
-        k: list(v)
-        for k, v in cfg["sweep"].items()
-        if k != "budget"
-    }
-    axis_names = list(axes.keys())
     try:
-        reports = sweeps(
-            axes, list(_mc_cells(cfg)), budget=int(cfg["sweep"]["budget"]),
-            jobs=int(cfg["jobs"]),
-        )
-        all_cells = [cell for report in reports for cell in report.cells]
-        metadata_runs = [report.metadata for report in reports]
         write_heatmap(all_cells, axis_names, tracker.declare(out / "heatmap.csv"))
-        best = best_joint_configuration(all_cells, axis_names)
-        metadata = {"runs": metadata_runs, "detector": cfg["detector"]}
         write_report_json(
             all_cells, metadata, tracker.declare(out / "report.json"), best=best
         )
@@ -453,18 +415,9 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except JoltlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, DataError) else 4 if isinstance(exc, NumericalError) else 2
 
 
 if __name__ == "__main__":

@@ -106,11 +106,14 @@ class DetectionResult:
             fh.write("\n")
 
 
+# poly_order of the default detection smoother: exact for the log-quadratic
+# signal (log C is degree 2) and far lower in noise variance than higher
+# orders; third-derivative estimation elsewhere still uses poly_order >= 4.
+DETECTION_POLY_ORDER = 2
+
+
 def _resolve_smoother(n: int, smoother: SavitzkyGolay | None) -> SavitzkyGolay:
-    # poly_order 2 is exact for the log-quadratic signal (log C is degree 2)
-    # and has far lower noise variance than higher orders; third-derivative
-    # estimation elsewhere still uses poly_order >= 4.
-    return smoother if smoother is not None else default_savgol(n, poly_order=2)
+    return smoother if smoother is not None else default_savgol(n, DETECTION_POLY_ORDER)
 
 
 def _log_signal(logv: np.ndarray, cfg: SavitzkyGolay, dt: float) -> np.ndarray:

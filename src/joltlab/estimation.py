@@ -371,6 +371,8 @@ def fit_model(
     validate(series)
     if candidates is None:
         candidates = [PolynomialModel(d) for d in range(1, 7)]
+    if not candidates:
+        raise InvalidSpec("fit_model needs at least one candidate model")
     t, v = series.times, series.values
     n = t.size
     max_params = max(c.n_params for c in candidates)
@@ -399,7 +401,7 @@ def fit_model(
         cv = max(_blocked_cv(t, v, spec, cv_folds), floor)
         diags.append(FitDiagnostics(spec, spec.n_params, rss, aic, bic, cv))
     if not diags:
-        raise errors[0] if errors else InsufficientData("no candidate could be fitted")
+        raise errors[0]
 
     best = min(diags, key=lambda d: (getattr(d, criterion), d.n_params))
     t_range = (float(t[0]), float(t[-1]))

@@ -16,13 +16,14 @@ import itertools
 import json
 import logging
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .detector import DetectorConfig, hybrid_detect
+from .detector import DetectorConfig, _resolve_smoother, hybrid_detect
 from .errors import BudgetExceeded, EmptyCell, InvalidSpec, JoltlabError
 from .estimation import SavitzkyGolay
 from .growth import (
@@ -49,7 +50,7 @@ class TrialMix:
     k_range: tuple = (0.03, 0.12)
     r_range: tuple = (0.5, 1.5)
     t0_range: tuple = (8.0, 12.0)
-    logistic_l: float = 100.0
+    logistic_l: float = Logistic.l
     injected_fraction: float = 0.5
     logistic_fraction: float = 0.5
     ramp_strength_range: tuple = (0.10, 0.35)
@@ -72,6 +73,10 @@ class MCCell:
     def __post_init__(self):
         if self.n_trials < 1:
             raise InvalidSpec("n_trials must be >= 1")
+        # resolve the smoother hybrid_detect would, so that sweeps over window
+        # or poly_order start from the one the trials run
+        smoother = _resolve_smoother(self.grid.n_points, self.detector.smoother)
+        object.__setattr__(self, "detector", replace(self.detector, smoother=smoother))
 
 
 @dataclass(frozen=True)
@@ -286,6 +291,7 @@ _CONFIG_AXES = {
     "window", "poly_order", "threshold_peak", "min_duration_frac",
     "decision_threshold", "n_perm", "alpha_sig",
 }
+_WHOLE_AXES = {"window", "poly_order", "n_perm"}
 
 
 def apply_axes(config: DetectorConfig, assignment: dict) -> DetectorConfig:
@@ -320,6 +326,13 @@ def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> list:
             raise InvalidSpec(f"unknown sweep axis {name!r}")
         if len(values) < 2:
             raise InvalidSpec(f"sweep axis {name!r} needs at least 2 values")
+        # apply_axes converts with int()/float(), which would truncate 7.5
+        # to 7 or take the string "0.5"; reject what the field cannot hold
+        kind = "a whole number" if name in _WHOLE_AXES else "a number"
+        for value in values:
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not number or (name in _WHOLE_AXES and not float(value).is_integer()):
+                raise InvalidSpec(f"sweep axis {name!r} value {value!r} is not {kind}")
     names = list(axes.keys())
     combos = [dict(zip(names, combo)) for combo in itertools.product(*axes.values())]
     if len(combos) > budget:

@@ -9,7 +9,9 @@ import pytest
 import yaml
 
 import joltlab
-from joltlab.cli import main
+from joltlab.cli import build_detector, load_config, main
+from joltlab.detector import DetectorConfig
+from joltlab.montecarlo import MCCell, sweep
 from joltlab.timeseries import read_csv
 
 
@@ -215,6 +217,65 @@ def test_sweep_small(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["best"] is not None
     assert set(report["best"]["params"]) == {"window", "decision_threshold"}
+
+
+def test_library_sweep_matches_cli_template():
+    # a default-smoother MCCell sweeps window from the smoother its trials
+    # run, the one joltlab sweep builds for the grid
+    library = MCCell(noise="medium", detector=DetectorConfig(n_perm=99),
+                     n_trials=40, master_seed=3)
+    cfg = load_config(None)
+    cfg["detector"]["n_perm"] = 99
+    template = MCCell(noise="medium", detector=build_detector(cfg, 200),
+                      n_trials=40, master_seed=3)
+    axes = {"window": [11, 21]}
+    assert ([c.counts for c in sweep(axes, library).cells]
+            == [c.counts for c in sweep(axes, template).cells])
+
+
+SMALL_SWEEP = {
+    "mc": {"n_trials": 2, "noise_levels": ["low"]},
+    "detector": {"n_perm": 99},
+    "grid": {"n_points": 100},
+}
+
+
+@pytest.mark.parametrize("payload, named", [
+    ({"sweep": {"window": [7.5, 11]}}, "sweep axis 'window' value 7.5 is not a whole number"),
+    ({"sweep": {"window": ["a", 11]}}, "sweep axis 'window' value 'a' is not a whole number"),
+    ({"sweep": {"decision_threshold": ["x", 0.5]}},
+     "sweep axis 'decision_threshold' value 'x' is not a number"),
+    ({"detector": {"n_perm": 99, "window": 21.5}},
+     "config key detector.window must be a whole number or null, got 21.5"),
+])
+def test_inexact_window_or_axis_value_exit_2(tmp_path, capsys, payload, named):
+    cfg = write_config(tmp_path, {**SMALL_SWEEP, **payload})
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+SPIKY = [1000.0 if i % 17 == 0 else 1e-3 for i in range(200)]
+
+
+@pytest.mark.parametrize("command, payload, values, code", [
+    ("generate", {"model": {"family": "exponential", "c0": -1.0}}, None, 2),
+    ("metrics", {}, [2.0 ** i for i in range(5)], 3),
+    ("metrics", {}, SPIKY, 3),
+    ("mc", {"detector": {"n_perm": 10}}, None, 2),
+    ("sweep", {**SMALL_SWEEP, "sweep": {"window": [7.5, 11]}}, None, 2),
+])
+def test_failed_command_creates_no_out_dir(tmp_path, command, payload, values, code):
+    argv = [command, "--config", write_config(tmp_path, payload)]
+    if values is not None:
+        path = tmp_path / "input.csv"
+        rows = "\n".join(f"{i},{v}" for i, v in enumerate(values))
+        path.write_text("t,value\n" + rows + "\n")
+        argv.insert(1, str(path))
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == code
+    assert not out.exists()
 
 
 # --- import path --------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from joltlab.detector import (
+    DETECTION_POLY_ORDER,
     DetectorConfig,
     detection_signal,
     duration_score,
@@ -153,7 +154,7 @@ def _dense_permutation_p(series, config):
     """Reference permutation test: every surrogate is pushed through the
     dense deriv-2 operator, floored elementwise like the detection signal,
     reduced to its interior mean and compared with ``>=``."""
-    cfg = config.smoother or default_savgol(len(series), poly_order=2)
+    cfg = config.smoother or default_savgol(len(series), DETECTION_POLY_ORDER)
     dt = uniform_spacing(series)
     logv = np.log(series.values)
     n = logv.size

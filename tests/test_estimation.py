@@ -255,6 +255,12 @@ def test_unknown_criterion_rejected():
         fit_model(TimeSeries(t, t), [PolynomialModel(1), PolynomialModel(2)], criterion="r2")
 
 
+def test_no_candidates_rejected():
+    t = np.linspace(0, 5, 40)
+    with pytest.raises(InvalidSpec, match="at least one candidate"):
+        fit_model(TimeSeries(t, np.exp(t)), [])
+
+
 def test_cv_criterion_runs():
     t = np.linspace(0, 5, 60)
     v = t**2 + 0.1 * np.sin(t)

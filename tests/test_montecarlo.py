@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from joltlab.detector import DetectorConfig
-from joltlab.errors import BudgetExceeded, EmptyCell, InvalidSpec
+from joltlab.detector import DETECTION_POLY_ORDER, DetectorConfig
+from joltlab.errors import BudgetExceeded, EmptyCell, InvalidSpec, SeriesTooShort
 from joltlab.estimation import SavitzkyGolay
 from joltlab.growth import (
     Exponential,
@@ -141,6 +141,20 @@ def test_numeric_noise_level():
     assert c.tp + c.fn == cell.n_trials
 
 
+def test_cell_resolves_default_smoother_for_its_grid():
+    assert MCCell().detector.smoother == SavitzkyGolay(21, DETECTION_POLY_ORDER)
+    assert small_cell().detector.smoother == SavitzkyGolay(11, DETECTION_POLY_ORDER)
+    own = DetectorConfig(smoother=SavitzkyGolay(7, 3), n_perm=99)
+    assert small_cell(detector=own).detector == own
+
+
+def test_cell_on_grid_below_default_window_rejected():
+    # trials on a grid under 11 points could not resolve a smoother; the
+    # cell says so at construction instead of failing every trial
+    with pytest.raises(SeriesTooShort, match="10 points"):
+        small_cell(grid=GridSpec(0.0, 20.0, 10))
+
+
 # --- sweep --------------------------------------------------------------------
 
 def test_apply_axes():
@@ -191,6 +205,19 @@ def test_sweep_budget_enforced():
 def test_sweep_rejects_unknown_axis():
     with pytest.raises(InvalidSpec):
         sweep({"mystery": [1, 2]}, small_cell())
+
+
+@pytest.mark.parametrize("axes", [
+    {"window": [7.5, 11]},
+    {"poly_order": [2, 2.5]},
+    {"n_perm": [99, 199.5]},
+    {"n_perm": [True, 199]},
+    {"decision_threshold": ["0.5", 0.6]},
+    {"alpha_sig": [None, 0.05]},
+])
+def test_sweep_rejects_values_their_field_cannot_hold(axes):
+    with pytest.raises(InvalidSpec, match="value"):
+        sweep(axes, small_cell())
 
 
 def test_sweep_rejects_single_value_axis():
