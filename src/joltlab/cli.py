@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage/config error, 3 data contract violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import json
@@ -46,6 +47,7 @@ from .montecarlo import (
     CellResult,
     MCCell,
     TrialMix,
+    best_configuration,
     run_cells,
     summarize,
     sweeps,
@@ -184,32 +186,27 @@ def build_detector(cfg: dict, n_points: int | None = None) -> DetectorConfig:
     return _build(DetectorConfig, d, smoother=smoother, seed=cfg["seed"])
 
 
-def build_mix(cfg: dict) -> TrialMix:
-    return _build(TrialMix, cfg["mc"])
-
-
-def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-class _OutputTracker:
-    """Deletes partially written outputs if a command fails."""
-
-    def __init__(self):
-        self.paths = []
-
-    def declare(self, path: Path) -> Path:
-        self.paths.append(path)
-        return path
-
-    def cleanup(self):
-        for path in self.paths:
-            try:
+def _write_outputs(cfg: dict, writers: dict) -> Path:
+    """Create the ``out`` directory and call each ``writers[name]`` with the
+    path of ``name`` there. A command writes all of its outputs or none: on
+    a failure the files already written are removed, and an OSError becomes
+    a ConfigError naming the path that could not be written."""
+    target = out = Path(cfg["out"])
+    written = []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in writers.items():
+            target = out / name
+            written.append(target)
+            write(target)
+    except Exception as exc:
+        for path in written:
+            with contextlib.suppress(OSError):  # e.g. a directory of that name
                 path.unlink(missing_ok=True)
-            except OSError:
-                pass
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from None
+        raise
+    return out
 
 
 def _spec_payload(spec: GrowthModelSpec) -> dict:
@@ -226,12 +223,13 @@ def _spec_payload(spec: GrowthModelSpec) -> dict:
 def cmd_generate(cfg: dict) -> int:
     spec = build_spec(cfg)
     series, label = generate(spec)
-    out = _out_dir(cfg)
-    write_csv(series, out / "series.csv")
     sidecar = {"spec": _spec_payload(spec), "seed": cfg["seed"], "label": label}
-    with open(out / "series.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out = _write_outputs(cfg, {
+        "series.csv": lambda path: write_csv(series, path),
+        "series.json": lambda path: path.write_text(
+            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        ),
+    })
     print(f"wrote {out / 'series.csv'} (label={label})")
     return 0
 
@@ -253,10 +251,11 @@ def cmd_detect(cfg: dict, input_csv: str) -> int:
     estimate = estimate_derivatives(series, None)
     metrics = compute_metrics(estimate)
     # every output is computed before any is written, so a failure leaves none
-    out = _out_dir(cfg)
-    result.to_json(out / "detection.json")
-    metrics.write_csv(out / "metrics.csv")
-    estimate.write_csv(out / "derivatives.csv")
+    out = _write_outputs(cfg, {
+        "detection.json": result.to_json,
+        "metrics.csv": metrics.write_csv,
+        "derivatives.csv": estimate.write_csv,
+    })
     print(
         f"verdict={result.verdict} score={result.score:.3f} "
         f"p={result.p_value:.4f} -> {out / 'detection.json'}"
@@ -268,16 +267,17 @@ def cmd_metrics(cfg: dict, input_csv: str) -> int:
     series = _load_input(input_csv)
     estimate = estimate_derivatives(series, None)
     metrics = compute_metrics(estimate)
-    out = _out_dir(cfg)
-    metrics.write_csv(out / "metrics.csv")
-    estimate.write_csv(out / "derivatives.csv")
+    out = _write_outputs(cfg, {
+        "metrics.csv": metrics.write_csv,
+        "derivatives.csv": estimate.write_csv,
+    })
     print(f"wrote {out / 'metrics.csv'}")
     return 0
 
 
 def _mc_cells(cfg: dict) -> list:
     grid = _build(GridSpec, cfg["grid"])
-    detector, mix = build_detector(cfg, grid.n_points), build_mix(cfg)
+    detector, mix = build_detector(cfg, grid.n_points), _build(TrialMix, cfg["mc"])
     return [
         _build(MCCell, cfg["mc"], noise=noise, detector=detector,
                master_seed=cfg["seed"], mix=mix, grid=grid)
@@ -299,14 +299,10 @@ def cmd_mc(cfg: dict) -> int:
         "detector": cfg["detector"],
         "mix": cfg["mc"],
     }
-    out = _out_dir(cfg)
-    tracker = _OutputTracker()
-    try:
-        write_table1(results, tracker.declare(out / "table1.csv"))
-        write_report_json(results, metadata, tracker.declare(out / "report.json"))
-    except Exception:
-        tracker.cleanup()
-        raise
+    out = _write_outputs(cfg, {
+        "table1.csv": lambda path: write_table1(results, path),
+        "report.json": lambda path: write_report_json(results, metadata, path),
+    })
     print(f"wrote {out / 'table1.csv'} and {out / 'report.json'}")
     return 0
 
@@ -316,38 +312,14 @@ def cmd_sweep(cfg: dict) -> int:
     axis_names = list(axes)
     reports = sweeps(axes, _mc_cells(cfg), budget=cfg["sweep"]["budget"], jobs=cfg["jobs"])
     all_cells = [cell for report in reports for cell in report.cells]
-    best = best_joint_configuration(all_cells, axis_names)
+    best = best_configuration(all_cells, axis_names)
     metadata = {"runs": [report.metadata for report in reports], "detector": cfg["detector"]}
-    out = _out_dir(cfg)
-    tracker = _OutputTracker()
-    try:
-        write_heatmap(all_cells, axis_names, tracker.declare(out / "heatmap.csv"))
-        write_report_json(
-            all_cells, metadata, tracker.declare(out / "report.json"), best=best
-        )
-    except Exception:
-        tracker.cleanup()
-        raise
+    out = _write_outputs(cfg, {
+        "heatmap.csv": lambda path: write_heatmap(all_cells, axis_names, path),
+        "report.json": lambda path: write_report_json(all_cells, metadata, path, best=best),
+    })
     print(f"wrote {out / 'heatmap.csv'} and {out / 'report.json'}")
     return 0
-
-
-def best_joint_configuration(cells, axis_names):
-    """Cell whose configuration minimizes mean error rate across noise levels."""
-    by_params = {}
-    for cell in cells:
-        key = tuple(cell.params[a] for a in axis_names)
-        by_params.setdefault(key, []).append(cell)
-    def keyfun(item):
-        _, group = item
-        mean_err = sum(c.rates.error_rate for c in group) / len(group)
-        mean_fpr = sum(c.rates.fpr for c in group) / len(group)
-        first = item[0][0] if axis_names else 0
-        return (mean_err, mean_fpr, first)
-    if not by_params:
-        return None
-    _, group = min(by_params.items(), key=keyfun)
-    return group[0]
 
 
 # --- entry point --------------------------------------------------------------

@@ -64,6 +64,11 @@ class DetectorConfig:
         if not 0 < self.alpha_sig < 1:
             raise InvalidSpec("alpha_sig must lie in (0, 1)")
 
+    def verdict(self, score, p_value):
+        """The detection rule, elementwise on arrays: a jolt is reported when
+        ``score >= decision_threshold`` and ``p_value <= alpha_sig``."""
+        return (score >= self.decision_threshold) & (p_value <= self.alpha_sig)
+
 
 @dataclass
 class Signal:
@@ -148,7 +153,9 @@ def _require_points(s: np.ndarray) -> None:
         raise TooFewPoints("need at least 8 unmasked signal points")
 
 
-def peak_ratio_score(s: np.ndarray, threshold_peak: float = 3.0) -> float:
+def peak_ratio_score(
+    s: np.ndarray, threshold_peak: float = DetectorConfig.threshold_peak
+) -> float:
     """max(S) over a robust null scale (1.4826 * MAD of the mean-removed
     signal), squashed through x/(1+x) after dividing by the threshold."""
     _require_points(s)
@@ -204,21 +211,17 @@ def pattern_match_score(s: np.ndarray) -> float:
 
 
 def _positive_runs(s: np.ndarray):
-    """(start, length) of maximal runs with s > 0."""
-    runs = []
-    start = None
-    for i, val in enumerate(s):
-        if val > 0 and start is None:
-            start = i
-        elif val <= 0 and start is not None:
-            runs.append((start, i - start))
-            start = None
-    if start is not None:
-        runs.append((start, s.size - start))
-    return runs
+    """(start, length) of maximal runs with s > 0, as Python ints."""
+    # +1 steps of the zero-padded mask open a run, -1 steps close one
+    steps = np.diff((s > 0).astype(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(steps == 1)
+    ends = np.flatnonzero(steps == -1)
+    return list(zip(starts.tolist(), (ends - starts).tolist()))
 
 
-def duration_score(s: np.ndarray, min_duration_frac: float = 0.25) -> float:
+def duration_score(
+    s: np.ndarray, min_duration_frac: float = DetectorConfig.min_duration_frac
+) -> float:
     """Longest positive run fraction, normalized by the duration threshold."""
     _require_points(s)
     runs = _positive_runs(s)
@@ -255,7 +258,9 @@ def _permutation_weights(n: int, window: int, poly_order: int):
     return w, math.sqrt(n / denom)
 
 
-def permutation_test(series: TimeSeries, config: DetectorConfig) -> float:
+def permutation_test(
+    series: TimeSeries, config: DetectorConfig, signal: Signal | None = None
+) -> float:
     """P-value of mean(S) against an exponential null with permuted residuals.
 
     The null model is exponential (linear fit in log-space). Surrogates are
@@ -275,17 +280,19 @@ def permutation_test(series: TimeSeries, config: DetectorConfig) -> float:
     ``1e-11 * max(1, max|fit| + max|resid|) / dt^2``. Surrogates of a
     noiseless exponential (statistic zero up to rounding) therefore tie with
     its zero observed statistic, giving p = 1. The observed statistic is the
-    interior mean of the floored detection signal.
+    interior mean of the floored detection signal: ``signal`` when given,
+    which must be ``detection_signal(series, config.smoother)``, else that
+    signal computed here.
     p = (1 + #exceedances) / (n_perm + 1).
     """
-    validate(series, require_positive=True)
+    if signal is None:
+        signal = detection_signal(series, config.smoother)
     cfg = _resolve_smoother(len(series), config.smoother)
     dt = uniform_spacing(series)
     logv = np.log(series.values)
     n = logv.size
-    interior = ~edge_mask(n, cfg.window)
 
-    observed = float(_log_signal(logv, cfg, dt)[interior].mean())
+    observed = float(signal.unmasked.mean())
 
     w, resid_scale = _permutation_weights(n, cfg.window, cfg.poly_order)
     w = w / dt**2
@@ -319,10 +326,8 @@ def _detection_intervals(signal: Signal, min_duration_frac: float) -> list:
 
 
 def hybrid_detect(series: TimeSeries, config: DetectorConfig | None = None) -> DetectionResult:
-    """Full hybrid detection: signal, sub-scores, combined score, p-value.
-
-    verdict = (score >= decision_threshold) AND (p_value <= alpha_sig).
-    """
+    """Full hybrid detection: signal, sub-scores, combined score, p-value,
+    and the verdict of :meth:`DetectorConfig.verdict`."""
     if config is None:
         config = DetectorConfig()
     if len(series) < 32:
@@ -334,10 +339,9 @@ def hybrid_detect(series: TimeSeries, config: DetectorConfig | None = None) -> D
     duration = duration_score(s, config.min_duration_frac)
     w = config.combine_weights
     score = w[0] * peak + w[1] * pattern + w[2] * duration
-    p_value = permutation_test(series, config)
-    verdict = (score >= config.decision_threshold) and (p_value <= config.alpha_sig)
+    p_value = permutation_test(series, config, signal)
     return DetectionResult(
-        verdict=verdict,
+        verdict=config.verdict(score, p_value),
         score=float(score),
         sub_scores={"peak": peak, "pattern": pattern, "duration": duration},
         intervals=_detection_intervals(signal, config.min_duration_frac),

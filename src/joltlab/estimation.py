@@ -57,10 +57,10 @@ class SavitzkyGolay:
             raise InvalidOrder("poly_order must satisfy 0 <= poly_order < window")
 
 
-_MIN_DEFAULT_WINDOW = 11
+_MIN_DEFAULT_WINDOW = SavitzkyGolay.window
 
 
-def default_savgol(n: int, poly_order: int = 4) -> SavitzkyGolay:
+def default_savgol(n: int, poly_order: int = SavitzkyGolay.poly_order) -> SavitzkyGolay:
     """Default detection pipeline smoother: window = max(11, ~n/10, odd).
 
     A series shorter than the window floor of 11 has no default smoother:

@@ -4,8 +4,8 @@ Generates labeled synthetic trajectories (jolting positives vs exponential /
 logistic negatives), runs the detector on each, and tallies confusion counts
 into TPR/FPR summaries and hyperparameter-sweep heatmap data.
 
-Per-trial seeds are pure functions of (master seed, cell id, class, trial
-index), and tallies are commutative sums, so results are independent of the
+Per-trial seeds are pure functions of (master seed, class, trial index),
+and tallies are commutative sums, so results are independent of the
 degree of parallelism.
 """
 
@@ -68,7 +68,6 @@ class MCCell:
     master_seed: int = 0
     mix: TrialMix = field(default_factory=TrialMix)
     grid: GridSpec = field(default_factory=GridSpec)
-    cell_id: int = 0
 
     def __post_init__(self):
         if self.n_trials < 1:
@@ -129,7 +128,8 @@ def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple:
 def _trial_children(cell: MCCell, is_positive: bool, trial_idx: int):
     ss = np.random.SeedSequence(
         entropy=cell.master_seed,
-        spawn_key=(cell.cell_id, 1 if is_positive else 0, trial_idx),
+        # the leading 0 stays so that each trial keeps the stream its results came from
+        spawn_key=(0, 1 if is_positive else 0, trial_idx),
     )
     return ss.spawn(3)
 
@@ -237,10 +237,8 @@ def _outcomes(cells, jobs: int = 1) -> list:
 
 
 def _tally(outcomes, config: DetectorConfig) -> ConfusionCounts:
-    pos_scores, pos_p = outcomes[True]
-    neg_scores, neg_p = outcomes[False]
-    pos_verdicts = (pos_scores >= config.decision_threshold) & (pos_p <= config.alpha_sig)
-    neg_verdicts = (neg_scores >= config.decision_threshold) & (neg_p <= config.alpha_sig)
+    pos_verdicts = config.verdict(*outcomes[True])
+    neg_verdicts = config.verdict(*outcomes[False])
     return ConfusionCounts(
         tp=int(pos_verdicts.sum()),
         fn=int((~pos_verdicts).sum()),
@@ -295,16 +293,17 @@ _WHOLE_AXES = {"window", "poly_order", "n_perm"}
 
 
 def apply_axes(config: DetectorConfig, assignment: dict) -> DetectorConfig:
-    """Return ``config`` with sweep-axis values applied."""
+    """Return ``config`` with sweep-axis values applied. A window or
+    poly_order value changes ``config.smoother``, so it must not be None."""
     kwargs = {}
     smoother = config.smoother
     if "window" in assignment or "poly_order" in assignment:
-        base = smoother if smoother is not None else SavitzkyGolay()
-        smoother = SavitzkyGolay(
-            window=int(assignment.get("window", base.window)),
-            poly_order=int(assignment.get("poly_order", base.poly_order)),
+        if smoother is None:
+            raise InvalidSpec("window and poly_order axes need a smoother, got smoother=None")
+        kwargs["smoother"] = SavitzkyGolay(
+            window=int(assignment.get("window", smoother.window)),
+            poly_order=int(assignment.get("poly_order", smoother.poly_order)),
         )
-        kwargs["smoother"] = smoother
     for name in ("threshold_peak", "min_duration_frac", "decision_threshold", "alpha_sig"):
         if name in assignment:
             kwargs[name] = float(assignment[name])
@@ -373,15 +372,6 @@ def _sweep_report(axes: dict, template: MCCell, combos, outcomes) -> MCReport:
             )
         )
 
-    first_axis = next(iter(axes), None)
-    best = min(
-        cells,
-        key=lambda c: (
-            c.rates.error_rate,
-            c.rates.fpr,
-            c.params.get(first_axis) if first_axis else 0,
-        ),
-    ) if cells else None
     metadata = {
         "master_seed": template.master_seed,
         "n_trials": template.n_trials,
@@ -390,7 +380,26 @@ def _sweep_report(axes: dict, template: MCCell, combos, outcomes) -> MCReport:
         "grid": dataclasses.asdict(template.grid),
         "mix": dataclasses.asdict(template.mix),
     }
-    return MCReport(cells=cells, best=best, metadata=metadata)
+    return MCReport(cells=cells, best=best_configuration(cells, list(axes)), metadata=metadata)
+
+
+def best_configuration(cells, axis_names):
+    """Cell of the configuration with the lowest mean error rate across noise
+    levels; ties go to the lower mean FPR, then the lower first-axis value,
+    then the first in order."""
+    by_params = {}
+    for cell in cells:
+        by_params.setdefault(tuple(cell.params[a] for a in axis_names), []).append(cell)
+
+    def key(item):
+        params, group = item
+        mean_err = sum(c.rates.error_rate for c in group) / len(group)
+        mean_fpr = sum(c.rates.fpr for c in group) / len(group)
+        return (mean_err, mean_fpr, params[0] if axis_names else 0)
+
+    if not by_params:
+        return None
+    return min(by_params.items(), key=key)[1][0]
 
 
 def sweep(axes: dict, template: MCCell, budget: int = 64, jobs: int = 1) -> MCReport:

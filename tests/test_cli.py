@@ -278,6 +278,38 @@ def test_failed_command_creates_no_out_dir(tmp_path, command, payload, values, c
     assert not out.exists()
 
 
+OUTPUTS = {
+    "generate": ["series.csv", "series.json"],
+    "detect": ["detection.json", "metrics.csv", "derivatives.csv"],
+    "metrics": ["metrics.csv", "derivatives.csv"],
+    "mc": ["table1.csv", "report.json"],
+    "sweep": ["heatmap.csv", "report.json"],
+}
+
+
+@pytest.mark.parametrize("blocked", ["last output", "out"])
+@pytest.mark.parametrize("command", sorted(OUTPUTS))
+def test_unwritable_output_exit_2_leaves_no_outputs(tmp_path, capsys, command, blocked):
+    argv = [command, "--config", write_config(tmp_path, SMALL_SWEEP)]
+    if command in ("detect", "metrics"):
+        path = tmp_path / "input.csv"
+        path.write_text("t,value\n" + "".join(f"{i},{1.05 ** i}\n" for i in range(100)))
+        argv.insert(1, str(path))
+    if blocked == "out":
+        # --out lies beneath a regular file, so it cannot be created
+        (tmp_path / "file").write_text("")
+        out = unwritable = tmp_path / "file" / "out"
+    else:
+        # a directory in place of the last output: the others are written first
+        out = tmp_path / "out"
+        unwritable = out / OUTPUTS[command][-1]
+        unwritable.mkdir(parents=True)
+    assert run(argv + ["--out", str(out)]) == 2
+    assert f"cannot write {unwritable}: " in capsys.readouterr().err
+    left = sorted(p.name for p in out.iterdir()) if out.is_dir() else []
+    assert left == ([] if blocked == "out" else [unwritable.name])
+
+
 # --- import path --------------------------------------------------------------
 
 def test_cli_import_leaves_out_scipy():

@@ -3,10 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from joltlab import detector
 from joltlab.detector import (
     DETECTION_POLY_ORDER,
     DetectorConfig,
+    _permutation_weights,
+    _positive_runs,
     detection_signal,
     duration_score,
     hybrid_detect,
@@ -24,12 +29,15 @@ from joltlab.errors import (
 from joltlab.estimation import SavitzkyGolay, default_savgol, edge_mask
 from joltlab.growth import (
     Exponential,
+    GridSpec,
+    GrowthModelSpec,
     InjectedJolt,
     Logistic,
     LogQuadratic,
     NoiseSpec,
     add_noise,
     evaluate,
+    generate,
     smoothstep,
 )
 from joltlab.timeseries import TimeSeries, uniform_spacing
@@ -123,6 +131,31 @@ def test_duration_half_run_boundary():
     assert duration_score(s, 0.5) == 1.0
 
 
+def _positive_runs_loop(s):
+    """The scalar scan ``_positive_runs`` replaced, kept as its oracle."""
+    runs = []
+    start = None
+    for i, val in enumerate(s):
+        if val > 0 and start is None:
+            start = i
+        elif val <= 0 and start is not None:
+            runs.append((start, i - start))
+            start = None
+    if start is not None:
+        runs.append((start, s.size - start))
+    return runs
+
+
+def test_positive_runs_match_scalar_scan():
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        s = rng.integers(-1, 2, size=int(rng.integers(1, 60))) * rng.random()
+        runs = _positive_runs(s)
+        assert runs == _positive_runs_loop(s)
+        # Python ints, so duration_score stays a Python float
+        assert all(type(x) is int for run in runs for x in run)
+
+
 # --- permutation test ---------------------------------------------------------
 
 def test_permutation_minimum_p_on_noiseless_jolt():
@@ -204,6 +237,25 @@ def test_permutation_matches_dense_reference(case, window):
         assert permutation_test(series, config) == _dense_permutation_p(series, config)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    h=st.integers(2, 15),
+    poly_order=st.integers(2, 6),
+    extra=st.integers(0, 90),
+)
+def test_permutation_weights_match_dense_oracle(h, poly_order, extra):
+    window = 2 * h + 1
+    poly_order = min(poly_order, window - 1)
+    n = window + extra
+    w, resid_scale = _permutation_weights(n, window, poly_order)
+    m2 = dense_savgol(n, window, poly_order, 2)
+    m0 = dense_savgol(n, window, poly_order, 0)
+    want = m2[h:n - h].mean(axis=0)
+    np.testing.assert_allclose(w, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+    denom = max(n - 2.0 * np.trace(m0) + np.sum(m0 * m0), 1.0)
+    assert resid_scale == pytest.approx(math.sqrt(n / denom), rel=1e-12)
+
+
 def test_too_few_permutations():
     with pytest.raises(TooFewPermutations):
         DetectorConfig(n_perm=98)
@@ -224,6 +276,16 @@ def test_permutation_null_calibration_smoke():
 
 
 # --- hybrid detector ----------------------------------------------------------
+
+def test_hybrid_detect_computes_the_signal_once(monkeypatch):
+    calls = []
+    log_signal = detector._log_signal
+    monkeypatch.setattr(
+        detector, "_log_signal", lambda *args: calls.append(args) or log_signal(*args)
+    )
+    hybrid_detect(make_series(lambda t: np.exp(0.01 * t**2)))
+    assert len(calls) == 1
+
 
 def test_noiseless_exponential_verdict_false():
     s = make_series(lambda t: np.exp(0.1 * t))
@@ -307,3 +369,70 @@ def test_time_shift_invariance():
     assert a.verdict == b.verdict
     assert a.score == pytest.approx(b.score, abs=1e-9)
     assert a.p_value == pytest.approx(b.p_value, abs=1e-9)
+
+
+# --- property tests -----------------------------------------------------------
+
+_FAMILIES = st.one_of(
+    st.builds(Exponential, c0=st.floats(0.1, 10.0), k=st.floats(0.02, 0.15)),
+    st.builds(LogQuadratic, c0=st.floats(0.1, 10.0), a=st.floats(0.0, 0.12),
+              b=st.floats(0.002, 0.02)),
+    st.builds(
+        lambda k, start, length, strength: InjectedJolt(
+            Exponential(1.0, k), jolt_start=start, jolt_end=start + length,
+            ramp_strength=strength,
+        ),
+        st.floats(0.02, 0.12), st.floats(2.0, 12.0), st.floats(2.0, 8.0),
+        st.floats(0.05, 0.4),
+    ),
+)
+
+
+def _generated(family, level="none", seed=0):
+    return generate(GrowthModelSpec(family, GridSpec(), NoiseSpec(level, seed=seed)))[0]
+
+
+_NOISY_SERIES = st.builds(
+    _generated, _FAMILIES, st.sampled_from(["low", "medium", "high"]), st.integers(0, 2**32 - 1)
+)
+
+
+# Noiseless injected jolts break the invariance at the 1e-9 level: their
+# signal is flat before and after the ramp, so the pattern score correlates
+# rounding noise in those segments, and signal values near the filter's
+# rounding floor, which moves with max|log C|, flip in or out of a run.
+@example(
+    series=_generated(InjectedJolt(Exponential(1.0, 0.0625), 2.0, 4.0, 0.25)),
+    scale=0.5, shift=0.0,
+).xfail(raises=AssertionError, reason="pattern score of constant segments")
+@example(
+    series=_generated(InjectedJolt(Exponential(1.0, 0.04179695436259557), 3.2870550526072666,
+                                   5.440875026910737, 0.05863368198457069)),
+    scale=426633.6618622286, shift=0.0,
+).xfail(raises=AssertionError, reason="rounding floor moves with the value scale")
+@settings(max_examples=30, deadline=None)
+@given(series=_NOISY_SERIES, scale=st.floats(1e-3, 1e6), shift=st.floats(-1000.0, 1000.0))
+def test_detection_invariant_under_value_scale_and_time_shift(series, scale, shift):
+    base = hybrid_detect(series)
+    for moved in (series.with_values(series.values * scale),
+                  TimeSeries(series.times + shift, series.values)):
+        result = hybrid_detect(moved)
+        assert result.verdict == base.verdict
+        assert result.score == pytest.approx(base.score, abs=1e-9)
+        assert result.p_value == pytest.approx(base.p_value, abs=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(series=_NOISY_SERIES, n_perm=st.integers(99, 400), seed=st.integers(0, 2**32 - 1))
+def test_p_value_lies_in_its_range(series, n_perm, seed):
+    p = permutation_test(series, DetectorConfig(n_perm=n_perm, seed=seed))
+    assert 1 / (n_perm + 1) <= p <= 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(c0=st.floats(1e-3, 1e6), k=st.floats(0.01, 0.2), shift=st.floats(-1000.0, 1000.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_p_is_one_on_noiseless_exponentials(c0, k, shift, seed):
+    t = np.linspace(0.0, 20.0, 200)
+    series = TimeSeries(t + shift, c0 * np.exp(k * t))
+    assert permutation_test(series, DetectorConfig(seed=seed)) == 1.0

@@ -1,8 +1,10 @@
 """Golden gate: the CLI's outputs on small fixed runs equal the committed ones.
 
 ``tests/golden/`` holds one directory of outputs per command run by
-:func:`produce`, plus ``default_config.json``, the resolved default config.
-Regenerate it only for a change that names the result it moves:
+:func:`produce`, plus ``default_config.json``, the resolved default config,
+and ``mc_seed42.npz``, the per-trial (score, p_value) of the Monte Carlo
+harness made by :func:`trial_outcomes`. Regenerate it only for a change that
+names the result it moves:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -16,6 +18,9 @@ import numpy as np
 import yaml
 
 from joltlab.cli import load_config, main
+from joltlab.detector import DETECTION_POLY_ORDER, DetectorConfig
+from joltlab.estimation import SavitzkyGolay
+from joltlab.montecarlo import MCCell, _outcomes
 
 GOLDEN = Path(__file__).parent / "golden"
 FAMILIES = ("exponential", "logistic", "logquadratic", "injected_jolt")
@@ -27,6 +32,10 @@ MC_CONFIG = {
 MC_FLAGS = ["--seed", "42", "--trials", "20", "--jobs", "2"]
 BYTE_EQUAL = ("series.csv", "series.json", "table1.csv", "heatmap.csv")
 RTOL = 1e-12
+TRIALS_NPZ = GOLDEN / "mc_seed42.npz"
+TRIAL_NOISE = ("low", "medium", "high")
+TRIAL_WINDOWS = (7, 11, 15, 21)
+TRIALS = 50
 
 
 def _config(config_dir: Path, name: str, payload: dict) -> str:
@@ -48,6 +57,25 @@ def produce(root: Path, config_dir: Path) -> None:
     for command in ("mc", "sweep"):
         out = str(root / command)
         assert main([command, "--config", cfg, *MC_FLAGS, "--out", out]) == 0
+
+
+def trial_outcomes(jobs: int = 2) -> dict:
+    """Per-trial scores, p-values and default verdicts of the harness at
+    master seed 42, default grid and n_perm, each of shape (noise, window,
+    class, trial) with class 0 positive and 1 negative."""
+    cells = [
+        MCCell(noise=noise, n_trials=TRIALS, master_seed=42,
+               detector=DetectorConfig(smoother=SavitzkyGolay(window, DETECTION_POLY_ORDER)))
+        for noise in TRIAL_NOISE
+        for window in TRIAL_WINDOWS
+    ]
+    # (cell, class, score or p_value, trial) -> (score or p_value, cell, class, trial)
+    rows = np.array([[out[c] for c in (True, False)] for out in _outcomes(cells, jobs)])
+    score, p_value = rows.transpose(2, 0, 1, 3).reshape(
+        2, len(TRIAL_NOISE), len(TRIAL_WINDOWS), 2, TRIALS
+    )
+    return {"score": score, "p_value": p_value,
+            "verdict": DetectorConfig().verdict(score, p_value)}
 
 
 def _typed(value):
@@ -129,6 +157,15 @@ def test_default_config_matches_golden():
     assert _typed(load_config(None)) == _typed(want)
 
 
+def test_trial_outcomes_match_golden():
+    got = trial_outcomes()
+    with np.load(TRIALS_NPZ) as want:
+        assert sorted(want.files) == sorted(got)
+        np.testing.assert_array_equal(got["p_value"], want["p_value"])
+        np.testing.assert_array_equal(got["verdict"], want["verdict"])
+        np.testing.assert_allclose(got["score"], want["score"], rtol=0, atol=RTOL)
+
+
 if __name__ == "__main__":
     shutil.rmtree(GOLDEN, ignore_errors=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -136,3 +173,4 @@ if __name__ == "__main__":
     (GOLDEN / "default_config.json").write_text(
         json.dumps(load_config(None), indent=2, sort_keys=True) + "\n"
     )
+    np.savez_compressed(TRIALS_NPZ, **trial_outcomes())

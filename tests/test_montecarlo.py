@@ -158,9 +158,16 @@ def test_cell_on_grid_below_default_window_rejected():
 # --- sweep --------------------------------------------------------------------
 
 def test_apply_axes():
-    cfg = apply_axes(DetectorConfig(), {"window": 11, "decision_threshold": 0.4})
-    assert cfg.smoother == SavitzkyGolay(window=11, poly_order=4)
+    # a cell's resolved config: the axes replace fields of its own smoother
+    base = small_cell().detector
+    cfg = apply_axes(base, {"window": 21, "decision_threshold": 0.4})
+    assert cfg.smoother == SavitzkyGolay(window=21, poly_order=DETECTION_POLY_ORDER)
     assert cfg.decision_threshold == 0.4
+    assert apply_axes(base, {"poly_order": 3}).smoother == SavitzkyGolay(11, 3)
+    # without a smoother there is no window or poly order to start from
+    for axis in ("window", "poly_order"):
+        with pytest.raises(InvalidSpec, match="smoother=None"):
+            apply_axes(DetectorConfig(), {axis: 3})
 
 
 def test_sweep_2x2_shape():
