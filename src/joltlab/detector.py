@@ -127,7 +127,10 @@ def _log_signal(logv: np.ndarray, cfg: SavitzkyGolay, dt: float) -> np.ndarray:
     Values whose magnitude is below the rounding floor of the filter are
     snapped to exactly zero so that noiseless exponentials (log-linear input)
     yield an identically zero signal instead of amplified rounding noise.
+    The log-values are centred first: the deriv-2 kernel annihilates
+    constants, so the signal and its floor do not move with the value scale.
     """
+    logv = logv - logv.mean()
     s = _savgol_filter(logv, cfg.window, cfg.poly_order, 2) / dt**2
     floor = 1e-11 * max(1.0, float(np.max(np.abs(logv)))) / dt**2
     s[np.abs(s) <= floor] = 0.0
@@ -200,12 +203,13 @@ def pattern_match_score(s: np.ndarray) -> float:
             continue
         windows = np.lib.stride_tricks.sliding_window_view(z, width)
         seg_mean = windows.mean(axis=1)
-        seg_sq = (windows * windows).sum(axis=1) - width * seg_mean**2
-        seg_norm = np.sqrt(np.clip(seg_sq, 0.0, None))
+        seg_ss = (windows * windows).sum(axis=1)
+        seg_sq = seg_ss - width * seg_mean**2
         dots = windows @ tz
-        valid = seg_norm > 0
+        # a segment constant up to the rounding of this difference has no shape
+        valid = seg_sq > 1e-9 * seg_ss
         if valid.any():
-            corr = dots[valid] / (seg_norm[valid] * tnorm)
+            corr = dots[valid] / (np.sqrt(seg_sq[valid]) * tnorm)
             best = max(best, float(corr.max()))
     return min(max(best, 0.0), 1.0)
 
