@@ -84,9 +84,11 @@ def uniform_spacing(series: TimeSeries, rel_tol: float = 1e-9) -> float:
         raise NonUniformGrid("need at least two points to define a spacing")
     d = np.diff(t)
     dt = d.mean()
-    if np.max(np.abs(d - dt)) > rel_tol * abs(dt):
+    worst = float(np.max(np.abs(d - dt)))
+    if worst > rel_tol * abs(dt):
         raise NonUniformGrid(
-            "grid spacing deviates from uniform beyond tolerance"
+            f"grid spacing deviates from uniform by {worst / abs(dt):.3g} of dt, "
+            f"beyond rel_tol {rel_tol:g}"
         )
     return float(dt)
 

@@ -92,6 +92,18 @@ def test_nonuniform_grid_rejected():
         uniform_spacing(TimeSeries([0, 1, 3], [1, 1, 1]))
 
 
+def test_nonuniform_grid_message_names_deviation_and_tolerance():
+    # a uniform grid shifted by 1e9 keeps its spacing only to float precision
+    t = np.linspace(0.0, 20.0, 200) + 1e9
+    d = np.diff(t)
+    deviation = np.max(np.abs(d - d.mean())) / d.mean()
+    with pytest.raises(NonUniformGrid) as info:
+        uniform_spacing(TimeSeries(t, np.ones_like(t)))
+    message = str(info.value)
+    assert f"by {deviation:.3g} of dt" in message
+    assert "rel_tol 1e-09" in message
+
+
 def test_read_csv_direct_parse(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text("t,value\n0,1\n1,2\n")
