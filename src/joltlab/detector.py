@@ -262,6 +262,18 @@ def _permutation_weights(n: int, window: int, poly_order: int):
     return w, math.sqrt(n / denom)
 
 
+@lru_cache(maxsize=1)
+def _permutation_index(seed: int, n: int, n_perm: int) -> np.ndarray:
+    """Read-only int32 (n_perm, n) row shuffles of ``arange(n)``. ``rng.permuted``
+    draws the same shuffle whatever the array holds, so ``x[idx]`` is its draw
+    on ``x``; back-to-back detections on one seed (one MC trial) share it."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    idx = np.broadcast_to(np.arange(n, dtype=np.int32), (n_perm, n)).copy()
+    rng.permuted(idx, axis=1, out=idx)
+    idx.setflags(write=False)
+    return idx
+
+
 def permutation_test(
     series: TimeSeries, config: DetectorConfig, signal: Signal | None = None
 ) -> float:
@@ -305,10 +317,7 @@ def permutation_test(
     null_fit = np.polynomial.Polynomial.fit(series.times, logv, 1)
     fitted = null_fit(series.times)
 
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    perms = np.broadcast_to(resid, (config.n_perm, n)).copy()
-    rng.permuted(perms, axis=1, out=perms)
-    stats = float(fitted @ w) + perms @ w
+    stats = float(fitted @ w) + resid[_permutation_index(config.seed, n, config.n_perm)] @ w
     floor = 1e-11 * max(1.0, float(np.max(np.abs(fitted)) + np.max(np.abs(resid)))) / dt**2
     exceed = int(np.count_nonzero(stats >= observed - floor))
     return (1 + exceed) / (config.n_perm + 1)

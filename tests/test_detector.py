@@ -10,6 +10,7 @@ from joltlab import detector
 from joltlab.detector import (
     DETECTION_POLY_ORDER,
     DetectorConfig,
+    _permutation_index,
     _permutation_weights,
     _positive_runs,
     detection_signal,
@@ -254,6 +255,17 @@ def test_permutation_weights_match_dense_oracle(h, poly_order, extra):
     np.testing.assert_allclose(w, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
     denom = max(n - 2.0 * np.trace(m0) + np.sum(m0 * m0), 1.0)
     assert resid_scale == pytest.approx(math.sqrt(n / denom), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(8, 400), seed=st.integers(0, 2**64 - 1), n_perm=st.integers(99, 600))
+def test_permutation_index_gathers_the_permuted_draw(n, seed, n_perm):
+    x = np.random.default_rng(n).standard_normal(n)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    want = rng.permuted(np.broadcast_to(x, (n_perm, n)).copy(), axis=1)
+    idx = _permutation_index(seed, n, n_perm)
+    assert idx.dtype == np.int32 and not idx.flags.writeable
+    np.testing.assert_array_equal(x[idx], want)
 
 
 def test_too_few_permutations():

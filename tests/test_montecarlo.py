@@ -1,10 +1,18 @@
+import logging
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from joltlab.detector import DETECTION_POLY_ORDER, DetectorConfig
-from joltlab.errors import BudgetExceeded, EmptyCell, InvalidSpec, SeriesTooShort
+from joltlab import montecarlo
+from joltlab.detector import DETECTION_POLY_ORDER, DetectorConfig, hybrid_detect
+from joltlab.errors import (
+    BudgetExceeded,
+    EmptyCell,
+    InvalidSpec,
+    NumericalError,
+    SeriesTooShort,
+)
 from joltlab.estimation import SavitzkyGolay
 from joltlab.growth import (
     Exponential,
@@ -12,11 +20,13 @@ from joltlab.growth import (
     InjectedJolt,
     Logistic,
     LogQuadratic,
+    generate,
 )
 from joltlab.montecarlo import (
     ConfusionCounts,
     MCCell,
     TrialMix,
+    _outcomes,
     _tally,
     apply_axes,
     run_cell,
@@ -135,6 +145,12 @@ def test_run_cell_counts_partition_trials():
     assert c.fp + c.tn == cell.n_trials
 
 
+def test_trial_mix_with_list_ranges():
+    # a TrialMix built in code may hold lists where the CLI builds tuples
+    mix = TrialMix(k_range=[0.03, 0.12], b_range=[0.005, 0.02])
+    assert run_cell(small_cell(mix=mix)) == run_cell(small_cell())
+
+
 def test_numeric_noise_level():
     cell = small_cell(noise=0.02)
     c = run_cell(cell)
@@ -153,6 +169,105 @@ def test_cell_on_grid_below_default_window_rejected():
     # cell says so at construction instead of failing every trial
     with pytest.raises(SeriesTooShort, match="10 points"):
         small_cell(grid=GridSpec(0.0, 20.0, 10))
+
+
+def _reference_outcomes(cells):
+    """Per cell, (scores, p_values) per class, one detection at a time."""
+    outcomes = []
+    for cell in cells:
+        per_class = {}
+        for is_positive in (True, False):
+            rows = []
+            for i in range(cell.n_trials):
+                spec, det_seed = sample_trial_spec(cell, is_positive, i)
+                series, _label = generate(spec)
+                result = hybrid_detect(series, replace(cell.detector, seed=det_seed))
+                rows.append((result.score, result.p_value))
+            per_class[is_positive] = (np.array([r[0] for r in rows]),
+                                      np.array([r[1] for r in rows]))
+        outcomes.append(per_class)
+    return outcomes
+
+
+def _mixed_cells():
+    """2 noise levels x 2 windows of unequal trial counts, and one cell on
+    another master seed."""
+    cells = [
+        small_cell(noise=noise, n_trials=n_trials,
+                   detector=replace(FAST, smoother=SavitzkyGolay(window, DETECTION_POLY_ORDER)))
+        for noise, window, n_trials in [("low", 7, 6), ("low", 11, 4),
+                                        (0.05, 7, 5), (0.05, 11, 3)]
+    ]
+    cells.insert(2, replace(cells[1], master_seed=8, n_trials=5))
+    return cells
+
+
+def _assert_outcomes_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for is_positive in (True, False):
+            for g_col, w_col in zip(g[is_positive], w[is_positive]):
+                np.testing.assert_array_equal(g_col, w_col)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_trial_major_outcomes_match_per_detection_reference(jobs):
+    cells = _mixed_cells()
+    _assert_outcomes_equal(_outcomes(cells, jobs), _reference_outcomes(cells))
+
+
+def test_failed_generation_logged_once_per_affected_cell(monkeypatch, caplog):
+    cells = _mixed_cells()
+    want = _reference_outcomes(cells)
+    real_generate = montecarlo.generate
+
+    def generate_fails_at_5_percent(spec):
+        if spec.noise.sigma_rel == 0.05:
+            raise NumericalError("noise draw failed")
+        return real_generate(spec)
+
+    monkeypatch.setattr(montecarlo, "generate", generate_fails_at_5_percent)
+    with caplog.at_level(logging.WARNING, logger=montecarlo.__name__):
+        got = _outcomes(cells)
+    failed = [c for c in cells if c.noise == 0.05]
+    warnings = [r for r in caplog.records if "trial failed" in r.getMessage()]
+    assert len(warnings) == 2 * sum(c.n_trials for c in failed)
+    for cell, g, w in zip(cells, got, want):
+        if cell.noise == 0.05:
+            for is_positive in (True, False):
+                np.testing.assert_array_equal(g[is_positive][0], 0.0)
+                np.testing.assert_array_equal(g[is_positive][1], 1.0)
+            counts = _tally(g, cell.detector)
+            assert counts == ConfusionCounts(fn=cell.n_trials, tn=cell.n_trials)
+        else:
+            _assert_outcomes_equal([g], [w])
+
+
+def test_failed_detection_logged_once_and_counted_negative(monkeypatch, caplog):
+    cells = _mixed_cells()
+    want = _reference_outcomes(cells)
+    real_detect = montecarlo.hybrid_detect
+
+    def detect_fails_on_window_11_high_scores(series, config):
+        result = real_detect(series, config)
+        if config.smoother.window == 11 and result.score > 0.5:
+            raise NumericalError("detection failed")
+        return result
+
+    monkeypatch.setattr(montecarlo, "hybrid_detect", detect_fails_on_window_11_high_scores)
+    with caplog.at_level(logging.WARNING, logger=montecarlo.__name__):
+        got = _outcomes(cells)
+    n_failed = 0
+    for cell, g, w in zip(cells, got, want):
+        for is_positive in (True, False):
+            w_scores, w_p = w[is_positive]
+            hit = (cell.detector.smoother.window == 11) & (w_scores > 0.5)
+            n_failed += int(hit.sum())
+            np.testing.assert_array_equal(g[is_positive][0], np.where(hit, 0.0, w_scores))
+            np.testing.assert_array_equal(g[is_positive][1], np.where(hit, 1.0, w_p))
+    warnings = [r for r in caplog.records if "trial failed" in r.getMessage()]
+    assert n_failed > 0
+    assert len(warnings) == n_failed
 
 
 # --- sweep --------------------------------------------------------------------
