@@ -172,16 +172,16 @@ def build_spec(cfg: dict) -> GrowthModelSpec:
     return GrowthModelSpec(family=build_family(cfg["model"]), grid=grid, noise=noise)
 
 
-def build_detector(cfg: dict, n_points: int | None = None) -> DetectorConfig:
+def build_detector(cfg: dict, n_points: int) -> DetectorConfig:
     d = cfg["detector"]
-    window, smoother = d["window"], None
+    window = d["window"]
     if window is not None:
         if not float(window).is_integer():
             raise ConfigError(
                 f"config key detector.window must be a whole number or null, got {window!r}"
             )
         smoother = SavitzkyGolay(window=int(window), poly_order=d["poly_order"])
-    elif n_points is not None:
+    else:
         smoother = default_savgol(n_points, poly_order=d["poly_order"])
     return _build(DetectorConfig, d, smoother=smoother, seed=cfg["seed"])
 

@@ -199,8 +199,6 @@ def pattern_match_score(s: np.ndarray) -> float:
         tmpl = _smoothstep_template(width)
         tz = tmpl - tmpl.mean()
         tnorm = math.sqrt(float(tz @ tz))
-        if tnorm == 0:
-            continue
         windows = np.lib.stride_tricks.sliding_window_view(z, width)
         seg_mean = windows.mean(axis=1)
         seg_ss = (windows * windows).sum(axis=1)
@@ -266,10 +264,10 @@ def _permutation_weights(n: int, window: int, poly_order: int):
 def _permutation_index(seed: int, n: int, n_perm: int) -> np.ndarray:
     """Read-only int32 (n_perm, n) row shuffles of ``arange(n)``. ``rng.permuted``
     draws the same shuffle whatever the array holds, so ``x[idx]`` is its draw
-    on ``x``; back-to-back detections on one seed (one MC trial) share it."""
+    on ``x``; back-to-back detections on one seed (one MC trial) share it.
+    It shuffles intp items, which numpy swaps faster, and keeps int32 ones."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    idx = np.broadcast_to(np.arange(n, dtype=np.int32), (n_perm, n)).copy()
-    rng.permuted(idx, axis=1, out=idx)
+    idx = rng.permuted(np.broadcast_to(np.arange(n), (n_perm, n)), axis=1).astype(np.int32)
     idx.setflags(write=False)
     return idx
 
@@ -279,26 +277,28 @@ def permutation_test(
 ) -> float:
     """P-value of mean(S) against an exponential null with permuted residuals.
 
-    The null model is exponential (linear fit in log-space). Surrogates are
-    built by adding permuted noise-scale residuals to the null fit and the
-    statistic is recomputed per surrogate. The permuted residuals are the
-    ones left after smoothing (variance-corrected for the smoother's degrees
-    of freedom), so the null distribution reflects measurement noise rather
-    than systematic misfit of the null model; a noiseless jolting series
-    therefore attains the minimum p-value. Deterministic for a fixed config
-    seed.
+    The null model is exponential, a line in log-space. Surrogates are that
+    line plus permuted noise-scale residuals: the ones left after smoothing,
+    variance-corrected for the smoother's degrees of freedom. So the null
+    distribution reflects measurement noise rather than systematic misfit of
+    the null model, and a noiseless jolting series attains the minimum
+    p-value. Deterministic for a fixed config seed.
 
     The statistic, the interior mean of S = M2 log C / dt^2, is linear in
-    log C, so it is a single dot product ``w @ x`` per surrogate x = fit +
-    permuted residuals; the permutations are never smoothed one by one.
+    log C: one dot product ``w @ x`` per surrogate x, so the permutations are
+    never smoothed one by one. The deriv-2 kernel behind ``w`` annihilates
+    every polynomial of degree <= poly_order (>= 2), so ``w`` maps the null
+    line to zero: the line is never fitted, and a surrogate's statistic is
+    ``w`` dotted with its permuted residuals.
     Ties are stated on the scalar: a surrogate counts as an exceedance when
     ``stat >= observed - floor``, with the filter's rounding floor
-    ``1e-11 * max(1, max|fit| + max|resid|) / dt^2``. Surrogates of a
-    noiseless exponential (statistic zero up to rounding) therefore tie with
-    its zero observed statistic, giving p = 1. The observed statistic is the
-    interior mean of the floored detection signal: ``signal`` when given,
-    which must be ``detection_signal(series, config.smoother)``, else that
-    signal computed here.
+    ``1e-11 * max(1, max|logv - mean(logv)| + max|resid|) / dt^2``, which
+    like the signal's floor does not move with the value scale. Surrogates
+    of a noiseless exponential (statistic zero up to rounding) therefore tie
+    with its zero observed statistic, giving p = 1. The observed statistic
+    is the interior mean of the floored detection signal: ``signal`` when
+    given, which must be ``detection_signal(series, config.smoother)``, else
+    that signal computed here.
     p = (1 + #exceedances) / (n_perm + 1).
     """
     if signal is None:
@@ -306,6 +306,7 @@ def permutation_test(
     cfg = _resolve_smoother(len(series), config.smoother)
     dt = uniform_spacing(series)
     logv = np.log(series.values)
+    logv -= logv.mean()
     n = logv.size
 
     observed = float(signal.unmasked.mean())
@@ -314,11 +315,8 @@ def permutation_test(
     w = w / dt**2
     resid = (logv - _savgol_filter(logv, cfg.window, cfg.poly_order, 0)) * resid_scale
 
-    null_fit = np.polynomial.Polynomial.fit(series.times, logv, 1)
-    fitted = null_fit(series.times)
-
-    stats = float(fitted @ w) + resid[_permutation_index(config.seed, n, config.n_perm)] @ w
-    floor = 1e-11 * max(1.0, float(np.max(np.abs(fitted)) + np.max(np.abs(resid)))) / dt**2
+    stats = resid[_permutation_index(config.seed, n, config.n_perm)] @ w
+    floor = 1e-11 * max(1.0, float(np.max(np.abs(logv)) + np.max(np.abs(resid)))) / dt**2
     exceed = int(np.count_nonzero(stats >= observed - floor))
     return (1 + exceed) / (config.n_perm + 1)
 

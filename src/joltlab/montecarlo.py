@@ -10,6 +10,8 @@ degree of parallelism. Trials run trial-major: the cells that share (master
 seed, mix, grid) share each trial's inputs and permutation draw (common
 random numbers), so a result depends on neither ``--jobs`` nor the other
 cells run with it. On 2 cores this cut the acceptance-1 sweep from 51 to 29 s.
+Cells equal up to the verdict's fields share scores and p-values too; as
+``_outcomes`` owns that, ``run_cells`` gets it as well as ``sweeps``.
 """
 
 from __future__ import annotations
@@ -212,12 +214,17 @@ def _run_trials(task):
 def _outcomes(cells, jobs: int = 1) -> list:
     """Per cell, (scores, p_values) arrays per class, ordered by trial index.
 
-    One task per (class, trial chunk) of each group of cells sharing
-    (master_seed, mix, grid) goes through one ``pool.map`` on one worker pool.
+    Cells equal up to the verdict's fields (decision_threshold, alpha_sig)
+    have the same rows, so only the first of them runs. One task per (class,
+    trial chunk) of each group of running cells sharing (master_seed, mix,
+    grid) goes through one ``pool.map`` on one worker pool.
     """
-    # grouped by ==, not by hash: a TrialMix built in code may hold lists
+    # compared by ==, not by hash: a TrialMix built in code may hold lists
+    verdict_free = [replace(c, detector=replace(c.detector, decision_threshold=0.5, alpha_sig=0.5))
+                    for c in cells]
+    first = [verdict_free.index(cell) for cell in verdict_free]
     shared = [(cell.master_seed, cell.mix, cell.grid) for cell in cells]
-    groups = [[j for j, other in enumerate(shared) if other == key]
+    groups = [[j for j, other in enumerate(shared) if other == key and first[j] == j]
               for k, key in enumerate(shared) if shared.index(key) == k]
     keys, tasks = [], []
     for members in groups:
@@ -237,7 +244,8 @@ def _outcomes(cells, jobs: int = 1) -> list:
     for (members, is_positive), results in zip(keys, chunk_results):
         for k, cell_rows in zip(members, results):
             rows[k][is_positive].extend(cell_rows)
-    return [{c: tuple(np.array(col) for col in zip(*r[c])) for c in r} for r in rows]
+    return [{c: tuple(np.array(col) for col in zip(*r[c])) for c in r}
+            for r in (rows[k] for k in first)]
 
 
 def _tally(outcomes, config: DetectorConfig) -> ConfusionCounts:
@@ -288,7 +296,6 @@ def summarize(counts: ConfusionCounts, class_weights=(0.5, 0.5)) -> RateSummary:
 
 # --- hyperparameter sweep -----------------------------------------------------
 
-_THRESHOLD_AXES = {"decision_threshold", "alpha_sig"}
 _CONFIG_AXES = {
     "window", "poly_order", "threshold_peak", "min_duration_frac",
     "decision_threshold", "n_perm", "alpha_sig",
@@ -319,10 +326,9 @@ def apply_axes(config: DetectorConfig, assignment: dict) -> DetectorConfig:
 def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> list:
     """Grid sweeps over detector hyperparameters, one report per cell template.
 
-    Cells differing only in decision_threshold / alpha_sig share their trial
-    outcomes (scores and p-values do not depend on those fields), which keeps
-    the sweep affordable without changing any reported number. The trials of
-    every template's outcome groups run through one worker pool per call.
+    Every (template, assignment) cell goes to one :func:`run_cells` call, so
+    all of them run through one worker pool, and cells differing only in
+    decision_threshold / alpha_sig share their trial outcomes there.
     """
     for name, values in axes.items():
         if name not in _CONFIG_AXES:
@@ -341,41 +347,25 @@ def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> list:
     if len(combos) > budget:
         raise BudgetExceeded(f"{len(combos)} cells exceed budget {budget}")
 
-    group_names = [n for n in names if n not in _THRESHOLD_AXES]
-
-    def group_key(assignment):
-        return tuple(assignment[n] for n in group_names)
-
-    group_keys = list(dict.fromkeys(group_key(a) for a in combos))
-    group_cells = [
-        replace(template, detector=apply_axes(template.detector, dict(zip(group_names, key))))
+    cells = [
+        replace(template, detector=apply_axes(template.detector, assignment))
         for template in templates
-        for key in group_keys
+        for assignment in combos
     ]
-    outcomes = iter(_outcomes(group_cells, jobs))
-    reports = []
-    for template in templates:
-        by_group = {key: next(outcomes) for key in group_keys}
-        reports.append(_sweep_report(
-            axes, template, combos, [by_group[group_key(a)] for a in combos]
-        ))
-    return reports
+    counts = iter(run_cells(cells, jobs))
+    return [
+        _sweep_report(axes, template, combos, [next(counts) for _ in combos])
+        for template in templates
+    ]
 
 
-def _sweep_report(axes: dict, template: MCCell, combos, outcomes) -> MCReport:
-    """Tally one template's sweep cells, each from its group's outcomes."""
-    cells = []
-    for assignment, cell_outcomes in zip(combos, outcomes):
-        counts = _tally(cell_outcomes, apply_axes(template.detector, assignment))
-        cells.append(
-            CellResult(
-                noise=template.noise,
-                params=dict(assignment),
-                counts=counts,
-                rates=summarize(counts),
-            )
-        )
-
+def _sweep_report(axes: dict, template: MCCell, combos, counts) -> MCReport:
+    """One template's sweep report from the confusion counts of its cells."""
+    cells = [
+        CellResult(noise=template.noise, params=dict(assignment),
+                   counts=cell_counts, rates=summarize(cell_counts))
+        for assignment, cell_counts in zip(combos, counts)
+    ]
     metadata = {
         "master_seed": template.master_seed,
         "n_trials": template.n_trials,

@@ -30,6 +30,7 @@ from joltlab.montecarlo import (
     _tally,
     apply_axes,
     run_cell,
+    run_cells,
     sample_trial_spec,
     summarize,
     sweep,
@@ -268,6 +269,27 @@ def test_failed_detection_logged_once_and_counted_negative(monkeypatch, caplog):
     warnings = [r for r in caplog.records if "trial failed" in r.getMessage()]
     assert n_failed > 0
     assert len(warnings) == n_failed
+
+
+@pytest.mark.parametrize("base, field, values", [
+    (FAST, "decision_threshold", (0.3, 0.6)),
+    (replace(FAST, decision_threshold=0.1), "alpha_sig", (0.01, 0.5)),
+])
+def test_cells_differing_only_in_verdict_share_one_detection(monkeypatch, base, field, values):
+    cells = [small_cell(n_trials=6, detector=replace(base, **{field: v})) for v in values]
+    standalone = [run_cell(cell) for cell in cells]
+    assert standalone[0] != standalone[1]  # each cell tallies with its own verdict
+    real_detect = montecarlo.hybrid_detect
+    calls = 0
+
+    def counted(series, config):
+        nonlocal calls
+        calls += 1
+        return real_detect(series, config)
+
+    monkeypatch.setattr(montecarlo, "hybrid_detect", counted)
+    assert run_cells(cells, jobs=1) == standalone
+    assert calls == 2 * cells[0].n_trials
 
 
 # --- sweep --------------------------------------------------------------------
