@@ -19,7 +19,6 @@ from .errors import JoltlabError
 from .estimation import (
     DerivativeEstimate,
     SavitzkyGolay,
-    bootstrap_derivative_ci,
     derivatives_from_model,
     estimate_derivatives,
     fit_model,

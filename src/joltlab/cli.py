@@ -242,20 +242,19 @@ def _load_input(path: str):
         raise ConfigError(str(exc)) from None
 
 
+def _metric_writers(series) -> dict:
+    """Writers of ``metrics.csv`` and ``derivatives.csv``, with the metrics'
+    own default smoother (poly_order 4), not the detection smoother."""
+    estimate = estimate_derivatives(series)
+    return {"metrics.csv": compute_metrics(estimate).write_csv,
+            "derivatives.csv": estimate.write_csv}
+
+
 def cmd_detect(cfg: dict, input_csv: str) -> int:
     series = _load_input(input_csv)
-    config = build_detector(cfg, len(series))
-    result = hybrid_detect(series, config)
-    # derivative estimation needs poly_order >= 4; independent of the
-    # detection smoother, which only takes a second derivative of log-values
-    estimate = estimate_derivatives(series, None)
-    metrics = compute_metrics(estimate)
+    result = hybrid_detect(series, build_detector(cfg, len(series)))
     # every output is computed before any is written, so a failure leaves none
-    out = _write_outputs(cfg, {
-        "detection.json": result.to_json,
-        "metrics.csv": metrics.write_csv,
-        "derivatives.csv": estimate.write_csv,
-    })
+    out = _write_outputs(cfg, {"detection.json": result.to_json, **_metric_writers(series)})
     print(
         f"verdict={result.verdict} score={result.score:.3f} "
         f"p={result.p_value:.4f} -> {out / 'detection.json'}"
@@ -264,13 +263,7 @@ def cmd_detect(cfg: dict, input_csv: str) -> int:
 
 
 def cmd_metrics(cfg: dict, input_csv: str) -> int:
-    series = _load_input(input_csv)
-    estimate = estimate_derivatives(series, None)
-    metrics = compute_metrics(estimate)
-    out = _write_outputs(cfg, {
-        "metrics.csv": metrics.write_csv,
-        "derivatives.csv": estimate.write_csv,
-    })
+    out = _write_outputs(cfg, _metric_writers(_load_input(input_csv)))
     print(f"wrote {out / 'metrics.csv'}")
     return 0
 

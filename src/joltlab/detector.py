@@ -27,7 +27,8 @@ from .errors import (
 )
 from .estimation import (
     SavitzkyGolay,
-    _savgol_filter,
+    _filter_log,
+    _resid_scale,
     default_savgol,
     edge_mask,
     savgol_weights,
@@ -127,11 +128,9 @@ def _log_signal(logv: np.ndarray, cfg: SavitzkyGolay, dt: float) -> np.ndarray:
     Values whose magnitude is below the rounding floor of the filter are
     snapped to exactly zero so that noiseless exponentials (log-linear input)
     yield an identically zero signal instead of amplified rounding noise.
-    The log-values are centred first: the deriv-2 kernel annihilates
-    constants, so the signal and its floor do not move with the value scale.
+    The floor comes from the centred log-values, so it ignores value scale.
     """
-    logv = logv - logv.mean()
-    s = _savgol_filter(logv, cfg.window, cfg.poly_order, 2) / dt**2
+    logv, (s,) = _filter_log(logv, cfg, dt, (2,))
     floor = 1e-11 * max(1.0, float(np.max(np.abs(logv)))) / dt**2
     s[np.abs(s) <= floor] = 0.0
     return s
@@ -153,7 +152,7 @@ def detection_signal(series: TimeSeries, smoother: SavitzkyGolay | None = None) 
 
 def _require_points(s: np.ndarray) -> None:
     if s.size < 8:
-        raise TooFewPoints("need at least 8 unmasked signal points")
+        raise TooFewPoints(f"need at least 8 unmasked signal points, got {s.size}")
 
 
 def peak_ratio_score(
@@ -240,24 +239,14 @@ def _permutation_weights(n: int, window: int, poly_order: int):
     ``w @ x`` is the interior mean of ``M2 @ x`` in index space, M2 being the
     deriv-2 SavGol operator: its interior rows are shifted copies of the
     centre kernel, so their column sums are the kernel convolved with a box.
-    ``resid_scale`` is the degrees-of-freedom correction
-    sqrt(n / (n - 2 tr M0 + sum M0^2)) for residuals of the smoother M0.
-    Neither sum needs M0 itself: the rows of the least-squares projection of
-    one window (a symmetric idempotent matrix, so its trace and its squared
-    Frobenius norm both equal poly_order + 1) are M0's h edge rows at each
-    end plus one centre row c0, and the other n - 2h - 1 rows of M0 repeat
-    c0. So tr M0 = p+1 + (n-2h-1) c0[h] and sum M0^2 = p+1 + (n-2h-1) |c0|^2.
+    ``resid_scale`` is the smoother's degrees-of-freedom correction,
+    :func:`joltlab.estimation._resid_scale`.
     """
     h = window // 2
     box = np.ones(n - 2 * h)
     w = np.convolve(box, savgol_weights(window, poly_order, 2)) / box.size
     w.setflags(write=False)
-    c0 = savgol_weights(window, poly_order, 0)
-    repeats = n - 2 * h - 1
-    nu = poly_order + 1 + repeats * float(c0[h])
-    nu2 = poly_order + 1 + repeats * float(c0 @ c0)
-    denom = max(n - 2.0 * nu + nu2, 1.0)
-    return w, math.sqrt(n / denom)
+    return w, _resid_scale(n, window, poly_order)
 
 
 @lru_cache(maxsize=1)
@@ -305,15 +294,14 @@ def permutation_test(
         signal = detection_signal(series, config.smoother)
     cfg = _resolve_smoother(len(series), config.smoother)
     dt = uniform_spacing(series)
-    logv = np.log(series.values)
-    logv -= logv.mean()
+    logv, (smooth,) = _filter_log(np.log(series.values), cfg, dt, (0,))
     n = logv.size
 
     observed = float(signal.unmasked.mean())
 
     w, resid_scale = _permutation_weights(n, cfg.window, cfg.poly_order)
     w = w / dt**2
-    resid = (logv - _savgol_filter(logv, cfg.window, cfg.poly_order, 0)) * resid_scale
+    resid = (logv - smooth) * resid_scale
 
     stats = resid[_permutation_index(config.seed, n, config.n_perm)] @ w
     floor = 1e-11 * max(1.0, float(np.max(np.abs(logv)) + np.max(np.abs(resid)))) / dt**2

@@ -10,6 +10,10 @@ time and no working array larger than the window beside its output. The
 boundary points are flagged in an edge mask so downstream consumers can
 exclude them.
 
+Derivatives of a capability series come from log C, filtered once per order
+(the detector filters it through the same helper), with a closed-form
+delta-method 95% interval on C'''.
+
 Model fitting is one linear least-squares fit of a basis with closed-form
 derivatives: the power columns of a polynomial, or a cubic plus one
 truncated power per interior knot for a least-squares cubic spline. AIC,
@@ -108,14 +112,14 @@ class DerivativeEstimate:
 
 @lru_cache(maxsize=64)
 def _savgol_operator(window: int, poly_order: int, deriv: int):
-    """(coef, kernel, left, right) of the ``deriv``-th SavGol filter.
+    """(coef, kernel, deriv_at) of the ``deriv``-th SavGol filter.
 
     ``coef`` ((poly_order+1) x window) maps one window of values to the
     coefficients of its least-squares polynomial in u = (j - h)/h, h =
     window//2; scaling the offsets into [-1, 1] keeps the pseudo-inverse well
-    conditioned. ``kernel`` is that fit's index-space derivative at the
-    centre, and ``left``/``right`` (h x (poly_order+1)) evaluate it at the h
-    offsets before and after the centre.
+    conditioned. Row j of ``deriv_at`` (window x (poly_order+1)) evaluates
+    the fit's index-space derivative at offset j, so ``deriv_at[j] @ coef`` is
+    the filter row of a point at offset j; ``kernel`` is the centre row.
     """
     if deriv > poly_order:
         raise OrderExceedsPoly(
@@ -124,11 +128,10 @@ def _savgol_operator(window: int, poly_order: int, deriv: int):
     h = window // 2
     u = (np.arange(window) - h) / h
     coef = np.linalg.pinv(P.polyvander(u, poly_order))
-    # row j maps fit coefficients to the fit's derivative at offset j;
     # d/dj = (1/h) d/du
     deriv_at = P.polyvander(u, poly_order - deriv) @ P.polyder(np.eye(poly_order + 1), deriv)
     deriv_at /= h**deriv
-    parts = (coef, deriv_at[h] @ coef, deriv_at[:h].copy(), deriv_at[h + 1 :].copy())
+    parts = (coef, deriv_at[h] @ coef, deriv_at)
     for part in parts:
         part.setflags(write=False)
     return parts
@@ -146,12 +149,12 @@ def _savgol_filter(x: np.ndarray, window: int, poly_order: int, deriv: int) -> n
     n = x.shape[-1]
     if window > n:
         raise WindowTooLarge(f"window {window} exceeds series length {n}")
-    coef, kernel, left, right = _savgol_operator(window, poly_order, deriv)
+    coef, kernel, deriv_at = _savgol_operator(window, poly_order, deriv)
     h = window // 2
     out = np.empty(x.shape)
     out[..., h : n - h] = sliding_window_view(x, window, axis=-1) @ kernel
-    out[..., :h] = (x[..., :window] @ coef.T) @ left.T
-    out[..., n - h :] = (x[..., n - window :] @ coef.T) @ right.T
+    out[..., :h] = (x[..., :window] @ coef.T) @ deriv_at[:h].T
+    out[..., n - h :] = (x[..., n - window :] @ coef.T) @ deriv_at[h + 1 :].T
     return out
 
 
@@ -192,27 +195,76 @@ def edge_mask(n: int, window: int) -> np.ndarray:
     return mask
 
 
+def _filter_log(logv: np.ndarray, config: SavitzkyGolay, dt: float, orders):
+    """Centred log C and its SavGol derivatives of ``orders`` (physical units),
+    the one place log C is filtered. Centring first keeps a value scale out
+    of the derivatives and of rounding floors taken from the centred values."""
+    logv, w, p = logv - logv.mean(), config.window, config.poly_order
+    return logv, [_savgol_filter(logv, w, p, k) / dt**k for k in orders]
+
+
+def _resid_scale(n: int, window: int, poly_order: int) -> float:
+    """sqrt(n / (n - 2 tr M0 + sum M0^2)), the degrees-of-freedom correction
+    that turns the RMS of the smoother M0's residuals into a noise SD.
+
+    One window's least-squares projection is symmetric idempotent (trace and
+    squared Frobenius norm both p+1) and its rows are M0's h edge rows at
+    each end plus the centre row c0, which M0's other n-2h-1 rows repeat. So
+    tr M0 = p+1 + (n-2h-1) c0[h] and sum M0^2 = p+1 + (n-2h-1) |c0|^2.
+    """
+    h = window // 2
+    c0 = savgol_weights(window, poly_order, 0)
+    repeats = n - 2 * h - 1
+    nu = poly_order + 1 + repeats * float(c0[h])
+    nu2 = poly_order + 1 + repeats * float(c0 @ c0)
+    return math.sqrt(n / max(n - 2.0 * nu + nu2, 1.0))
+
+
 def estimate_derivatives(
     series: TimeSeries, config: SavitzkyGolay | None = None
 ) -> DerivativeEstimate:
-    """SavGol estimates of C..C''' on the series grid with edge flags.
+    """SavGol estimates of C..C''' from log C, with a 95% interval on C'''.
 
-    Confidence bounds are degenerate (equal to the point estimate); use
-    :func:`bootstrap_derivative_ci` for real intervals.
+    L = log C is filtered once per order k = 0..3, and the chain rule gives
+    C = exp(L0), C' = C L1, C'' = C (L2 + L1^2) and
+    C''' = C (L3 + 3 L1 L2 + L1^3). So C is positive, an exponential has
+    J_N = 1, and a log-quadratic is exact up to rounding.
+
+    The interval is the delta method: the half-width is 1.96 sigma |g|, g
+    being the gradient of C''' with respect to log C,
+    C''' k0 + 3C (L2 + L1^2) k1 + 3C L1 k2 + C k3 for the point's deriv-m
+    filter rows k_m, and sigma the noise SD of log C (homoscedastic under
+    multiplicative noise): the RMS of log C - L0 times :func:`_resid_scale`.
+    Each k_m is ``deriv_at[j] @ coef`` at the point's offset j in its window,
+    so g = b @ coef for a (poly_order+1)-vector b, and |g|^2 = b coef coef^T b^T
+    takes O(n (poly_order+1)^2) time and memory.
     """
+    validate(series, require_positive=True)
+    n = len(series)
     if config is None:
-        config = default_savgol(len(series))
-    if config.poly_order < 3:
+        config = default_savgol(n)
+    w, p = config.window, config.poly_order
+    if p < 3:
         raise OrderExceedsPoly("third-derivative estimation needs poly_order >= 3")
-    c = savgol_apply(series, config, 0)
-    c1 = savgol_apply(series, config, 1)
-    c2 = savgol_apply(series, config, 2)
-    c3 = savgol_apply(series, config, 3)
+    dt = uniform_spacing(series)
+    logv = np.log(series.values)
+    centred, (l0, l1, l2, l3) = _filter_log(logv, config, dt, range(4))
+    c = np.exp(l0 + logv.mean())
+    c2_over_c = l2 + l1**2
+    c3 = c * (l3 + 3 * l1 * l2 + l1**3)
+    gradient = (c3, 3 * c * c2_over_c, 3 * c * l1, c)
+    # each point's offset in the window whose fit it is evaluated from
+    offset = np.arange(n) - np.clip(np.arange(n) - w // 2, 0, n - w)
+    b = sum(g[:, None] * _savgol_operator(w, p, m)[2][offset] / dt**m
+            for m, g in enumerate(gradient))
+    coef = _savgol_operator(w, p, 0)[0]
+    sigma = float(np.sqrt(np.mean((centred - l0) ** 2))) * _resid_scale(n, w, p)
+    half = 1.96 * sigma * np.sqrt(np.einsum("ij,jk,ik->i", b, coef @ coef.T, b))
     return DerivativeEstimate(
         times=series.times,
-        c=c, c1=c1, c2=c2, c3=c3,
-        c3_lo=c3.copy(), c3_hi=c3.copy(),
-        edge_mask=edge_mask(len(series), config.window),
+        c=c, c1=c * l1, c2=c * c2_over_c, c3=c3,
+        c3_lo=c3 - half, c3_hi=c3 + half,
+        edge_mask=edge_mask(n, w),
     )
 
 
@@ -418,53 +470,17 @@ def fit_model(
 
 
 def derivatives_from_model(model: FitModel, times) -> DerivativeEstimate:
-    """Analytic derivatives of a fitted model on a grid within its range."""
+    """Analytic derivatives of a fitted model on a grid within its range. The
+    C''' bounds equal the estimate: a fitted model carries no noise model."""
     times = np.asarray(times, dtype=float)
     lo, hi = model.t_range
     tol = 1e-9 * max(abs(lo), abs(hi), 1.0)
     if times.min() < lo - tol or times.max() > hi + tol:
         raise OutOfRange("grid extends beyond the fitted range")
-    c = model.predict(times, 0)
-    c3 = model.predict(times, 3)
+    c, c1, c2, c3 = (model.predict(times, order) for order in range(4))
     return DerivativeEstimate(
         times=times,
-        c=c,
-        c1=model.predict(times, 1),
-        c2=model.predict(times, 2),
-        c3=c3,
-        c3_lo=c3.copy(),
-        c3_hi=c3.copy(),
+        c=c, c1=c1, c2=c2, c3=c3,
+        c3_lo=c3.copy(), c3_hi=c3.copy(),
         edge_mask=np.zeros(times.size, dtype=bool),
     )
-
-
-# --- bootstrap ----------------------------------------------------------------
-
-def bootstrap_derivative_ci(
-    series: TimeSeries,
-    config: SavitzkyGolay | None = None,
-    n_boot: int = 500,
-    seed: int = 0,
-) -> DerivativeEstimate:
-    """Residual-bootstrap 95% percentile CIs for the third derivative.
-
-    Smooths once, resamples residuals with replacement, re-runs the SavGol
-    derivative pipeline per replicate. Deterministic for a fixed seed.
-    """
-    if n_boot < 200:
-        raise InvalidSpec("n_boot must be >= 200")
-    if config is None:
-        config = default_savgol(len(series))
-    base = estimate_derivatives(series, config)
-    dt = uniform_spacing(series)
-    resid = series.values - base.c
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n = len(series)
-    idx = rng.integers(0, n, size=(n_boot, n))
-    replicates = base.c[None, :] + resid[idx]
-    c3_rep = _savgol_filter(replicates, config.window, config.poly_order, 3) / dt**3
-    lo = np.percentile(c3_rep, 2.5, axis=0)
-    hi = np.percentile(c3_rep, 97.5, axis=0)
-    base.c3_lo = np.minimum(lo, base.c3)
-    base.c3_hi = np.maximum(hi, base.c3)
-    return base

@@ -8,6 +8,9 @@ live in the growth module.
 J_N is undefined where C' or C'' vanish (e.g. a logistic inflection point);
 such points are masked rather than raising. Masked entries are NaN and are
 skipped by downstream statistics.
+
+SavGol estimates, from log C, are always positive; J and alpha check C > 0
+for model-fit and hand-built estimates.
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ from .growth import (
 log = logging.getLogger(__name__)
 
 Z95 = 1.959963984540054
+ACCURACY_CLASS_WEIGHTS = (0.5, 0.5)  # of TPR and TNR in balanced accuracy
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,7 @@ def run_cell(cell: MCCell, jobs: int = 1) -> ConfusionCounts:
     return run_cells([cell], jobs)[0]
 
 
-def summarize(counts: ConfusionCounts, class_weights=(0.5, 0.5)) -> RateSummary:
+def summarize(counts: ConfusionCounts) -> RateSummary:
     """Rates, balanced accuracy, error rate and Wilson CIs for one cell."""
     n_pos = counts.tp + counts.fn
     n_neg = counts.fp + counts.tn
@@ -282,7 +283,7 @@ def summarize(counts: ConfusionCounts, class_weights=(0.5, 0.5)) -> RateSummary:
     tpr = counts.tp / n_pos
     fpr = counts.fp / n_neg
     tnr = 1.0 - fpr
-    accuracy = class_weights[0] * tpr + class_weights[1] * tnr
+    accuracy = ACCURACY_CLASS_WEIGHTS[0] * tpr + ACCURACY_CLASS_WEIGHTS[1] * tnr
     return RateSummary(
         tpr=tpr,
         fpr=fpr,
@@ -451,7 +452,7 @@ def write_report_json(results, metadata, path, best=None) -> None:
     payload = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
-        "accuracy_class_weights": [0.5, 0.5],
+        "accuracy_class_weights": ACCURACY_CLASS_WEIGHTS,
         "metadata": metadata,
         "cells": [_cell_payload(r) for r in results],
         "best": _cell_payload(best) if best is not None else None,

@@ -11,6 +11,7 @@ import yaml
 import joltlab
 from joltlab.cli import build_detector, load_config, main
 from joltlab.detector import DetectorConfig
+from joltlab.errors import DataError
 from joltlab.montecarlo import MCCell, sweep
 from joltlab.timeseries import read_csv
 
@@ -148,17 +149,43 @@ def test_detect_window_larger_than_series_exit_2(tmp_path, capsys):
     assert "window 41" in err and "length 35" in err
 
 
-def test_detect_failure_leaves_no_outputs(tmp_path, capsys):
-    # positive data whose smoothed capability dips below zero: detection
-    # succeeds, the metrics fail, and nothing may be written
-    path = tmp_path / "spiky.csv"
-    values = [1000.0 if i % 17 == 0 else 1e-3 for i in range(200)]
-    rows = "\n".join(f"{i},{v}" for i, v in enumerate(values))
+def test_detect_too_few_interior_points_names_count(tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    rows = "\n".join(f"{i},{np.exp(0.1 * i)}" for i in range(35))
+    path.write_text("t,value\n" + rows + "\n")
+    cfg = write_config(tmp_path, {"detector": {"window": 31}})
+    assert run(["detect", str(path), "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "need at least 8 unmasked signal points, got 5" in capsys.readouterr().err
+
+
+def test_detect_failure_leaves_no_outputs(tmp_path, capsys, monkeypatch):
+    # detection succeeds and a later stage fails: nothing may be written
+    def fail(estimate):
+        raise DataError("metrics stage failed")
+
+    monkeypatch.setattr("joltlab.cli.compute_metrics", fail)
+    path = tmp_path / "series.csv"
+    rows = "\n".join(f"{i},{np.exp(0.1 * i)}" for i in range(200))
     path.write_text("t,value\n" + rows + "\n")
     out = tmp_path / "o"
     assert run(["detect", str(path), "--out", str(out)]) == 3
-    assert "capability estimates must be > 0" in capsys.readouterr().err
+    assert "metrics stage failed" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("values", [
+    np.exp(3.4 * np.linspace(0, 20, 200)),
+    np.where(np.arange(200) < 100, 1.0, 100.0),
+], ids=["exp(3.4t)", "step 1 to 100"])
+def test_detect_steep_or_stepped_growth_exit_0(tmp_path, values):
+    # positive input on which a smoother of raw C goes negative
+    path = tmp_path / "series.csv"
+    t = np.linspace(0, 20, 200)
+    path.write_text("t,value\n" + "".join(f"{a:.17g},{v:.17g}\n" for a, v in zip(t, values)))
+    out = tmp_path / "o"
+    assert run(["detect", str(path), "--out", str(out)]) == 0
+    for name in ("detection.json", "metrics.csv", "derivatives.csv"):
+        assert (out / name).exists()
 
 
 def test_detect_malformed_csv_exit_2(tmp_path):
@@ -256,13 +283,10 @@ def test_inexact_window_or_axis_value_exit_2(tmp_path, capsys, payload, named):
     assert not out.exists()
 
 
-SPIKY = [1000.0 if i % 17 == 0 else 1e-3 for i in range(200)]
-
-
 @pytest.mark.parametrize("command, payload, values, code", [
     ("generate", {"model": {"family": "exponential", "c0": -1.0}}, None, 2),
     ("metrics", {}, [2.0 ** i for i in range(5)], 3),
-    ("metrics", {}, SPIKY, 3),
+    ("metrics", {}, [1.0] * 99 + [0.0] + [1.0] * 100, 3),
     ("mc", {"detector": {"n_perm": 10}}, None, 2),
     ("sweep", {**SMALL_SWEEP, "sweep": {"window": [7.5, 11]}}, None, 2),
 ])

@@ -27,7 +27,7 @@ from joltlab.errors import (
     TooFewPoints,
     WindowTooLarge,
 )
-from joltlab.estimation import SavitzkyGolay, default_savgol, edge_mask
+from joltlab.estimation import SavitzkyGolay, default_savgol, edge_mask, estimate_derivatives
 from joltlab.growth import (
     Exponential,
     GridSpec,
@@ -41,6 +41,7 @@ from joltlab.growth import (
     generate,
     smoothstep,
 )
+from joltlab.metrics import compute_metrics
 from joltlab.timeseries import TimeSeries, uniform_spacing
 from savgol_oracle import dense_savgol
 
@@ -437,6 +438,48 @@ def test_detection_invariant_under_value_scale_and_time_shift(series, scale, shi
         assert result.verdict == base.verdict
         assert result.score == pytest.approx(base.score, abs=1e-9)
         assert result.p_value == pytest.approx(base.p_value, abs=1e-9)
+
+
+_METRIC_FAMILIES = st.one_of(
+    st.builds(Exponential, c0=st.floats(0.1, 10.0), k=st.floats(0.02, 0.15)),
+    st.builds(Logistic, l=st.floats(10.0, 1000.0), r=st.floats(0.2, 1.0),
+              t0=st.floats(5.0, 15.0)),
+    st.builds(LogQuadratic, c0=st.floats(0.1, 10.0), a=st.floats(0.0, 0.12),
+              b=st.floats(0.002, 0.02)),
+)
+_SCALED_COLUMNS = ("c", "c1", "c2", "c3", "c3_lo", "c3_hi")
+# Worst error relative to the column's largest finite value, over 10,500
+# random draws: 2.1e-12 for C..C''', the bounds, J and alpha; 1.6e-9 for the
+# doubling time and 2.7e-8 for J_N, whose near-zero alpha or C'' amplify
+# rounding with a tail in 1/error. Time shifts moved nothing.
+_METRIC_TOLERANCES = {
+    **dict.fromkeys(_SCALED_COLUMNS + ("jolt", "alpha"), 1e-11),
+    "doubling_time": 1e-7,
+    "jolt_dimensionless": 1e-6,
+}
+
+
+def _metric_columns(series):
+    est = estimate_derivatives(series)
+    metrics = compute_metrics(est)
+    return {name: getattr(est if name in _SCALED_COLUMNS else metrics, name)
+            for name in _METRIC_TOLERANCES}
+
+
+@settings(max_examples=30, deadline=None)
+@given(series=st.builds(_generated, _METRIC_FAMILIES, st.sampled_from(["low", "medium", "high"]),
+                        st.integers(0, 2**32 - 1)),
+       scale=st.floats(1e-3, 1e6), shift=st.floats(-1000.0, 1000.0))
+def test_metrics_scale_with_values_and_ignore_time_shift(series, scale, shift):
+    base = _metric_columns(series)
+    for moved, factor in ((series.with_values(series.values * scale), scale),
+                          (TimeSeries(series.times + shift, series.values), 1.0)):
+        for name, got in _metric_columns(moved).items():
+            want = base[name] * (factor if name in _SCALED_COLUMNS else 1.0)
+            finite = ~np.isnan(want)
+            np.testing.assert_array_equal(np.isnan(got), ~finite)
+            tol = _METRIC_TOLERANCES[name] * np.max(np.abs(want[finite]))
+            np.testing.assert_allclose(got[finite], want[finite], rtol=0, atol=tol)
 
 
 @settings(max_examples=30, deadline=None)
