@@ -61,4 +61,4 @@ from .montecarlo import (
     sweep,
     sweeps,
 )
-from .timeseries import TimeSeries, log_transform, read_csv, validate, write_csv
+from .timeseries import TimeSeries, log_transform, read_csv, write_csv

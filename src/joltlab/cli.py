@@ -317,13 +317,16 @@ def cmd_sweep(cfg: dict) -> int:
 
 # --- entry point --------------------------------------------------------------
 
-def _common_flags(parser):
+def _flags(parser, seed=True, mc=False):
+    """Register only the flags the command reads; any other exits 2."""
     parser.add_argument("--config", default=None, help="YAML run config")
-    parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel workers")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="override Monte Carlo trials per class")
+    if seed:
+        parser.add_argument("--seed", type=int, default=None, help="master seed override")
+    if mc:
+        parser.add_argument("--jobs", type=int, default=None, help="parallel workers")
+        parser.add_argument("--trials", type=int, default=None,
+                            help="override Monte Carlo trials per class")
 
 
 def build_parser():
@@ -334,33 +337,33 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic series CSV + sidecar")
-    _common_flags(p)
+    _flags(p)
 
     p = sub.add_parser("detect", help="run the hybrid jolt detector on a CSV")
     p.add_argument("input", help="input CSV (header 't,value')")
-    _common_flags(p)
+    _flags(p)
 
     p = sub.add_parser("metrics", help="compute jolt metrics for a CSV")
     p.add_argument("input", help="input CSV (header 't,value')")
-    _common_flags(p)
+    _flags(p, seed=False)
 
     p = sub.add_parser("mc", help="Monte Carlo TPR/FPR table across noise levels")
-    _common_flags(p)
+    _flags(p, mc=True)
 
     p = sub.add_parser("sweep", help="hyperparameter sweep with heatmap output")
-    _common_flags(p)
+    _flags(p, mc=True)
 
     return parser
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["out"] = args.out
-    if args.jobs is not None:
+    if getattr(args, "jobs", None) is not None:
         cfg["jobs"] = args.jobs
-    if args.trials is not None:
+    if getattr(args, "trials", None) is not None:
         cfg["mc"]["n_trials"] = args.trials
     return cfg
 

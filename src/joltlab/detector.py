@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,7 +34,7 @@ from .estimation import (
     savgol_weights,
 )
 from .growth import smoothstep
-from .timeseries import TimeSeries, uniform_spacing, validate
+from .timeseries import TimeSeries
 
 
 @dataclass(frozen=True)
@@ -138,13 +138,11 @@ def _log_signal(logv: np.ndarray, cfg: SavitzkyGolay, dt: float) -> np.ndarray:
 
 def detection_signal(series: TimeSeries, smoother: SavitzkyGolay | None = None) -> Signal:
     """S(t) = d^2/dt^2 ln C(t) via SavGol, with boundary points masked."""
-    validate(series, require_positive=True)
+    logv = series.log_values
     cfg = _resolve_smoother(len(series), smoother)
     if cfg.poly_order < 2:
         raise InvalidSpec("detection signal needs poly_order >= 2")
-    dt = uniform_spacing(series)
-    logv = np.log(series.values)
-    s = _log_signal(logv, cfg, dt)
+    s = _log_signal(logv, cfg, series.dt)
     return Signal(series.times, s, edge_mask(len(series), cfg.window))
 
 
@@ -220,6 +218,11 @@ def _positive_runs(s: np.ndarray):
     return list(zip(starts.tolist(), (ends - starts).tolist()))
 
 
+def _run_fraction(length: int, s: np.ndarray, min_duration_frac: float) -> float:
+    """A run's share of the unmasked signal ``s`` over the duration threshold."""
+    return (length / s.size) / min_duration_frac
+
+
 def duration_score(
     s: np.ndarray, min_duration_frac: float = DetectorConfig.min_duration_frac
 ) -> float:
@@ -227,7 +230,7 @@ def duration_score(
     _require_points(s)
     runs = _positive_runs(s)
     longest = max((length for _, length in runs), default=0)
-    return min(1.0, (longest / s.size) / min_duration_frac)
+    return min(1.0, _run_fraction(longest, s, min_duration_frac))
 
 
 # --- permutation test ---------------------------------------------------------
@@ -293,8 +296,8 @@ def permutation_test(
     if signal is None:
         signal = detection_signal(series, config.smoother)
     cfg = _resolve_smoother(len(series), config.smoother)
-    dt = uniform_spacing(series)
-    logv, (smooth,) = _filter_log(np.log(series.values), cfg, dt, (0,))
+    dt = series.dt
+    logv, (smooth,) = _filter_log(series.log_values, cfg, dt, (0,))
     n = logv.size
 
     observed = float(signal.unmasked.mean())
@@ -312,12 +315,12 @@ def permutation_test(
 # --- hybrid detector ----------------------------------------------------------
 
 def _detection_intervals(signal: Signal, min_duration_frac: float) -> list:
-    n = signal.values.size
+    """(first, last) times of the positive runs that score full duration."""
     idx = np.flatnonzero(~signal.edge_mask)
     s = signal.values[idx]
     intervals = []
     for start, length in _positive_runs(s):
-        if length >= min_duration_frac * n:
+        if _run_fraction(length, s, min_duration_frac) >= 1.0:
             lo = idx[start]
             hi = idx[start + length - 1]
             intervals.append((float(signal.times[lo]), float(signal.times[hi])))

@@ -42,7 +42,7 @@ from .errors import (
     SpanTooSmall,
     WindowTooLarge,
 )
-from .timeseries import TimeSeries, uniform_spacing, validate
+from .timeseries import TimeSeries
 
 DERIVATIVE_CSV_HEADER = "t,c,c1,c2,c3,c3_lo,c3_hi,edge"
 
@@ -171,9 +171,8 @@ def savgol_weights(window: int, poly_order: int, deriv: int = 0) -> np.ndarray:
 
 def savgol_apply(series: TimeSeries, config: SavitzkyGolay, deriv: int = 0) -> np.ndarray:
     """SavGol output values (derivative ``deriv``) in physical time units."""
-    validate(series)
-    dt = uniform_spacing(series)
-    return _savgol_filter(series.values, config.window, config.poly_order, deriv) / dt**deriv
+    w, p = config.window, config.poly_order
+    return _savgol_filter(series.values, w, p, deriv) / series.dt**deriv
 
 
 def savgol_smooth(series: TimeSeries, config: SavitzkyGolay) -> TimeSeries:
@@ -239,15 +238,14 @@ def estimate_derivatives(
     so g = b @ coef for a (poly_order+1)-vector b, and |g|^2 = b coef coef^T b^T
     takes O(n (poly_order+1)^2) time and memory.
     """
-    validate(series, require_positive=True)
+    logv = series.log_values
     n = len(series)
     if config is None:
         config = default_savgol(n)
     w, p = config.window, config.poly_order
     if p < 3:
         raise OrderExceedsPoly("third-derivative estimation needs poly_order >= 3")
-    dt = uniform_spacing(series)
-    logv = np.log(series.values)
+    dt = series.dt
     centred, (l0, l1, l2, l3) = _filter_log(logv, config, dt, range(4))
     c = np.exp(l0 + logv.mean())
     c2_over_c = l2 + l1**2
@@ -276,7 +274,6 @@ def loess_smooth(series: TimeSeries, span: float = 0.3) -> TimeSeries:
     Smoothing only; third derivatives always come from SavGol or analytic
     model differentiation.
     """
-    validate(series)
     t, v = series.times, series.values
     n = t.size
     if span * n < 4:
@@ -420,7 +417,6 @@ def fit_model(
     the returned model. Candidates that tie on the criterion, such as exact
     fits under cv, go to the one with the fewest parameters.
     """
-    validate(series)
     if candidates is None:
         candidates = [PolynomialModel(d) for d in range(1, 7)]
     if not candidates:

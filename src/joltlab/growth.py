@@ -13,13 +13,12 @@ draw would leave the positive domain. All generation is a pure function of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidSpec, NonPositiveValue, ScheduleViolation
-from .timeseries import TimeSeries, validate
+from .errors import GridMismatch, InvalidSpec, ScheduleViolation
+from .timeseries import TimeSeries
 
 NOISE_SIGMAS = {"none": 0.0, "low": 0.01, "medium": 0.05, "high": 0.10}
 
@@ -225,8 +224,7 @@ def generate(spec: GrowthModelSpec) -> tuple[TimeSeries, bool]:
     values = evaluate(spec.family, t)
     if not np.all(values > 0):
         raise InvalidSpec("generated trajectory is not strictly positive")
-    series = validate(TimeSeries(t, values), require_positive=True)
-    return add_noise(series, spec.noise), spec.label
+    return add_noise(TimeSeries(t, values), spec.noise), spec.label
 
 
 def add_noise(series: TimeSeries, noise: NoiseSpec) -> TimeSeries:
@@ -235,7 +233,7 @@ def add_noise(series: TimeSeries, noise: NoiseSpec) -> TimeSeries:
     Draws that would produce a non-positive value are resampled. Identity
     for sigma 0; bitwise deterministic for a fixed seed.
     """
-    validate(series, require_positive=True)
+    series.log_values  # raises NonPositiveValue: no draw makes a C <= 0 positive
     sigma = noise.sigma
     if sigma == 0.0:
         return series
@@ -309,7 +307,7 @@ def inject_intervention(base: TimeSeries, kind: str, **params) -> TimeSeries:
     efficiency_ramp: multiply the instantaneous growth exponent by a factor
     ramping smoothly from 1 to ``factor`` over [t0, t1].
     """
-    validate(base, require_positive=True)
+    logv = base.log_values  # raises NonPositiveValue for either kind
     if kind == "step_change":
         m = params.get("m", 1.0)
         t_step = params.get("t_step")
@@ -327,7 +325,6 @@ def inject_intervention(base: TimeSeries, kind: str, **params) -> TimeSeries:
         if factor <= 0:
             raise InvalidSpec("efficiency_ramp requires factor > 0")
         t = base.times
-        logv = np.log(base.values)
         alpha = np.gradient(logv, t)
         ramp = 1.0 + (factor - 1.0) * smoothstep((t - t0) / (t1 - t0))
         scaled = alpha * ramp

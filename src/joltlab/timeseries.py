@@ -1,13 +1,16 @@
-"""Canonical time-series container, validation and CSV I/O.
+"""Canonical time-series container and CSV I/O.
 
-A TimeSeries is the currency of the whole pipeline: a strictly increasing
-time grid plus finite capability values. Instances are immutable after
-construction and safe to share across threads/processes.
+A TimeSeries is the currency of the whole pipeline and owns its contract.
+Construction rejects non-finite times or values (NonFiniteValue) and times
+that do not strictly increase (NonMonotonicTime). Cached read-only properties
+give the grid spacing ``dt`` (else NonUniformGrid) and ln C, ``log_values``
+(else NonPositiveValue), once per series. Instances are immutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,10 +25,12 @@ from .errors import (
 
 CSV_HEADER = "t,value"
 
+GRID_REL_TOL = 1e-9  # largest deviation of a step from dt, relative to dt
+
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Strictly increasing time grid with real-valued measurements."""
+    """Strictly increasing time grid with finite real-valued measurements."""
 
     times: np.ndarray
     values: np.ndarray
@@ -41,6 +46,12 @@ class TimeSeries:
             )
         if t.size < 1:
             raise NonFiniteValue("series must contain at least one point")
+        if not np.all(np.isfinite(t)):
+            raise NonFiniteValue("non-finite timestamp")
+        if not np.all(np.diff(t) > 0):
+            raise NonMonotonicTime("timestamps must be strictly increasing")
+        if not np.all(np.isfinite(v)):
+            raise NonFiniteValue("non-finite value in series")
         t.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "times", t)
@@ -49,48 +60,37 @@ class TimeSeries:
     def __len__(self):
         return self.times.size
 
+    @cached_property
+    def dt(self) -> float:
+        """Mean grid spacing; raises NonUniformGrid beyond ``GRID_REL_TOL``."""
+        if self.times.size < 2:
+            raise NonUniformGrid("need at least two points to define a spacing")
+        d = np.diff(self.times)
+        dt = d.mean()
+        worst = float(np.max(np.abs(d - dt)))
+        if worst > GRID_REL_TOL * dt:
+            raise NonUniformGrid(
+                f"grid spacing deviates from uniform by {worst / dt:.3g} of dt, "
+                f"beyond rel_tol {GRID_REL_TOL:g}"
+            )
+        return float(dt)
+
+    @cached_property
+    def log_values(self) -> np.ndarray:
+        """Read-only ln C; raises NonPositiveValue unless every value is > 0."""
+        if not np.all(self.values > 0):
+            raise NonPositiveValue("series values must be strictly positive")
+        logv = np.log(self.values)
+        logv.setflags(write=False)
+        return logv
+
     def with_values(self, values) -> "TimeSeries":
         return TimeSeries(self.times, np.asarray(values, dtype=float))
 
 
-def validate(series: TimeSeries, require_positive: bool = False) -> TimeSeries:
-    """Return ``series`` unchanged iff all invariants hold.
-
-    Raises NonMonotonicTime, NonFiniteValue or (when ``require_positive``)
-    NonPositiveValue. Idempotent by construction.
-    """
-    t, v = series.times, series.values
-    if not np.all(np.isfinite(t)):
-        raise NonFiniteValue("non-finite timestamp")
-    if t.size > 1 and not np.all(np.diff(t) > 0):
-        raise NonMonotonicTime("timestamps must be strictly increasing")
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteValue("non-finite value in series")
-    if require_positive and not np.all(v > 0):
-        raise NonPositiveValue("series values must be strictly positive")
-    return series
-
-
 def log_transform(series: TimeSeries) -> TimeSeries:
     """Natural log of the values; times unchanged. Requires values > 0."""
-    validate(series, require_positive=True)
-    return series.with_values(np.log(series.values))
-
-
-def uniform_spacing(series: TimeSeries, rel_tol: float = 1e-9) -> float:
-    """Mean grid spacing; raises NonUniformGrid beyond ``rel_tol`` relative."""
-    t = series.times
-    if t.size < 2:
-        raise NonUniformGrid("need at least two points to define a spacing")
-    d = np.diff(t)
-    dt = d.mean()
-    worst = float(np.max(np.abs(d - dt)))
-    if worst > rel_tol * abs(dt):
-        raise NonUniformGrid(
-            f"grid spacing deviates from uniform by {worst / abs(dt):.3g} of dt, "
-            f"beyond rel_tol {rel_tol:g}"
-        )
-    return float(dt)
+    return series.with_values(series.log_values)
 
 
 def read_csv(path) -> TimeSeries:
@@ -117,7 +117,7 @@ def read_csv(path) -> TimeSeries:
             raise ParseError(str(exc), line=lineno) from None
     if not times:
         raise SchemaError(f"{path}: no data records")
-    return validate(TimeSeries(np.array(times), np.array(values)))
+    return TimeSeries(np.array(times), np.array(values))
 
 
 def write_csv(series: TimeSeries, path) -> None:

@@ -334,6 +334,22 @@ def test_unwritable_output_exit_2_leaves_no_outputs(tmp_path, capsys, command, b
     assert left == ([] if blocked == "out" else [unwritable.name])
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--jobs", "2"],
+    ["generate", "--trials", "5"],
+    ["detect", "in.csv", "--jobs", "2"],
+    ["detect", "in.csv", "--trials", "5"],
+    ["metrics", "in.csv", "--jobs", "2"],
+    ["metrics", "in.csv", "--trials", "5"],
+    ["metrics", "in.csv", "--seed", "1"],
+], ids=" ".join)
+def test_flag_the_command_does_not_read_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
 # --- import path --------------------------------------------------------------
 
 def test_cli_import_leaves_out_scipy():

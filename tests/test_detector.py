@@ -42,7 +42,7 @@ from joltlab.growth import (
     smoothstep,
 )
 from joltlab.metrics import compute_metrics
-from joltlab.timeseries import TimeSeries, uniform_spacing
+from joltlab.timeseries import TimeSeries
 from savgol_oracle import dense_savgol
 
 
@@ -190,7 +190,7 @@ def _dense_permutation_p(series, config):
     dense deriv-2 operator, floored elementwise like the detection signal,
     reduced to its interior mean and compared with ``>=``."""
     cfg = config.smoother or default_savgol(len(series), DETECTION_POLY_ORDER)
-    dt = uniform_spacing(series)
+    dt = series.dt
     logv = np.log(series.values)
     n = logv.size
     interior = ~edge_mask(n, cfg.window)
@@ -307,6 +307,20 @@ def test_noiseless_exponential_verdict_false():
     assert r.score < 0.25
     assert r.sub_scores == {"peak": 0.0, "pattern": 0.0, "duration": 0.0}
     assert r.intervals == []
+
+
+@pytest.mark.parametrize("length", [44, 45, 47, 49, 50])
+def test_intervals_are_the_runs_that_score_full_duration(length):
+    # 200 points less window 21's edges leave 180 unmasked, so at
+    # min_duration_frac 0.25 a run of 45 or more is sustained
+    n, window, start = 200, 21, 60
+    values = np.full(n, -1.0)
+    values[start : start + length] = 1.0
+    signal = detector.Signal(np.arange(float(n)), values, edge_mask(n, window))
+    sustained = length >= 45
+    assert (duration_score(signal.unmasked, 0.25) == 1.0) == sustained
+    expected = [(float(start), float(start + length - 1))] if sustained else []
+    assert detector._detection_intervals(signal, 0.25) == expected
 
 
 def test_noiseless_logquadratic_verdict_true():
