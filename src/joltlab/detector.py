@@ -171,8 +171,13 @@ def peak_ratio_score(
     return x / (1.0 + x)
 
 
-def _smoothstep_template(width: int) -> np.ndarray:
-    return smoothstep(np.linspace(0.0, 1.0, width))
+@lru_cache(maxsize=64)
+def _smoothstep_template(width: int):
+    """Read-only (tz, ||tz||): the mean-removed smoothstep template of one width."""
+    tmpl = smoothstep(np.linspace(0.0, 1.0, width))
+    tz = tmpl - tmpl.mean()
+    tz.setflags(write=False)
+    return tz, math.sqrt(float(tz @ tz))
 
 
 def pattern_match_score(s: np.ndarray) -> float:
@@ -180,7 +185,8 @@ def pattern_match_score(s: np.ndarray) -> float:
 
     Templates of widths n/4, n/2 and 3n/4 are slid across all lags; the
     maximum Pearson correlation, clamped to [0, 1], is the score. A constant
-    signal scores 0.
+    signal scores 0. Each segment's sum and sum of squares are differences
+    of running sums, so no n x width array is formed.
     """
     _require_points(s)
     n = s.size
@@ -189,18 +195,17 @@ def pattern_match_score(s: np.ndarray) -> float:
     if sd <= 1e-9 * max(1.0, float(np.max(np.abs(s)))):
         return 0.0
     z = (s - s.mean()) / sd
+    c1 = np.concatenate(([0.0], np.cumsum(z)))
+    c2 = np.concatenate(([0.0], np.cumsum(z * z)))
     best = 0.0
     for width in (n // 4, n // 2, (3 * n) // 4):
         if width < 4:
             continue
-        tmpl = _smoothstep_template(width)
-        tz = tmpl - tmpl.mean()
-        tnorm = math.sqrt(float(tz @ tz))
-        windows = np.lib.stride_tricks.sliding_window_view(z, width)
-        seg_mean = windows.mean(axis=1)
-        seg_ss = (windows * windows).sum(axis=1)
-        seg_sq = seg_ss - width * seg_mean**2
-        dots = windows @ tz
+        tz, tnorm = _smoothstep_template(width)
+        seg_sum = c1[width:] - c1[:-width]
+        seg_ss = c2[width:] - c2[:-width]
+        seg_sq = seg_ss - seg_sum**2 / width
+        dots = np.correlate(z, tz, "valid")
         # a segment constant up to the rounding of this difference has no shape
         valid = seg_sq > 1e-9 * seg_ss
         if valid.any():
@@ -252,14 +257,24 @@ def _permutation_weights(n: int, window: int, poly_order: int):
     return w, _resid_scale(n, window, poly_order)
 
 
+# intp items per row chunk of the permutation draw (4 MB)
+_DRAW_BUDGET = 1 << 19
+
+
 @lru_cache(maxsize=1)
 def _permutation_index(seed: int, n: int, n_perm: int) -> np.ndarray:
     """Read-only int32 (n_perm, n) row shuffles of ``arange(n)``. ``rng.permuted``
     draws the same shuffle whatever the array holds, so ``x[idx]`` is its draw
     on ``x``; back-to-back detections on one seed (one MC trial) share it.
-    It shuffles intp items, which numpy swaps faster, and keeps int32 ones."""
+    It shuffles intp items, which numpy swaps faster, and keeps int32 ones.
+    Rows are drawn in chunks of at most ``_DRAW_BUDGET`` intp items; the
+    generator shuffles row after row, so the chunks give the one-shot draw."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    idx = rng.permuted(np.broadcast_to(np.arange(n), (n_perm, n)), axis=1).astype(np.int32)
+    idx = np.empty((n_perm, n), dtype=np.int32)
+    rows = max(1, _DRAW_BUDGET // n)
+    for start in range(0, n_perm, rows):
+        chunk = idx[start:start + rows]
+        chunk[...] = rng.permuted(np.broadcast_to(np.arange(n), chunk.shape), axis=1)
     idx.setflags(write=False)
     return idx
 
@@ -281,7 +296,11 @@ def permutation_test(
     never smoothed one by one. The deriv-2 kernel behind ``w`` annihilates
     every polynomial of degree <= poly_order (>= 2), so ``w`` maps the null
     line to zero: the line is never fitted, and a surrogate's statistic is
-    ``w`` dotted with its permuted residuals.
+    ``w`` dotted with its permuted residuals. The mean of a second derivative
+    telescopes, so the statistic is in effect the difference of the smoothed
+    log C's end slopes over the interior's length: the deriv-2 kernel sums to
+    zero, ``w`` is non-zero only on its first and last 2h entries
+    (h = window // 2), and only those entries of each surrogate are gathered.
     Ties are stated on the scalar: a surrogate counts as an exceedance when
     ``stat >= observed - floor``, with the filter's rounding floor
     ``1e-11 * max(1, max|logv - mean(logv)| + max|resid|) / dt^2``, which
@@ -306,7 +325,11 @@ def permutation_test(
     w = w / dt**2
     resid = (logv - smooth) * resid_scale
 
-    stats = resid[_permutation_index(config.seed, n, config.n_perm)] @ w
+    # w is zero up to rounding between its first and last 2h entries
+    lo = cfg.window - 1
+    hi = max(n - lo, lo)
+    idx = _permutation_index(config.seed, n, config.n_perm)
+    stats = resid[idx[:, :lo]] @ w[:lo] + resid[idx[:, hi:]] @ w[hi:]
     floor = 1e-11 * max(1.0, float(np.max(np.abs(logv)) + np.max(np.abs(resid)))) / dt**2
     exceed = int(np.count_nonzero(stats >= observed - floor))
     return (1 + exceed) / (config.n_perm + 1)

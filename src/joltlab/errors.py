@@ -25,6 +25,10 @@ class NonFiniteValue(DataError):
     pass
 
 
+class ShapeError(DataError):
+    """Times and values are not two 1-D arrays of one non-zero length."""
+
+
 class NonPositiveValue(DataError):
     pass
 

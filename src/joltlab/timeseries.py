@@ -1,10 +1,12 @@
 """Canonical time-series container and CSV I/O.
 
 A TimeSeries is the currency of the whole pipeline and owns its contract.
-Construction rejects non-finite times or values (NonFiniteValue) and times
-that do not strictly increase (NonMonotonicTime). Cached read-only properties
-give the grid spacing ``dt`` (else NonUniformGrid) and ln C, ``log_values``
-(else NonPositiveValue), once per series. Instances are immutable.
+Construction rejects times and values that are not two 1-D arrays of one
+non-zero length (ShapeError), non-finite times or values (NonFiniteValue) and
+times that do not strictly increase (NonMonotonicTime). Cached read-only
+properties give the grid spacing ``dt`` (else NonUniformGrid) and ln C,
+``log_values`` (else NonPositiveValue), once per series. Instances are
+immutable: a writable input array is copied, so the caller's stays writable.
 """
 
 from __future__ import annotations
@@ -21,11 +23,21 @@ from .errors import (
     NonUniformGrid,
     ParseError,
     SchemaError,
+    ShapeError,
 )
 
 CSV_HEADER = "t,value"
 
 GRID_REL_TOL = 1e-9  # largest deviation of a step from dt, relative to dt
+
+
+def _read_only(x) -> np.ndarray:
+    """``x`` as a read-only float array: a copy unless ``x`` is read-only."""
+    a = np.asarray(x, dtype=float)
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -36,24 +48,22 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        t = _read_only(self.times)
+        v = _read_only(self.values)
         if t.ndim != 1 or v.ndim != 1:
-            raise NonFiniteValue("times and values must be one-dimensional")
+            raise ShapeError("times and values must be one-dimensional")
         if t.size != v.size:
-            raise NonFiniteValue(
+            raise ShapeError(
                 f"length mismatch: {t.size} times vs {v.size} values"
             )
         if t.size < 1:
-            raise NonFiniteValue("series must contain at least one point")
+            raise ShapeError("series must contain at least one point")
         if not np.all(np.isfinite(t)):
             raise NonFiniteValue("non-finite timestamp")
         if not np.all(np.diff(t) > 0):
             raise NonMonotonicTime("timestamps must be strictly increasing")
         if not np.all(np.isfinite(v)):
             raise NonFiniteValue("non-finite value in series")
-        t.setflags(write=False)
-        v.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 

@@ -117,6 +117,66 @@ def test_pattern_score_constant_is_zero():
     assert pattern_match_score(np.full(100, 3.0)) == 0.0
 
 
+def _pattern_score_windows(s):
+    """The sliding-window pattern score that the running-sum form replaced,
+    kept as its oracle: every segment's moments from an n x width view."""
+    n = s.size
+    sd = s.std()
+    if sd <= 1e-9 * max(1.0, float(np.max(np.abs(s)))):
+        return 0.0
+    z = (s - s.mean()) / sd
+    best = 0.0
+    for width in (n // 4, n // 2, (3 * n) // 4):
+        if width < 4:
+            continue
+        tmpl = smoothstep(np.linspace(0.0, 1.0, width))
+        tz = tmpl - tmpl.mean()
+        tnorm = math.sqrt(float(tz @ tz))
+        windows = np.lib.stride_tricks.sliding_window_view(z, width)
+        seg_mean = windows.mean(axis=1)
+        seg_ss = (windows * windows).sum(axis=1)
+        seg_sq = seg_ss - width * seg_mean**2
+        dots = windows @ tz
+        valid = seg_sq > 1e-9 * seg_ss
+        if valid.any():
+            corr = dots[valid] / (np.sqrt(seg_sq[valid]) * tnorm)
+            best = max(best, float(corr.max()))
+    return min(max(best, 0.0), 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(8, 4000), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-6, 1e6), walk=st.booleans())
+def test_pattern_score_matches_sliding_window_oracle_on_noise(n, seed, scale, walk):
+    s = np.random.default_rng(seed).standard_normal(n) * scale
+    if walk:
+        s = np.cumsum(s)
+    assert pattern_match_score(s) == pytest.approx(_pattern_score_windows(s), abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.floats(0.02, 0.12), start=st.floats(2.0, 12.0), length=st.floats(2.0, 8.0),
+       strength=st.floats(0.05, 0.4), n=st.sampled_from([64, 200, 1000, 4000]),
+       scale=st.floats(1e-3, 1e6))
+def test_pattern_score_matches_sliding_window_oracle_on_noiseless_jolts(
+    k, start, length, strength, n, scale
+):
+    # the signal is flat, up to rounding, before and after the ramp
+    jolt = InjectedJolt(Exponential(1.0, k), start, start + length, strength)
+    series = generate(GrowthModelSpec(jolt, GridSpec(n_points=n), NoiseSpec("none")))[0]
+    s = detection_signal(series.with_values(series.values * scale)).unmasked
+    assert pattern_match_score(s) == pytest.approx(_pattern_score_windows(s), abs=1e-12)
+
+
+def test_smoothstep_template_is_cached_read_only():
+    tz, tnorm = detector._smoothstep_template(50)
+    assert detector._smoothstep_template(50)[0] is tz
+    assert not tz.flags.writeable
+    assert tnorm == pytest.approx(np.linalg.norm(tz), rel=1e-15)
+    with pytest.raises(ValueError):
+        tz[0] = 1.0
+
+
 def test_duration_full_run():
     assert duration_score(np.ones(64), 0.25) == 1.0
     assert duration_score(np.ones(64), 1.0) == 1.0

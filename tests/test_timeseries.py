@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from joltlab.errors import (
+    DataError,
     NonFiniteValue,
     NonMonotonicTime,
     NonPositiveValue,
     NonUniformGrid,
     ParseError,
     SchemaError,
+    ShapeError,
 )
 from joltlab.cli import main
 from joltlab.detector import DetectorConfig
@@ -59,14 +61,39 @@ def test_non_finite_value_rejected():
 
 
 def test_length_mismatch_rejected():
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(ShapeError, match="length mismatch: 3 times vs 2 values"):
         TimeSeries([0, 1, 2], [1, 2])
+
+
+@pytest.mark.parametrize("times, values, message", [
+    ([[0, 1], [2, 3]], [[1, 2], [3, 4]], "one-dimensional"),
+    ([], [], "at least one point"),
+])
+def test_bad_shape_rejected_as_data_error(times, values, message):
+    # a DataError, so the CLI exits 3
+    assert issubclass(ShapeError, DataError)
+    with pytest.raises(ShapeError, match=message):
+        TimeSeries(times, values)
 
 
 def test_arrays_are_immutable():
     s = TimeSeries([0, 1, 2], [1, 2, 4])
     with pytest.raises(ValueError):
         s.values[0] = 99.0
+
+
+def test_callers_arrays_stay_writable():
+    t, v = np.arange(5.0), np.ones(5)
+    s = TimeSeries(t, v)
+    v[0] = 2
+    t[0] = -1
+    assert s.values[0] == 1.0 and s.times[0] == 0.0
+
+
+def test_read_only_arrays_are_shared():
+    s = TimeSeries(np.arange(5.0), np.ones(5))
+    moved = s.with_values(s.log_values)
+    assert moved.times is s.times and moved.values is s.log_values
 
 
 def test_log_of_ones_is_zero():
