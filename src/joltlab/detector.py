@@ -64,6 +64,8 @@ class DetectorConfig:
             raise TooFewPermutations("n_perm must be >= 99")
         if not 0 < self.alpha_sig < 1:
             raise InvalidSpec("alpha_sig must lie in (0, 1)")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
 
     def verdict(self, score, p_value):
         """The detection rule, elementwise on arrays: a jolt is reported when
@@ -73,11 +75,15 @@ class DetectorConfig:
 
 @dataclass
 class Signal:
-    """Per-point detection signal with its edge mask."""
+    """Per-point detection signal with its edge mask, and the pass over log C
+    it came from (smoother, centred log C, order-0 fit) for the permutation test."""
 
     times: np.ndarray
     values: np.ndarray
     edge_mask: np.ndarray
+    smoother: SavitzkyGolay
+    centred_log: np.ndarray
+    fit: np.ndarray
 
     @property
     def unmasked(self) -> np.ndarray:
@@ -97,11 +103,7 @@ class DetectionResult:
         return {
             "verdict": bool(self.verdict),
             "score": float(self.score),
-            "sub_scores": {
-                "peak": float(self.sub_scores["peak"]),
-                "pattern": float(self.sub_scores["pattern"]),
-                "duration": float(self.sub_scores["duration"]),
-            },
+            "sub_scores": {k: float(self.sub_scores[k]) for k in ("peak", "pattern", "duration")},
             "intervals": [[float(a), float(b)] for a, b in self.intervals],
             "p_value": float(self.p_value),
         }
@@ -122,28 +124,20 @@ def _resolve_smoother(n: int, smoother: SavitzkyGolay | None) -> SavitzkyGolay:
     return smoother if smoother is not None else default_savgol(n, DETECTION_POLY_ORDER)
 
 
-def _log_signal(logv: np.ndarray, cfg: SavitzkyGolay, dt: float) -> np.ndarray:
-    """Second SavGol derivative of log-values, with a numerical floor.
-
-    Values whose magnitude is below the rounding floor of the filter are
-    snapped to exactly zero so that noiseless exponentials (log-linear input)
-    yield an identically zero signal instead of amplified rounding noise.
-    The floor comes from the centred log-values, so it ignores value scale.
-    """
-    logv, (s,) = _filter_log(logv, cfg, dt, (2,))
-    floor = 1e-11 * max(1.0, float(np.max(np.abs(logv)))) / dt**2
-    s[np.abs(s) <= floor] = 0.0
-    return s
-
-
 def detection_signal(series: TimeSeries, smoother: SavitzkyGolay | None = None) -> Signal:
-    """S(t) = d^2/dt^2 ln C(t) via SavGol, with boundary points masked."""
-    logv = series.log_values
+    """S(t) = d^2/dt^2 ln C(t) via SavGol, with boundary points masked, from
+    one pass over centred log C that also gives the permutation test its
+    order-0 fit. S below the filter's rounding floor, which comes from the
+    centred log C and so ignores value scale, is snapped to exactly zero:
+    noiseless exponentials give an identically zero signal."""
     cfg = _resolve_smoother(len(series), smoother)
     if cfg.poly_order < 2:
         raise InvalidSpec("detection signal needs poly_order >= 2")
-    s = _log_signal(logv, cfg, series.dt)
-    return Signal(series.times, s, edge_mask(len(series), cfg.window))
+    dt = series.dt
+    logv, (fit, s) = _filter_log(series.log_values, cfg, dt, (0, 2))
+    floor = 1e-11 * max(1.0, float(np.max(np.abs(logv)))) / dt**2
+    s[np.abs(s) <= floor] = 0.0
+    return Signal(series.times, s, edge_mask(len(series), cfg.window), cfg, logv, fit)
 
 
 # --- sub-scores ---------------------------------------------------------------
@@ -307,23 +301,21 @@ def permutation_test(
     like the signal's floor does not move with the value scale. Surrogates
     of a noiseless exponential (statistic zero up to rounding) therefore tie
     with its zero observed statistic, giving p = 1. The observed statistic
-    is the interior mean of the floored detection signal: ``signal`` when
-    given, which must be ``detection_signal(series, config.smoother)``, else
-    that signal computed here.
+    is the interior mean of the floored detection signal, whose pass over
+    log C also gives the residuals: ``signal`` when given, a signal of
+    ``series``, else ``detection_signal(series, config.smoother)``.
     p = (1 + #exceedances) / (n_perm + 1).
     """
     if signal is None:
         signal = detection_signal(series, config.smoother)
-    cfg = _resolve_smoother(len(series), config.smoother)
-    dt = series.dt
-    logv, (smooth,) = _filter_log(series.log_values, cfg, dt, (0,))
+    cfg, logv, dt = signal.smoother, signal.centred_log, series.dt
     n = logv.size
 
     observed = float(signal.unmasked.mean())
 
     w, resid_scale = _permutation_weights(n, cfg.window, cfg.poly_order)
     w = w / dt**2
-    resid = (logv - smooth) * resid_scale
+    resid = (logv - signal.fit) * resid_scale
 
     # w is zero up to rounding between its first and last 2h entries
     lo = cfg.window - 1
@@ -365,11 +357,13 @@ def hybrid_detect(series: TimeSeries, config: DetectorConfig | None = None) -> D
     w = config.combine_weights
     score = w[0] * peak + w[1] * pattern + w[2] * duration
     p_value = permutation_test(series, config, signal)
+    # an interval is a run of full duration, so without one there is none
+    intervals = _detection_intervals(signal, config.min_duration_frac) if duration == 1.0 else []
     return DetectionResult(
         verdict=config.verdict(score, p_value),
         score=float(score),
         sub_scores={"peak": peak, "pattern": pattern, "duration": duration},
-        intervals=_detection_intervals(signal, config.min_duration_frac),
+        intervals=intervals,
         p_value=p_value,
         signal=signal,
     )

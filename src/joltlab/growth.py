@@ -54,6 +54,8 @@ class NoiseSpec:
             raise InvalidSpec(f"unknown noise level {self.level!r}")
         if self.sigma_rel is not None and self.sigma_rel < 0:
             raise InvalidSpec("sigma_rel must be >= 0")
+        if self.seed < 0:
+            raise InvalidSpec(f"noise seed must be >= 0, got {self.seed}")
 
     @property
     def sigma(self) -> float:

@@ -78,6 +78,8 @@ class MCCell:
     def __post_init__(self):
         if self.n_trials < 1:
             raise InvalidSpec("n_trials must be >= 1")
+        if self.master_seed < 0:
+            raise InvalidSpec(f"master_seed must be >= 0, got {self.master_seed}")
         # resolve the smoother hybrid_detect would, so that sweeps over window
         # or poly_order start from the one the trials run
         smoother = _resolve_smoother(self.grid.n_points, self.detector.smoother)
@@ -220,6 +222,8 @@ def _outcomes(cells, jobs: int = 1) -> list:
     trial chunk) of each group of running cells sharing (master_seed, mix,
     grid) goes through one ``pool.map`` on one worker pool.
     """
+    if jobs < 1:
+        raise InvalidSpec(f"jobs must be >= 1, got {jobs}")
     # compared by ==, not by hash: a TrialMix built in code may hold lists
     verdict_free = [replace(c, detector=replace(c.detector, decision_threshold=0.5, alpha_sig=0.5))
                     for c in cells]
@@ -231,10 +235,10 @@ def _outcomes(cells, jobs: int = 1) -> list:
     for members in groups:
         n_trials = max(cells[k].n_trials for k in members)
         for is_positive in (True, False):
-            for chunk in np.array_split(np.arange(n_trials), max(1, min(jobs * 4, n_trials))):
+            for chunk in np.array_split(np.arange(n_trials), min(jobs * 4, n_trials)):
                 keys.append((members, is_positive))
                 tasks.append(([cells[k] for k in members], is_positive, chunk.tolist()))
-    if jobs <= 1:
+    if jobs == 1:
         chunk_results = [_run_trials(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -302,6 +302,29 @@ def test_failed_command_creates_no_out_dir(tmp_path, command, payload, values, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, payload, named", [
+    ("detect", ["--seed", "-1"], {}, "seed must be >= 0, got -1"),
+    ("detect", [], {"seed": -2}, "seed must be >= 0, got -2"),
+    ("mc", ["--seed", "-3"], SMALL_SWEEP, "seed must be >= 0, got -3"),
+    ("sweep", ["--seed", "-3"], SMALL_SWEEP, "seed must be >= 0, got -3"),
+    ("generate", ["--seed", "-5"], {"noise": {"level": "low"}}, "noise seed must be >= 0, got -5"),
+    ("generate", ["--seed", "-5"], {}, "noise seed must be >= 0, got -5"),
+    ("mc", ["--jobs", "0"], SMALL_SWEEP, "jobs must be >= 1, got 0"),
+    ("sweep", ["--jobs", "-4"], SMALL_SWEEP, "jobs must be >= 1, got -4"),
+], ids=["detect --seed", "detect config seed", "mc --seed", "sweep --seed",
+        "generate --seed noisy", "generate --seed noiseless", "mc --jobs", "sweep --jobs"])
+def test_negative_seed_or_no_jobs_exit_2(tmp_path, capsys, command, flags, payload, named):
+    argv = [command, "--config", write_config(tmp_path, payload), *flags]
+    if command == "detect":
+        path = tmp_path / "input.csv"
+        path.write_text("t,value\n" + "".join(f"{i},{1.05 ** i}\n" for i in range(100)))
+        argv.insert(1, str(path))
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 OUTPUTS = {
     "generate": ["series.csv", "series.json"],
     "detect": ["detection.json", "metrics.csv", "derivatives.csv"],

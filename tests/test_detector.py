@@ -350,13 +350,23 @@ def test_permutation_null_calibration_smoke():
 
 # --- hybrid detector ----------------------------------------------------------
 
+def _spy(monkeypatch, name):
+    """Calls of ``detector.<name>`` from here on; the spy forwards to it."""
+    calls, original = [], getattr(detector, name)
+    monkeypatch.setattr(detector, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
 def test_hybrid_detect_computes_the_signal_once(monkeypatch):
-    calls = []
-    log_signal = detector._log_signal
-    monkeypatch.setattr(
-        detector, "_log_signal", lambda *args: calls.append(args) or log_signal(*args)
-    )
+    # one pass over log C gives the signal and the permutation test's fit
+    calls = _spy(monkeypatch, "_filter_log")
     hybrid_detect(make_series(lambda t: np.exp(0.01 * t**2)))
+    assert [orders for *_, orders in calls] == [(0, 2)]
+
+
+def test_runs_are_found_once_without_a_sustained_run(monkeypatch):
+    calls = _spy(monkeypatch, "_positive_runs")
+    assert hybrid_detect(make_series(lambda t: np.exp(0.1 * t))).intervals == []
     assert len(calls) == 1
 
 
@@ -376,7 +386,9 @@ def test_intervals_are_the_runs_that_score_full_duration(length):
     n, window, start = 200, 21, 60
     values = np.full(n, -1.0)
     values[start : start + length] = 1.0
-    signal = detector.Signal(np.arange(float(n)), values, edge_mask(n, window))
+    # only the sub-scores and intervals read this signal, not its log C fields
+    signal = detector.Signal(np.arange(float(n)), values, edge_mask(n, window),
+                             SavitzkyGolay(window, DETECTION_POLY_ORDER), np.zeros(n), np.zeros(n))
     sustained = length >= 45
     assert (duration_score(signal.unmasked, 0.25) == 1.0) == sustained
     expected = [(float(start), float(start + length - 1))] if sustained else []
@@ -570,3 +582,14 @@ def test_p_is_one_on_noiseless_exponentials(c0, k, shift, seed):
     t = np.linspace(0.0, 20.0, 200)
     series = TimeSeries(t + shift, c0 * np.exp(k * t))
     assert permutation_test(series, DetectorConfig(seed=seed)) == 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(series=_NOISY_SERIES, window=st.sampled_from([None, 7, 21]),
+       seed=st.integers(0, 2**32 - 1))
+def test_hybrid_p_value_is_the_standalone_permutation_test(series, window, seed):
+    # hybrid_detect hands its signal to the permutation test, which computes
+    # the signal itself when called alone: the two must agree bit for bit
+    smoother = None if window is None else SavitzkyGolay(window, DETECTION_POLY_ORDER)
+    config = DetectorConfig(smoother=smoother, seed=seed)
+    assert hybrid_detect(series, config).p_value == permutation_test(series, config)

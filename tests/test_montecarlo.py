@@ -20,6 +20,7 @@ from joltlab.growth import (
     InjectedJolt,
     Logistic,
     LogQuadratic,
+    NoiseSpec,
     generate,
 )
 from joltlab.montecarlo import (
@@ -170,6 +171,17 @@ def test_cell_on_grid_below_default_window_rejected():
     # cell says so at construction instead of failing every trial
     with pytest.raises(SeriesTooShort, match="10 points"):
         small_cell(grid=GridSpec(0.0, 20.0, 10))
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: DetectorConfig(seed=-1), "seed must be >= 0, got -1"),
+    (lambda: NoiseSpec(level="low", seed=-1), "noise seed must be >= 0, got -1"),
+    (lambda: small_cell(master_seed=-1), "master_seed must be >= 0, got -1"),
+    (lambda: run_cell(small_cell(), jobs=0), "jobs must be >= 1, got 0"),
+], ids=["DetectorConfig.seed", "NoiseSpec.seed", "MCCell.master_seed", "run_cell.jobs"])
+def test_negative_seed_or_no_jobs_rejected(build, named):
+    with pytest.raises(InvalidSpec, match=named):
+        build()
 
 
 def _reference_outcomes(cells):
