@@ -6,7 +6,7 @@ metrics, detecting superexponential regimes with a hybrid detector, and
 validating the detector with a Monte Carlo harness.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .detector import (
     DetectionResult,
@@ -19,10 +19,7 @@ from .errors import JoltlabError
 from .estimation import (
     DerivativeEstimate,
     SavitzkyGolay,
-    derivatives_from_model,
     estimate_derivatives,
-    fit_model,
-    loess_smooth,
     savgol_derivative,
     savgol_smooth,
 )
@@ -61,4 +58,4 @@ from .montecarlo import (
     sweep,
     sweeps,
 )
-from .timeseries import TimeSeries, log_transform, read_csv, write_csv
+from .timeseries import TimeSeries, read_csv, write_csv

@@ -91,23 +91,11 @@ class OrderExceedsPoly(ConfigError):
     pass
 
 
-class SpanTooSmall(ConfigError):
-    pass
-
-
 class TooFewPermutations(ConfigError):
     pass
 
 
 class ScheduleViolation(ConfigError):
-    pass
-
-
-class InsufficientData(ConfigError):
-    pass
-
-
-class OutOfRange(ConfigError):
     pass
 
 
@@ -118,8 +106,4 @@ class BudgetExceeded(ConfigError):
 # --- numerical failures -------------------------------------------------------
 
 class NumericalError(JoltlabError):
-    pass
-
-
-class IllConditioned(NumericalError):
     pass

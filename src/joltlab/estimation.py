@@ -1,4 +1,4 @@
-"""Smoothing, curve fitting and derivative estimation up to third order.
+"""Smoothing and derivative estimation up to third order.
 
 Savitzky-Golay filtering is one least-squares polynomial projection per
 window on a uniform grid: a (poly_order+1) x window pseudo-inverse maps a
@@ -13,35 +13,19 @@ exclude them.
 Derivatives of a capability series come from log C, filtered once per order
 (the detector filters it through the same helper), with a closed-form
 delta-method 95% interval on C'''.
-
-Model fitting is one linear least-squares fit of a basis with closed-form
-derivatives: the power columns of a polynomial, or a cubic plus one
-truncated power per interior knot for a least-squares cubic spline. AIC,
-BIC or blocked cross-validation selects among the candidates, and C', C''
-and C''' come analytically from the fitted coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import polynomial as P
 
-from .errors import (
-    IllConditioned,
-    InsufficientData,
-    InvalidOrder,
-    InvalidSpec,
-    OrderExceedsPoly,
-    OutOfRange,
-    SeriesTooShort,
-    SpanTooSmall,
-    WindowTooLarge,
-)
+from .errors import InvalidOrder, OrderExceedsPoly, SeriesTooShort, WindowTooLarge
 from .timeseries import TimeSeries
 
 DERIVATIVE_CSV_HEADER = "t,c,c1,c2,c3,c3_lo,c3_hi,edge"
@@ -263,220 +247,4 @@ def estimate_derivatives(
         c=c, c1=c * l1, c2=c * c2_over_c, c3=c3,
         c3_lo=c3 - half, c3_hi=c3 + half,
         edge_mask=edge_mask(n, w),
-    )
-
-
-# --- LOESS --------------------------------------------------------------------
-
-def loess_smooth(series: TimeSeries, span: float = 0.3) -> TimeSeries:
-    """Local linear regression with tricube weights over a span fraction.
-
-    Smoothing only; third derivatives always come from SavGol or analytic
-    model differentiation.
-    """
-    t, v = series.times, series.values
-    n = t.size
-    if span * n < 4:
-        raise SpanTooSmall(f"span*n = {span * n:.2f} < 4")
-    k = max(int(math.ceil(span * n)), 2)
-    out = np.empty(n)
-    for i in range(n):
-        d = np.abs(t - t[i])
-        idx = np.argpartition(d, k - 1)[:k]
-        dmax = d[idx].max()
-        if dmax == 0:
-            out[i] = v[idx].mean()
-            continue
-        w = (1.0 - (d[idx] / dmax) ** 3) ** 3
-        w = np.clip(w, 0.0, None)
-        x = t[idx] - t[i]
-        sw, swx = w.sum(), (w * x).sum()
-        swxx, swy, swxy = (w * x * x).sum(), (w * v[idx]).sum(), (w * x * v[idx]).sum()
-        denom = sw * swxx - swx * swx
-        if denom <= 0:
-            out[i] = swy / sw
-        else:
-            out[i] = (swxx * swy - swx * swxy) / denom
-    return series.with_values(out)
-
-
-# --- model fitting and selection ----------------------------------------------
-
-@dataclass(frozen=True)
-class PolynomialModel:
-    degree: int
-
-    @property
-    def n_params(self):
-        return self.degree + 1
-
-
-@dataclass(frozen=True)
-class CubicSplineModel:
-    knots: int  # number of interior knots
-
-    @property
-    def n_params(self):
-        return self.knots + 4
-
-
-@dataclass
-class FitDiagnostics:
-    spec: object
-    n_params: int
-    rss: float
-    aic: float
-    bic: float
-    cv: float
-
-
-@dataclass
-class FitModel:
-    """A fitted, thrice-differentiable model with selection diagnostics."""
-
-    spec: object
-    t_range: tuple
-    rss: float
-    aic: float
-    bic: float
-    cv: float
-    candidates: list
-    basis_coef: np.ndarray = field(repr=False)  # of _basis over t_range
-    coefficients: np.ndarray | None = None  # a polynomial's, in powers of t
-
-    def predict(self, times, order: int = 0) -> np.ndarray:
-        x, half = _unit(np.ravel(times), self.t_range)
-        values = _basis(x, self.spec, order) @ self.basis_coef / half**order
-        return values.reshape(np.shape(times))
-
-
-def _unit(t, t_range):
-    """x = (t - mid) / half in [-1, 1] over ``t_range``, and the half-span."""
-    lo, hi = t_range
-    half = (hi - lo) / 2
-    return (np.asarray(t, dtype=float) - (lo + hi) / 2) / half, half
-
-
-def _basis(x, spec, m):
-    """The m-th x-derivative of the model's basis columns at x.
-
-    A degree-p polynomial has the columns 1, x, ..., x^p. A cubic spline adds
-    to the cubic's columns one truncated power (x - knot)_+^3 per interior
-    knot, evenly spaced on (-1, 1): the same space as the cubic B-splines on
-    those knots (de Boor, A Practical Guide to Splines, ch. IX). ``d >= 0``
-    makes the spline's third derivative right-continuous at a knot.
-    """
-    if isinstance(spec, PolynomialModel):
-        p, knots = spec.degree, np.empty(0)
-    elif isinstance(spec, CubicSplineModel):
-        p, knots = 3, np.linspace(-1.0, 1.0, spec.knots + 2)[1:-1]
-    else:
-        raise InvalidSpec(f"unknown model kind {type(spec).__name__}")
-    poly = P.polyvander(x, max(p - m, 0)) @ P.polyder(np.eye(p + 1), m)
-    d = x[:, None] - knots
-    return np.hstack([poly, math.perm(3, m) * (d >= 0) * np.maximum(d, 0) ** (3 - m)])
-
-
-def _fit_one(t, v, spec):
-    """Least-squares basis coefficients of ``spec`` on (t, v), and the RSS."""
-    design = _basis(_unit(t, (t[0], t[-1]))[0], spec, 0)
-    coef, _, _, sv = np.linalg.lstsq(design, v, rcond=None)
-    if sv[0] > 1e12 * sv[-1]:
-        raise IllConditioned(f"design condition number {sv[0] / sv[-1]:.3g} > 1e12")
-    resid = v - design @ coef
-    return coef, float(resid @ resid)
-
-
-def _blocked_cv(t, v, spec, folds=5):
-    n = t.size
-    blocks = np.array_split(np.arange(n), folds)
-    errs = []
-    for block in blocks:
-        train = np.setdiff1d(np.arange(n), block)
-        if train.size < spec.n_params + 1:
-            return math.inf
-        try:
-            coef, _ = _fit_one(t[train], v[train], spec)
-        except (IllConditioned, np.linalg.LinAlgError):
-            return math.inf
-        x = _unit(t[block], (t[train[0]], t[train[-1]]))[0]
-        errs.append(float(np.mean((v[block] - _basis(x, spec, 0) @ coef) ** 2)))
-    return float(np.mean(errs))
-
-
-def fit_model(
-    series: TimeSeries,
-    candidates=None,
-    criterion: str = "bic",
-    cv_folds: int = 5,
-) -> FitModel:
-    """Fit all candidates by least squares and keep the criterion minimizer.
-
-    ``criterion`` is one of "aic", "bic" (default) or "cv" (contiguous-block
-    k-fold cross-validation). Diagnostics for every candidate are retained on
-    the returned model. Candidates that tie on the criterion, such as exact
-    fits under cv, go to the one with the fewest parameters.
-    """
-    if candidates is None:
-        candidates = [PolynomialModel(d) for d in range(1, 7)]
-    if not candidates:
-        raise InvalidSpec("fit_model needs at least one candidate model")
-    t, v = series.times, series.values
-    n = t.size
-    max_params = max(c.n_params for c in candidates)
-    if n < max_params + 2:
-        raise InsufficientData(
-            f"n = {n} < max candidate parameter count + 2 = {max_params + 2}"
-        )
-    if criterion not in ("aic", "bic", "cv"):
-        raise InvalidSpec(f"unknown selection criterion {criterion!r}")
-    # RSS/n and the CV error are floored at the data's squared numerical
-    # precision, so exact fits of different sizes tie and the parameter count
-    # decides; the bound on the RMS keeps the floor positive for all-zero data
-    floor = (1e-12 * max(float(np.sqrt(np.mean(v * v))), 1e-100)) ** 2
-
-    diags, fits = [], {}
-    errors = []
-    for spec in candidates:
-        try:
-            fits[id(spec)], rss = _fit_one(t, v, spec)
-        except IllConditioned as exc:
-            errors.append(exc)
-            continue
-        # -2 x Gaussian log-likelihood, up to constants
-        misfit = n * math.log(max(rss / n, floor))
-        aic, bic = misfit + 2 * spec.n_params, misfit + spec.n_params * math.log(n)
-        cv = max(_blocked_cv(t, v, spec, cv_folds), floor)
-        diags.append(FitDiagnostics(spec, spec.n_params, rss, aic, bic, cv))
-    if not diags:
-        raise errors[0]
-
-    best = min(diags, key=lambda d: (getattr(d, criterion), d.n_params))
-    t_range = (float(t[0]), float(t[-1]))
-    coef = fits[id(best.spec)]
-    is_poly = isinstance(best.spec, PolynomialModel)
-    return FitModel(
-        spec=best.spec,
-        t_range=t_range,
-        rss=best.rss, aic=best.aic, bic=best.bic, cv=best.cv,
-        candidates=diags,
-        basis_coef=coef,
-        coefficients=P.Polynomial(coef, domain=t_range).convert().coef if is_poly else None,
-    )
-
-
-def derivatives_from_model(model: FitModel, times) -> DerivativeEstimate:
-    """Analytic derivatives of a fitted model on a grid within its range. The
-    C''' bounds equal the estimate: a fitted model carries no noise model."""
-    times = np.asarray(times, dtype=float)
-    lo, hi = model.t_range
-    tol = 1e-9 * max(abs(lo), abs(hi), 1.0)
-    if times.min() < lo - tol or times.max() > hi + tol:
-        raise OutOfRange("grid extends beyond the fitted range")
-    c, c1, c2, c3 = (model.predict(times, order) for order in range(4))
-    return DerivativeEstimate(
-        times=times,
-        c=c, c1=c1, c2=c2, c3=c3,
-        c3_lo=c3.copy(), c3_hi=c3.copy(),
-        edge_mask=np.zeros(times.size, dtype=bool),
     )

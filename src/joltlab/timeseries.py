@@ -98,11 +98,6 @@ class TimeSeries:
         return TimeSeries(self.times, np.asarray(values, dtype=float))
 
 
-def log_transform(series: TimeSeries) -> TimeSeries:
-    """Natural log of the values; times unchanged. Requires values > 0."""
-    return series.with_values(series.log_values)
-
-
 def read_csv(path) -> TimeSeries:
     """Read a ``t,value`` CSV file (see module contract) into a TimeSeries."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
