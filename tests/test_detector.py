@@ -352,20 +352,19 @@ def _acceptance_6_null(n, reps):
         yield add_noise(TimeSeries(t, np.exp(k * t)), NoiseSpec(sigma_rel=0.05, seed=i))
 
 
-@pytest.mark.parametrize("n, reps, data", [
-    pytest.param(100, 100, _one_rate_null, id="n100"),
-    # the worst cell of the null-calibration grid (n 64/200/1000 x window x
-    # sigma, 600 reps each): n=64 at the default window rejected 0.063-0.065
-    pytest.param(64, 600, _acceptance_6_null, id="n64"),
-])
-def test_permutation_null_calibration_smoke(n, reps, data):
+def test_permutation_null_calibration_smoke():
     # small-scale versions of the calibration suite (full run in acceptance);
-    # the rejection rate at alpha 0.05 stays within 3 binomial SEs of 0.05
-    rejections = sum(
-        permutation_test(s, DetectorConfig(n_perm=199, seed=i)) <= 0.05
-        for i, s in enumerate(data(n, reps))
-    )
-    assert abs(rejections / reps - 0.05) <= 3 * math.sqrt(0.05 * 0.95 / reps)
+    # the rejection rate at alpha 0.05 stays within 3 binomial SEs of 0.05.
+    # n=64 at the default window is the worst cell of the null-calibration
+    # grid (n 64/200/1000 x window x sigma, 600 reps each): it rejected
+    # 0.063-0.065
+    for n, reps, data in ((100, 100, _one_rate_null), (64, 600, _acceptance_6_null)):
+        rejections = sum(
+            permutation_test(s, DetectorConfig(n_perm=199, seed=i)) <= 0.05
+            for i, s in enumerate(data(n, reps))
+        )
+        rate = rejections / reps
+        assert abs(rate - 0.05) <= 3 * math.sqrt(0.05 * 0.95 / reps), (n, rate)
 
 
 # --- hybrid detector ----------------------------------------------------------

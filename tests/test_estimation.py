@@ -14,6 +14,7 @@ from joltlab.errors import (
 )
 from joltlab.estimation import (
     SavitzkyGolay,
+    _filter_log,
     _savgol_filter,
     default_savgol,
     edge_mask,
@@ -134,6 +135,26 @@ def test_derivative_order_exceeds_poly():
         savgol_derivative(s, SavitzkyGolay(7, 2), 3)
 
 
+def test_derivatives_out_of_range():
+    s = TimeSeries(np.linspace(0, 5, 40), np.linspace(1, 2, 40))
+    for order in (0, 4):
+        with pytest.raises(InvalidOrder, match="1, 2 or 3"):
+            savgol_derivative(s, SavitzkyGolay(11, 4), order)
+
+
+def test_cubic_recovery():
+    # a cubic lies in a poly_order-4 fit's model space, so its values and
+    # derivatives 1-3 come back at every point, the one-sided edge fits too
+    cubic = np.polynomial.Polynomial([1.0, -2.0, 0.5, 2.0])
+    t = np.linspace(-2, 2, 60)
+    s = TimeSeries(t, cubic(t))
+    config = SavitzkyGolay(11, 4)
+    np.testing.assert_allclose(savgol_smooth(s, config).values, cubic(t), atol=1e-9)
+    for order in (1, 2, 3):
+        got = savgol_derivative(s, config, order).values
+        np.testing.assert_allclose(got, cubic.deriv(order)(t), atol=1e-9)
+
+
 def test_window_too_large():
     s = TimeSeries(np.arange(9.0), np.arange(9.0) + 1)
     with pytest.raises(WindowTooLarge, match="window 11 exceeds series length 9"):
@@ -197,6 +218,52 @@ def test_noiseless_logquadratic_exact_with_near_zero_interval():
     assert np.max(np.abs(est.c3 - truth) / truth) <= 1e-10
     assert np.max((est.c3_hi - est.c3_lo) / truth) <= 1e-10
     assert np.all(est.c3_lo <= est.c3) and np.all(est.c3 <= est.c3_hi)
+
+
+def test_derivatives_from_cubic_model():
+    # log C cubic: within the default poly_order-4 fit, so C..C''' are exact
+    # to rounding through the chain rule's L3 term, with a near-zero interval
+    log_c = np.polynomial.Polynomial([0.0, 0.1, 0.01, -0.0003])
+    t = np.linspace(0, 20, 200)
+    c = np.exp(log_c(t))
+    l1, l2, l3 = (log_c.deriv(k)(t) for k in (1, 2, 3))
+    truth = {"c": c, "c1": c * l1, "c2": c * (l2 + l1**2),
+             "c3": c * (l3 + 3 * l1 * l2 + l1**3)}
+    est = estimate_derivatives(TimeSeries(t, c))
+    for name, want in truth.items():
+        scale = np.abs(want).max()
+        assert np.abs(getattr(est, name) - want).max() <= 1e-10 * scale, name
+    assert np.max(est.c3_hi - est.c3_lo) <= 1e-10 * np.abs(truth["c3"]).max()
+
+
+def test_log_exponential_selects_linear():
+    # log C of an exponential is linear, so the log-space curvature terms
+    # vanish: C'/C = k, C''/C = k^2 and C'''/C = k^3 at every point
+    t = np.linspace(0, 10, 50)
+    est = estimate_derivatives(TimeSeries(t, 2.0 * np.exp(0.3 * t)))
+    np.testing.assert_allclose(est.c, 2.0 * np.exp(0.3 * t), rtol=1e-12)
+    for got, power in ((est.c1, 1), (est.c2, 2), (est.c3, 3)):
+        np.testing.assert_allclose(got / est.c, 0.3**power, rtol=1e-10)
+
+
+def test_derivatives_from_quadratic_model_zero_c3():
+    # log C = 3 + 0.1 t + 0.01 t^2, centred to mean zero before filtering:
+    # L1 = 0.1 + 0.02 t, L2 = 0.02 and L3 = 0 at every point
+    t = np.linspace(0, 20, 200)
+    s = TimeSeries(t, np.exp(3.0 + 0.1 * t + 0.01 * t**2))
+    centred, (l1, l2, l3) = _filter_log(s.log_values, default_savgol(200), s.dt, (1, 2, 3))
+    assert abs(centred.mean()) <= 1e-12
+    np.testing.assert_allclose(l1, 0.1 + 0.02 * t, atol=1e-11)
+    np.testing.assert_allclose(l2, 0.02, atol=1e-11)
+    np.testing.assert_allclose(l3, 0.0, atol=1e-11)
+
+
+def test_insufficient_data():
+    s = TimeSeries(np.arange(10.0), np.exp(0.1 * np.arange(10.0)))
+    with pytest.raises(SeriesTooShort, match="10 points"):
+        estimate_derivatives(s)
+    with pytest.raises(WindowTooLarge, match="window 11 exceeds series length 10"):
+        estimate_derivatives(s, SavitzkyGolay(11, 4))
 
 
 # Over 40 blocks of 100 series (seeds 0-3999), every third at every level

@@ -1,4 +1,5 @@
 import functools
+import math
 from collections import Counter
 from dataclasses import FrozenInstanceError
 
@@ -92,6 +93,33 @@ def test_read_only_arrays_are_shared():
     s = TimeSeries(np.arange(5.0), np.ones(5))
     moved = s.with_values(s.log_values)
     assert moved.times is s.times and moved.values is s.log_values
+
+
+def _log_series(series):
+    """ln C on the same grid, as the detector and the estimators read it."""
+    return series.with_values(series.log_values)
+
+
+def test_log_of_ones_is_zero():
+    out = _log_series(TimeSeries([0, 1, 2], [1, 1, 1]))
+    np.testing.assert_array_equal(out.values, [0, 0, 0])
+
+
+def test_log_of_exponential_is_linear():
+    out = _log_series(TimeSeries([0, 1, 2], [1, math.e, math.e**2]))
+    np.testing.assert_allclose(out.values, [0, 1, 2], atol=1e-12)
+
+
+def test_log_of_half():
+    out = _log_series(TimeSeries([0, 1], [1, 0.5]))
+    np.testing.assert_allclose(out.values, [0, -0.6931], atol=1e-4)
+    assert abs(out.values[1] + math.log(2)) < 1e-9
+
+
+def test_log_requires_positive():
+    # zero is the boundary case; test_positivity_violation covers a negative
+    with pytest.raises(NonPositiveValue):
+        _log_series(TimeSeries([0, 1], [1, 0]))
 
 
 def test_uniform_spacing():
