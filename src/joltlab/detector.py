@@ -12,6 +12,7 @@ permutation test against an exponential null.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -20,8 +21,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    GridMismatch,
     InvalidSpec,
     SeriesTooShort,
+    ShapeError,
     TooFewPermutations,
     TooFewPoints,
 )
@@ -76,7 +79,8 @@ class DetectorConfig:
 @dataclass
 class Signal:
     """Per-point detection signal with its edge mask, and the pass over log C
-    it came from (smoother, centred log C, order-0 fit) for the permutation test."""
+    it came from (smoother, centred log C, order-0 fit) for the permutation
+    test. The per-point arrays hold one row per series of a batch."""
 
     times: np.ndarray
     values: np.ndarray
@@ -87,7 +91,13 @@ class Signal:
 
     @property
     def unmasked(self) -> np.ndarray:
-        return self.values[~self.edge_mask]
+        # row-major, so that each row's reductions sum pairwise as on its own
+        return self.values.compress(~self.edge_mask, axis=-1)
+
+    def take(self, rows) -> "Signal":
+        """The signal of one row (an index) or of some rows (a slice)."""
+        return Signal(self.times, self.values[rows], self.edge_mask, self.smoother,
+                      self.centred_log[rows], self.fit[rows])
 
 
 @dataclass
@@ -124,45 +134,78 @@ def _resolve_smoother(n: int, smoother: SavitzkyGolay | None) -> SavitzkyGolay:
     return smoother if smoother is not None else default_savgol(n, DETECTION_POLY_ORDER)
 
 
-def detection_signal(series: TimeSeries, smoother: SavitzkyGolay | None = None) -> Signal:
+def _batch(series) -> tuple[list, bool]:
+    """(rows, single): ``series`` as a list of series on one time grid, and
+    whether it was one TimeSeries rather than a sequence of them."""
+    if isinstance(series, TimeSeries):
+        return [series], True
+    rows = list(series)
+    if not rows:
+        raise ShapeError("a batch needs at least one series")
+    times = rows[0].times
+    for row in rows[1:]:
+        if row.times is not times and not np.array_equal(row.times, times):
+            raise GridMismatch("the series of a batch must share one time grid")
+    return rows, False
+
+
+def _by_row(x):
+    """A reduction along the last axis: a float for one row, else the array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def detection_signal(series, smoother: SavitzkyGolay | None = None) -> Signal:
     """S(t) = d^2/dt^2 ln C(t) via SavGol, with boundary points masked, from
     one pass over centred log C that also gives the permutation test its
     order-0 fit. S below the filter's rounding floor, which comes from the
     centred log C and so ignores value scale, is snapped to exactly zero:
-    noiseless exponentials give an identically zero signal."""
-    cfg = _resolve_smoother(len(series), smoother)
+    noiseless exponentials give an identically zero signal.
+
+    ``series`` may be a sequence of series on one grid; the signal then holds
+    one row per series, each the bits that series gets on its own."""
+    rows, single = _batch(series)
+    grid = rows[0]
+    cfg = _resolve_smoother(len(grid), smoother)
     if cfg.poly_order < 2:
         raise InvalidSpec("detection signal needs poly_order >= 2")
-    dt = series.dt
-    logv, (fit, s) = _filter_log(series.log_values, cfg, dt, (0, 2))
-    floor = 1e-11 * max(1.0, float(np.max(np.abs(logv)))) / dt**2
+    dt = grid.dt
+    logv = grid.log_values if single else np.stack([row.log_values for row in rows])
+    logv, (fit, s) = _filter_log(logv, cfg, dt, (0, 2))
+    floor = 1e-11 * np.maximum(1.0, np.max(np.abs(logv), axis=-1, keepdims=True)) / dt**2
     s[np.abs(s) <= floor] = 0.0
-    return Signal(series.times, s, edge_mask(len(series), cfg.window), cfg, logv, fit)
+    return Signal(grid.times, s, edge_mask(len(grid), cfg.window), cfg, logv, fit)
 
 
 # --- sub-scores ---------------------------------------------------------------
+# Each sub-score reduces along the last axis: a signal gives a float, a
+# (rows, n) matrix of signals an array of one score per row.
 
 def _require_points(s: np.ndarray) -> None:
-    if s.size < 8:
-        raise TooFewPoints(f"need at least 8 unmasked signal points, got {s.size}")
+    if s.shape[-1] < 8:
+        raise TooFewPoints(f"need at least 8 unmasked signal points, got {s.shape[-1]}")
 
 
-def peak_ratio_score(
-    s: np.ndarray, threshold_peak: float = DetectorConfig.threshold_peak
-) -> float:
+def _median(x: np.ndarray) -> np.ndarray:
+    """``np.median`` along the last axis, bit for bit: the mean of the middle
+    one or two order statistics. ``np.median`` imports numpy.ma on its first
+    call, 10-15 ms in every process that detects."""
+    n = x.shape[-1]
+    middle = np.partition(x, [(n - 1) // 2, n // 2], axis=-1)[..., (n - 1) // 2 : n // 2 + 1]
+    return middle.mean(axis=-1)
+
+
+def peak_ratio_score(s: np.ndarray, threshold_peak: float = DetectorConfig.threshold_peak):
     """max(S) over a robust null scale (1.4826 * MAD of the mean-removed
     signal), squashed through x/(1+x) after dividing by the threshold."""
     _require_points(s)
-    peak = float(np.max(s))
-    centered = s - s.mean()
-    scale = 1.4826 * float(np.median(np.abs(centered - np.median(centered))))
-    if scale == 0.0:
-        return 0.0 if peak <= 0 else 1.0
-    raw = peak / scale
-    if raw <= 0:
-        return 0.0
-    x = raw / threshold_peak
-    return x / (1.0 + x)
+    peak = np.max(s, axis=-1)
+    centered = s - s.mean(axis=-1, keepdims=True)
+    mad = _median(np.abs(centered - _median(centered)[..., None]))
+    scale = 1.4826 * mad
+    flat = scale == 0.0
+    raw = peak / np.where(flat, 1.0, scale)
+    x = np.maximum(raw, 0.0) / threshold_peak
+    return _by_row(np.where(flat, peak > 0, np.where(raw > 0, x / (1.0 + x), 0.0)))
 
 
 @lru_cache(maxsize=64)
@@ -174,62 +217,72 @@ def _smoothstep_template(width: int):
     return tz, math.sqrt(float(tz @ tz))
 
 
-def pattern_match_score(s: np.ndarray) -> float:
+def pattern_match_score(s: np.ndarray):
     """Best normalized cross-correlation against rising smoothstep templates.
 
     Templates of widths n/4, n/2 and 3n/4 are slid across all lags; the
     maximum Pearson correlation, clamped to [0, 1], is the score. A constant
     signal scores 0. Each segment's sum and sum of squares are differences
-    of running sums, so no n x width array is formed.
+    of running sums, so no n x width array is formed. The dots are
+    ``np.correlate`` row by row, whose rounding a matrix product would move.
     """
     _require_points(s)
-    n = s.size
-    sd = s.std()
+    n = s.shape[-1]
+    sd = s.std(axis=-1, keepdims=True)
     # constant up to filter rounding jitter counts as constant
-    if sd <= 1e-9 * max(1.0, float(np.max(np.abs(s)))):
-        return 0.0
-    z = (s - s.mean()) / sd
-    c1 = np.concatenate(([0.0], np.cumsum(z)))
-    c2 = np.concatenate(([0.0], np.cumsum(z * z)))
-    best = 0.0
+    flat = sd <= 1e-9 * np.maximum(1.0, np.max(np.abs(s), axis=-1, keepdims=True))
+    z = (s - s.mean(axis=-1, keepdims=True)) / np.where(flat, 1.0, sd)
+    c1 = np.zeros(s.shape[:-1] + (n + 1,))
+    c2 = np.zeros(c1.shape)
+    np.cumsum(z, axis=-1, out=c1[..., 1:])
+    np.cumsum(z * z, axis=-1, out=c2[..., 1:])
+    best = np.zeros(s.shape[:-1])
     for width in (n // 4, n // 2, (3 * n) // 4):
         if width < 4:
             continue
         tz, tnorm = _smoothstep_template(width)
-        seg_sum = c1[width:] - c1[:-width]
-        seg_ss = c2[width:] - c2[:-width]
+        seg_sum = c1[..., width:] - c1[..., :-width]
+        seg_ss = c2[..., width:] - c2[..., :-width]
         seg_sq = seg_ss - seg_sum**2 / width
-        dots = np.correlate(z, tz, "valid")
+        dots = np.empty(seg_sq.shape)
+        for out, row in zip(dots.reshape(-1, dots.shape[-1]), z.reshape(-1, n)):
+            out[...] = np.correlate(row, tz, "valid")
         # a segment constant up to the rounding of this difference has no shape
         valid = seg_sq > 1e-9 * seg_ss
-        if valid.any():
-            corr = dots[valid] / (np.sqrt(seg_sq[valid]) * tnorm)
-            best = max(best, float(corr.max()))
-    return min(max(best, 0.0), 1.0)
+        corr = dots / (np.sqrt(np.where(valid, seg_sq, 1.0)) * tnorm)
+        best = np.maximum(best, np.max(np.where(valid, corr, 0.0), axis=-1))
+    return _by_row(np.where(flat[..., 0], 0.0, np.minimum(best, 1.0)))
 
 
 def _positive_runs(s: np.ndarray):
-    """(start, length) of maximal runs with s > 0, as Python ints."""
-    # +1 steps of the zero-padded mask open a run, -1 steps close one
-    steps = np.diff((s > 0).astype(np.int8), prepend=0, append=0)
+    """(start, length) of maximal runs with s > 0 along the last axis, as
+    Python ints. A start indexes the flattened ``s``; no run crosses a row."""
+    n = s.shape[-1]
+    # a zero after each row closes its last run
+    pos = np.zeros(s.shape[:-1] + (n + 1,), dtype=np.int8)
+    pos[..., :n] = s > 0
+    # +1 steps open a run, -1 steps close one
+    steps = np.diff(pos.ravel(), prepend=0)
     starts = np.flatnonzero(steps == 1)
     ends = np.flatnonzero(steps == -1)
-    return list(zip(starts.tolist(), (ends - starts).tolist()))
+    return list(zip((starts - starts // (n + 1)).tolist(), (ends - starts).tolist()))
 
 
-def _run_fraction(length: int, s: np.ndarray, min_duration_frac: float) -> float:
-    """A run's share of the unmasked signal ``s`` over the duration threshold."""
-    return (length / s.size) / min_duration_frac
+def _run_fraction(length, n: int, min_duration_frac: float):
+    """A run's share of ``n`` unmasked signal points over the duration threshold."""
+    return (length / n) / min_duration_frac
 
 
-def duration_score(
-    s: np.ndarray, min_duration_frac: float = DetectorConfig.min_duration_frac
-) -> float:
+def duration_score(s: np.ndarray, min_duration_frac: float = DetectorConfig.min_duration_frac):
     """Longest positive run fraction, normalized by the duration threshold."""
     _require_points(s)
+    n = s.shape[-1]
+    longest = np.zeros(s.shape[:-1], dtype=np.intp)
     runs = _positive_runs(s)
-    longest = max((length for _, length in runs), default=0)
-    return min(1.0, _run_fraction(longest, s, min_duration_frac))
+    if runs:
+        starts, lengths = np.array(runs).T
+        np.maximum.at(longest.reshape(-1), starts // n, lengths)
+    return _by_row(np.minimum(1.0, _run_fraction(longest, n, min_duration_frac)))
 
 
 # --- permutation test ---------------------------------------------------------
@@ -255,14 +308,13 @@ def _permutation_weights(n: int, window: int, poly_order: int):
 _DRAW_BUDGET = 1 << 19
 
 
-@lru_cache(maxsize=1)
 def _permutation_index(seed: int, n: int, n_perm: int) -> np.ndarray:
     """Read-only int32 (n_perm, n) row shuffles of ``arange(n)``. ``rng.permuted``
     draws the same shuffle whatever the array holds, so ``x[idx]`` is its draw
-    on ``x``; back-to-back detections on one seed (one MC trial) share it.
-    It shuffles intp items, which numpy swaps faster, and keeps int32 ones.
-    Rows are drawn in chunks of at most ``_DRAW_BUDGET`` intp items; the
-    generator shuffles row after row, so the chunks give the one-shot draw."""
+    on ``x``; every series scored on one seed shares it. It shuffles intp
+    items, which numpy swaps faster, and keeps int32 ones. Rows are drawn in
+    chunks of at most ``_DRAW_BUDGET`` intp items; the generator shuffles row
+    after row, so the chunks give the one-shot draw."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     idx = np.empty((n_perm, n), dtype=np.int32)
     rows = max(1, _DRAW_BUDGET // n)
@@ -273,9 +325,8 @@ def _permutation_index(seed: int, n: int, n_perm: int) -> np.ndarray:
     return idx
 
 
-def permutation_test(
-    series: TimeSeries, config: DetectorConfig, signal: Signal | None = None
-) -> float:
+def permutation_test(series, config: DetectorConfig, signal: Signal | None = None,
+                     index: np.ndarray | None = None):
     """P-value of mean(S) against an exponential null with permuted residuals.
 
     The null model is exponential, a line in log-space. Surrogates are that
@@ -305,26 +356,38 @@ def permutation_test(
     log C also gives the residuals: ``signal`` when given, a signal of
     ``series``, else ``detection_signal(series, config.smoother)``.
     p = (1 + #exceedances) / (n_perm + 1).
+
+    ``series`` may be a sequence of series on one grid, all tested on
+    ``config`` and so on one draw: then one p-value per series comes back, in
+    an array. ``index`` is that draw, ``_permutation_index(config.seed, n,
+    config.n_perm)``, when the caller has made it: one draw per seed then
+    serves every series and smoother tested on it.
     """
+    rows, _ = _batch(series)
     if signal is None:
         signal = detection_signal(series, config.smoother)
-    cfg, logv, dt = signal.smoother, signal.centred_log, series.dt
-    n = logv.size
+    cfg, logv, dt = signal.smoother, signal.centred_log, rows[0].dt
+    n = logv.shape[-1]
 
-    observed = float(signal.unmasked.mean())
+    observed = signal.unmasked.mean(axis=-1)
 
     w, resid_scale = _permutation_weights(n, cfg.window, cfg.poly_order)
     w = w / dt**2
     resid = (logv - signal.fit) * resid_scale
 
-    # w is zero up to rounding between its first and last 2h entries
+    # w is zero up to rounding between its first and last 2h entries. Each
+    # side's gather holds the permutations along its last axis, so ``w @ x``
+    # is one matrix-vector product per series, as for a series on its own.
     lo = cfg.window - 1
     hi = max(n - lo, lo)
-    idx = _permutation_index(config.seed, n, config.n_perm)
-    stats = resid[idx[:, :lo]] @ w[:lo] + resid[idx[:, hi:]] @ w[hi:]
-    floor = 1e-11 * max(1.0, float(np.max(np.abs(logv)) + np.max(np.abs(resid)))) / dt**2
-    exceed = int(np.count_nonzero(stats >= observed - floor))
-    return (1 + exceed) / (config.n_perm + 1)
+    if index is None:
+        index = _permutation_index(config.seed, n, config.n_perm)
+    stats = (w[:lo] @ np.take(resid, index[:, :lo].T, axis=-1)
+             + w[hi:] @ np.take(resid, index[:, hi:].T, axis=-1))
+    spread = np.max(np.abs(logv), axis=-1) + np.max(np.abs(resid), axis=-1)
+    floor = 1e-11 * np.maximum(1.0, spread) / dt**2
+    exceed = np.count_nonzero(stats >= (observed - floor)[..., None], axis=-1)
+    return _by_row((1 + exceed) / (config.n_perm + 1))
 
 
 # --- hybrid detector ----------------------------------------------------------
@@ -335,35 +398,90 @@ def _detection_intervals(signal: Signal, min_duration_frac: float) -> list:
     s = signal.values[idx]
     intervals = []
     for start, length in _positive_runs(s):
-        if _run_fraction(length, s, min_duration_frac) >= 1.0:
+        if _run_fraction(length, s.size, min_duration_frac) >= 1.0:
             lo = idx[start]
             hi = idx[start + length - 1]
             intervals.append((float(signal.times[lo]), float(signal.times[hi])))
     return intervals
 
 
-def hybrid_detect(series: TimeSeries, config: DetectorConfig | None = None) -> DetectionResult:
+def _config_groups(configs) -> list:
+    """Row indices of the configs equal up to ``seed``, one list per distinct
+    config in first-seen order, each sorted by seed: the rows that share a
+    draw are then a slice of their group."""
+    keys, groups = [], []
+    for row, config in enumerate(configs):
+        key = {**vars(config), "seed": 0}
+        if key in keys:
+            groups[keys.index(key)].append(row)
+        else:
+            keys.append(key)
+            groups.append([row])
+    return [sorted(group, key=lambda row: configs[row].seed) for group in groups]
+
+
+def hybrid_detect(series, config: DetectorConfig | None = None):
     """Full hybrid detection: signal, sub-scores, combined score, p-value,
-    and the verdict of :meth:`DetectorConfig.verdict`."""
-    if config is None:
-        config = DetectorConfig()
-    if len(series) < 32:
-        raise SeriesTooShort(f"need >= 32 points, got {len(series)}")
-    signal = detection_signal(series, config.smoother)
-    s = signal.unmasked
-    peak = peak_ratio_score(s, config.threshold_peak)
-    pattern = pattern_match_score(s)
-    duration = duration_score(s, config.min_duration_frac)
-    w = config.combine_weights
-    score = w[0] * peak + w[1] * pattern + w[2] * duration
-    p_value = permutation_test(series, config, signal)
-    # an interval is a run of full duration, so without one there is none
-    intervals = _detection_intervals(signal, config.min_duration_frac) if duration == 1.0 else []
-    return DetectionResult(
-        verdict=config.verdict(score, p_value),
-        score=float(score),
-        sub_scores={"peak": peak, "pattern": pattern, "duration": duration},
-        intervals=intervals,
-        p_value=p_value,
-        signal=signal,
-    )
+    and the verdict of :meth:`DetectorConfig.verdict`.
+
+    ``series`` may also be a sequence of series on one grid, with ``config``
+    a sequence of one config per series: then one DetectionResult per series
+    comes back, bit for bit the one that series gets on its own. Rows whose
+    configs are equal up to ``seed`` are scored as one (rows, n) matrix, and
+    each distinct permutation draw (seed, n_perm) is made once and gathered
+    for every such group that uses it; only one draw is held at a time.
+    """
+    if isinstance(series, TimeSeries):
+        return hybrid_detect([series], [DetectorConfig() if config is None else config])[0]
+    rows, _ = _batch(series)
+    configs = list(config)
+    if len(configs) != len(rows):
+        raise ShapeError(f"{len(rows)} series need one config each, got {len(configs)}")
+    n = len(rows[0])
+    if n < 32:
+        raise SeriesTooShort(f"need >= 32 points, got {n}")
+
+    groups = []  # (members, signal, (peak, pattern, duration), score) per config
+    draws = {}  # (seed, n_perm) -> (group, slice of its members) that use the draw
+    for g, members in enumerate(_config_groups(configs)):
+        cfg = configs[members[0]]
+        signal = detection_signal([rows[r] for r in members], cfg.smoother)
+        s = signal.unmasked
+        peak = peak_ratio_score(s, cfg.threshold_peak)
+        pattern = pattern_match_score(s)
+        duration = duration_score(s, cfg.min_duration_frac)
+        w = cfg.combine_weights
+        score = w[0] * peak + w[1] * pattern + w[2] * duration
+        groups.append((members, signal, (peak, pattern, duration), score))
+        start = 0
+        for seed, same in itertools.groupby(members, key=lambda r: configs[r].seed):
+            stop = start + len(list(same))
+            draws.setdefault((seed, cfg.n_perm), []).append((g, slice(start, stop)))
+            start = stop
+
+    p_values = [np.empty(len(members)) for members, *_ in groups]
+    for (seed, n_perm), uses in draws.items():
+        index = _permutation_index(seed, n, n_perm)
+        for g, part in uses:
+            members, signal = groups[g][:2]
+            p_values[g][part] = permutation_test(
+                [rows[r] for r in members[part]], configs[members[part.start]],
+                signal.take(part), index)
+        del index  # before the next draw, so that one draw is held at a time
+
+    results = [None] * len(rows)
+    for (members, signal, subs, score), p in zip(groups, p_values):
+        peak, pattern, duration = (sub.tolist() for sub in subs)
+        for j, (r, total, p_value) in enumerate(zip(members, score.tolist(), p.tolist())):
+            cfg, row_signal = configs[r], signal.take(j)
+            # an interval is a run of full duration, so without one there is none
+            full = duration[j] == 1.0
+            results[r] = DetectionResult(
+                verdict=cfg.verdict(total, p_value),
+                score=total,
+                sub_scores={"peak": peak[j], "pattern": pattern[j], "duration": duration[j]},
+                intervals=_detection_intervals(row_signal, cfg.min_duration_frac) if full else [],
+                p_value=p_value,
+                signal=row_signal,
+            )
+    return results

@@ -128,7 +128,8 @@ def _savgol_filter(x: np.ndarray, window: int, poly_order: int, deriv: int) -> n
     (nothing is copied). The h points at each end take the least-squares fit
     of the first or last full window, evaluated at their own offsets (Gorry's
     edge-point method), so they keep the interior's polynomial degree and
-    polynomial exactness.
+    polynomial exactness. The edge fits are matrix-vector products, one per
+    row, so a row of a matrix gets the bits it would get on its own.
     """
     n = x.shape[-1]
     if window > n:
@@ -137,8 +138,8 @@ def _savgol_filter(x: np.ndarray, window: int, poly_order: int, deriv: int) -> n
     h = window // 2
     out = np.empty(x.shape)
     out[..., h : n - h] = sliding_window_view(x, window, axis=-1) @ kernel
-    out[..., :h] = (x[..., :window] @ coef.T) @ deriv_at[:h].T
-    out[..., n - h :] = (x[..., n - window :] @ coef.T) @ deriv_at[h + 1 :].T
+    out[..., :h] = (deriv_at[:h] @ (coef @ x[..., :window, None]))[..., 0]
+    out[..., n - h :] = (deriv_at[h + 1 :] @ (coef @ x[..., n - window :, None]))[..., 0]
     return out
 
 
@@ -181,8 +182,9 @@ def edge_mask(n: int, window: int) -> np.ndarray:
 def _filter_log(logv: np.ndarray, config: SavitzkyGolay, dt: float, orders):
     """Centred log C and its SavGol derivatives of ``orders`` (physical units),
     the one place log C is filtered. Centring first keeps a value scale out
-    of the derivatives and of rounding floors taken from the centred values."""
-    logv, w, p = logv - logv.mean(), config.window, config.poly_order
+    of the derivatives and of rounding floors taken from the centred values.
+    Each row of a matrix ``logv`` is centred and filtered on its own."""
+    logv, w, p = logv - logv.mean(axis=-1, keepdims=True), config.window, config.poly_order
     return logv, [_savgol_filter(logv, w, p, k) / dt**k for k in orders]
 
 

@@ -14,6 +14,7 @@ draw would leave the positive domain. All generation is a pure function of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,7 +39,16 @@ class GridSpec:
             raise InvalidSpec("grid needs t_end > t_start")
 
     def times(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.n_points)
+        """Read-only grid times, one array per grid: the series generated on a
+        grid share it, so a batch of them is seen to share one grid at once."""
+        return _grid_times(self.t_start, self.t_end, self.n_points)
+
+
+@lru_cache(maxsize=16)
+def _grid_times(t_start: float, t_end: float, n_points: int) -> np.ndarray:
+    t = np.linspace(t_start, t_end, n_points)
+    t.setflags(write=False)
+    return t
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,12 @@ random numbers), so a result depends on neither ``--jobs`` nor the other
 cells run with it. On 2 cores this cut the acceptance-1 sweep from 51 to 29 s.
 Cells equal up to the verdict's fields share scores and p-values too; as
 ``_outcomes`` owns that, ``run_cells`` gets it as well as ``sweeps``.
+
+Each task (about one per worker and class, within a memory budget) sends
+all its detections through one batched ``hybrid_detect`` call: the rows of
+cells with equal detector configs are scored as one matrix, and each
+trial's permutation draw is made once for all its cells. A batch gives each
+row the bits it would get on its own.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .detector import DetectorConfig, _resolve_smoother, hybrid_detect
+from .detector import DetectorConfig, _config_groups, _resolve_smoother, hybrid_detect
 from .errors import BudgetExceeded, EmptyCell, InvalidSpec, JoltlabError
 from .estimation import SavitzkyGolay
 from .growth import (
@@ -187,30 +193,75 @@ def sample_trial_spec(cell: MCCell, is_positive: bool, trial_idx: int):
     return spec, det_seed
 
 
+# The outcome a failed trial counts as: score 0 and p 1, a negative verdict.
+_FAILED = (0.0, 1.0)
+
+# rows x n items of one task's detection batch at most, in whole trials; each
+# (rows, n) float array of the batch then stays within 256 KB
+_TASK_BUDGET = 1 << 15
+
+
+def _log_failure(is_positive: bool, trial_idx: int, exc: Exception) -> None:
+    log.warning(
+        "trial failed (class=%s idx=%d): %s; counted as negative verdict",
+        "pos" if is_positive else "neg", trial_idx, exc,
+    )
+
+
+def _detect(batch, trials, is_positive: bool) -> list:
+    """One ``hybrid_detect`` call on the (series, config) rows of ``batch``.
+    If it raises, each group of configs equal up to seed runs on its own, so
+    a config that cannot run (say, a window larger than the grid) fails only
+    its own rows: each is logged for its trial in ``trials`` and left None."""
+    series, configs = zip(*batch)
+    try:
+        return hybrid_detect(series, configs)
+    except JoltlabError:
+        results = [None] * len(batch)
+        for group in _config_groups(configs):
+            try:
+                found = hybrid_detect([series[r] for r in group], [configs[r] for r in group])
+            except JoltlabError as exc:
+                for r in group:
+                    _log_failure(is_positive, trials[r], exc)
+                continue
+            for r, result in zip(group, found):
+                results[r] = result
+        return results
+
+
 def _run_trials(task):
     """Per cell of ``cells``, which share (master_seed, mix, grid), the (score,
-    p_value) rows of one class's trials; each trial is sampled once and each
-    noise level generated once. A failure counts as (0, 1), never aborting a cell."""
+    p_value) rows of one class's trials. Each trial is sampled once and each
+    noise level generated once, and every detection of the task goes through
+    one :func:`_detect` call. A failure counts as (0, 1) for its own cell and
+    trial, with a warning, and never for a batch-mate: log C is taken per row
+    before the batch, so a data error fails only its own row."""
     cells, is_positive, indices = task
     rows = [[] for _ in cells]
+    batch, slots, trials = [], [], []
     for i in indices:
         spec, det_seed = sample_trial_spec(cells[0], is_positive, i)
         series = {}
         for cell, cell_rows in zip(cells, rows):
             if i >= cell.n_trials:
                 continue
+            cell_rows.append(_FAILED)
             try:
                 if cell.noise not in series:
                     noise = _noise_spec(cell, spec.noise.seed)
                     series[cell.noise] = generate(replace(spec, noise=noise))[0]
-                result = hybrid_detect(series[cell.noise], replace(cell.detector, seed=det_seed))
-                cell_rows.append((result.score, result.p_value))
+                series[cell.noise].log_values  # a data error fails this row only
             except JoltlabError as exc:
-                log.warning(
-                    "trial failed (class=%s idx=%d): %s; counted as negative verdict",
-                    "pos" if is_positive else "neg", i, exc,
-                )
-                cell_rows.append((0.0, 1.0))
+                _log_failure(is_positive, i, exc)
+                continue
+            batch.append((series[cell.noise], replace(cell.detector, seed=det_seed)))
+            slots.append((cell_rows, len(cell_rows) - 1))
+            trials.append(i)
+    if batch:
+        for (cell_rows, slot), result in zip(slots, _detect(batch, trials, is_positive)):
+            if result is not None:
+                cell_rows[slot] = (result.score, result.p_value)
     return rows
 
 
@@ -218,9 +269,13 @@ def _outcomes(cells, jobs: int = 1) -> list:
     """Per cell, (scores, p_values) arrays per class, ordered by trial index.
 
     Cells equal up to the verdict's fields (decision_threshold, alpha_sig)
-    have the same rows, so only the first of them runs. One task per (class,
-    trial chunk) of each group of running cells sharing (master_seed, mix,
-    grid) goes through one ``pool.map`` on one worker pool.
+    have the same rows, so only the first of them runs. Each group of running
+    cells sharing (master_seed, mix, grid) splits each class's trials into
+    about one task per worker, each of whole trials and at most
+    ``_TASK_BUDGET`` rows x n items, so memory stays bounded in trials and in
+    n. All tasks go through one ``pool.map`` on one worker pool. A task's
+    rows are detected as one batch, bit for bit as one by one, so the
+    outcome does not depend on ``jobs``.
     """
     if jobs < 1:
         raise InvalidSpec(f"jobs must be >= 1, got {jobs}")
@@ -234,8 +289,10 @@ def _outcomes(cells, jobs: int = 1) -> list:
     keys, tasks = [], []
     for members in groups:
         n_trials = max(cells[k].n_trials for k in members)
+        per_task = max(1, _TASK_BUDGET // (len(members) * cells[members[0]].grid.n_points))
+        n_tasks = max(min(jobs, n_trials), -(-n_trials // per_task))
         for is_positive in (True, False):
-            for chunk in np.array_split(np.arange(n_trials), min(jobs * 4, n_trials)):
+            for chunk in np.array_split(np.arange(n_trials), n_tasks):
                 keys.append((members, is_positive))
                 tasks.append(([cells[k] for k in members], is_positive, chunk.tolist()))
     if jobs == 1:

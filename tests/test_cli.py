@@ -246,6 +246,20 @@ def test_sweep_small(tmp_path):
     assert set(report["best"]["params"]) == {"window", "decision_threshold"}
 
 
+def test_sweep_outputs_do_not_depend_on_jobs(tmp_path):
+    # --jobs sets how each class's trials are chunked into detection batches;
+    # no output may move with it
+    outputs = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        argv = ["sweep", "--seed", "42", "--trials", "40", "--jobs", str(jobs), "--out", str(out)]
+        assert run(argv) == 0
+        report = json.loads((out / "report.json").read_text())
+        report.pop("timestamp")
+        outputs[jobs] = ((out / "heatmap.csv").read_bytes(), report)
+    assert outputs[1] == outputs[2]
+
+
 def test_library_sweep_matches_cli_template():
     # a default-smoother MCCell sweeps window from the smoother its trials
     # run, the one joltlab sweep builds for the grid

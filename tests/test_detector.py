@@ -21,8 +21,10 @@ from joltlab.detector import (
     permutation_test,
 )
 from joltlab.errors import (
+    GridMismatch,
     InvalidSpec,
     SeriesTooShort,
+    ShapeError,
     TooFewPermutations,
     TooFewPoints,
     WindowTooLarge,
@@ -612,3 +614,42 @@ def test_hybrid_p_value_is_the_standalone_permutation_test(series, window, seed)
     smoother = None if window is None else SavitzkyGolay(window, DETECTION_POLY_ORDER)
     config = DetectorConfig(smoother=smoother, seed=seed)
     assert hybrid_detect(series, config).p_value == permutation_test(series, config)
+
+
+_BATCH_ROW = st.tuples(
+    _FAMILIES, st.sampled_from(["none", "low", "medium", "high"]), st.integers(0, 2**32 - 1),
+    st.sampled_from([None, 5, 7, 11, 21, 31]), st.integers(2, 4),
+    st.one_of(st.integers(0, 2), st.integers(0, 2**63)), st.sampled_from([99, 199]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(32, 400), rows=st.lists(_BATCH_ROW, min_size=1, max_size=6))
+def test_batch_detection_is_each_series_on_its_own(n, rows):
+    # rows share configs up to the seed, share seeds across windows, or
+    # share nothing; each must get the bits it gets in a call of its own
+    series, configs = [], []
+    for family, level, noise_seed, window, poly_order, seed, n_perm in rows:
+        spec = GrowthModelSpec(family, GridSpec(n_points=n), NoiseSpec(level, seed=noise_seed))
+        series.append(generate(spec)[0])
+        if window is None or window > n - 8:  # at least 8 unmasked points
+            window = default_savgol(n).window
+        smoother = SavitzkyGolay(window, poly_order)
+        configs.append(DetectorConfig(smoother=smoother, n_perm=n_perm, seed=seed))
+    batch = hybrid_detect(series, configs)
+    assert len(batch) == len(series)
+    for got, one, config in zip(batch, series, configs):
+        want = hybrid_detect(one, config)
+        assert (got.verdict, got.score, got.sub_scores, got.p_value, got.intervals) == (
+            want.verdict, want.score, want.sub_scores, want.p_value, want.intervals)
+        assert type(got.verdict) is bool and type(got.score) is float
+        np.testing.assert_array_equal(got.signal.values, want.signal.values)
+
+
+def test_batch_on_two_grids_rejected():
+    a = make_series(lambda t: np.exp(0.1 * t))
+    b = make_series(lambda t: np.exp(0.1 * t), t1=21.0)
+    with pytest.raises(GridMismatch, match="one time grid"):
+        hybrid_detect([a, b], [DetectorConfig()] * 2)
+    with pytest.raises(ShapeError, match="one config each"):
+        hybrid_detect([a, a], [DetectorConfig()])

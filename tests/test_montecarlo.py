@@ -257,30 +257,45 @@ def test_failed_generation_logged_once_per_affected_cell(monkeypatch, caplog):
 
 
 def test_failed_detection_logged_once_and_counted_negative(monkeypatch, caplog):
+    # a series whose log C cannot be taken fails only its own rows of the
+    # batch, and a config that cannot run (window 101 on a 100-point grid)
+    # fails only its own cell: the rest of the batch is detected again
     cells = _mixed_cells()
     want = _reference_outcomes(cells)
-    real_detect = montecarlo.hybrid_detect
+    too_wide = replace(FAST, smoother=SavitzkyGolay(101, DETECTION_POLY_ORDER))
+    cells.append(small_cell(n_trials=4, detector=too_wide))
+    real_generate = montecarlo.generate
 
-    def detect_fails_on_window_11_high_scores(series, config):
-        result = real_detect(series, config)
-        if config.smoother.window == 11 and result.score > 0.5:
-            raise NumericalError("detection failed")
-        return result
+    def hit(cell, spec):
+        return cell.detector == too_wide or (cell.noise == 0.05 and spec.noise.seed % 2 == 1)
 
-    monkeypatch.setattr(montecarlo, "hybrid_detect", detect_fails_on_window_11_high_scores)
+    def generate_nonpositive_at_5_percent(spec):
+        series, label = real_generate(spec)
+        if spec.noise.sigma_rel == 0.05 and spec.noise.seed % 2 == 1:
+            values = series.values.copy()
+            values[50] = -values[50]
+            series = series.with_values(values)
+        return series, label
+
+    monkeypatch.setattr(montecarlo, "generate", generate_nonpositive_at_5_percent)
     with caplog.at_level(logging.WARNING, logger=montecarlo.__name__):
         got = _outcomes(cells)
-    n_failed = 0
-    for cell, g, w in zip(cells, got, want):
+    n_failed = {"data": 0, "config": 0}
+    for cell, g, w in zip(cells, got, want + [None]):
         for is_positive in (True, False):
-            w_scores, w_p = w[is_positive]
-            hit = (cell.detector.smoother.window == 11) & (w_scores > 0.5)
-            n_failed += int(hit.sum())
-            np.testing.assert_array_equal(g[is_positive][0], np.where(hit, 0.0, w_scores))
-            np.testing.assert_array_equal(g[is_positive][1], np.where(hit, 1.0, w_p))
+            hits = np.array([hit(cell, sample_trial_spec(cell, is_positive, i)[0])
+                             for i in range(cell.n_trials)])
+            n_failed["config" if cell.detector == too_wide else "data"] += int(hits.sum())
+            if w is None:
+                assert hits.all()
+                w_scores = w_p = np.zeros(cell.n_trials)
+            else:
+                w_scores, w_p = w[is_positive]
+            np.testing.assert_array_equal(g[is_positive][0], np.where(hits, 0.0, w_scores))
+            np.testing.assert_array_equal(g[is_positive][1], np.where(hits, 1.0, w_p))
     warnings = [r for r in caplog.records if "trial failed" in r.getMessage()]
-    assert n_failed > 0
-    assert len(warnings) == n_failed
+    assert n_failed["data"] > 0 and n_failed["config"] == 2 * 4
+    assert len(warnings) == sum(n_failed.values())
 
 
 @pytest.mark.parametrize("base, field, values", [
@@ -292,16 +307,16 @@ def test_cells_differing_only_in_verdict_share_one_detection(monkeypatch, base, 
     standalone = [run_cell(cell) for cell in cells]
     assert standalone[0] != standalone[1]  # each cell tallies with its own verdict
     real_detect = montecarlo.hybrid_detect
-    calls = 0
+    rows = 0
 
-    def counted(series, config):
-        nonlocal calls
-        calls += 1
-        return real_detect(series, config)
+    def counted(series, configs):
+        nonlocal rows
+        rows += len(configs)
+        return real_detect(series, configs)
 
     monkeypatch.setattr(montecarlo, "hybrid_detect", counted)
     assert run_cells(cells, jobs=1) == standalone
-    assert calls == 2 * cells[0].n_trials
+    assert rows == 2 * cells[0].n_trials
 
 
 # --- sweep --------------------------------------------------------------------
