@@ -269,6 +269,8 @@ def cmd_metrics(cfg: dict, input_csv: str) -> int:
 
 
 def _mc_cells(cfg: dict) -> list:
+    if not cfg["mc"]["noise_levels"]:
+        raise ConfigError("config key mc.noise_levels must list at least one noise level")
     grid = _build(GridSpec, cfg["grid"])
     detector, mix = build_detector(cfg, grid.n_points), _build(TrialMix, cfg["mc"])
     return [

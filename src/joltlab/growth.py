@@ -63,7 +63,7 @@ class NoiseSpec:
         if self.sigma_rel is None and self.level not in NOISE_SIGMAS:
             raise InvalidSpec(f"unknown noise level {self.level!r}")
         if self.sigma_rel is not None and self.sigma_rel < 0:
-            raise InvalidSpec("sigma_rel must be >= 0")
+            raise InvalidSpec(f"sigma_rel must be >= 0, got {self.sigma_rel}")
         if self.seed < 0:
             raise InvalidSpec(f"noise seed must be >= 0, got {self.seed}")
 

@@ -10,7 +10,7 @@ such points are masked rather than raising. Masked entries are NaN and are
 skipped by downstream statistics.
 
 SavGol estimates, from log C, are always positive; J and alpha check C > 0
-for model-fit and hand-built estimates.
+for hand-built estimates.
 """
 
 from __future__ import annotations

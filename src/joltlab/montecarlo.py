@@ -17,7 +17,9 @@ Each task (about one per worker and class, within a memory budget) sends
 all its detections through one batched ``hybrid_detect`` call: the rows of
 cells with equal detector configs are scored as one matrix, and each
 trial's permutation draw is made once for all its cells. A batch gives each
-row the bits it would get on its own.
+row the bits it would get on its own. A trial whose series cannot be generated,
+or whose log C cannot be taken, counts as a negative verdict with a warning; a
+cell the detector cannot run fails the whole run with the detector's error.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .detector import DetectorConfig, _config_groups, _resolve_smoother, hybrid_detect
+from .detector import DetectorConfig, _resolve_smoother, hybrid_detect
 from .errors import BudgetExceeded, EmptyCell, InvalidSpec, JoltlabError
 from .estimation import SavitzkyGolay
 from .growth import (
@@ -86,6 +88,7 @@ class MCCell:
             raise InvalidSpec("n_trials must be >= 1")
         if self.master_seed < 0:
             raise InvalidSpec(f"master_seed must be >= 0, got {self.master_seed}")
+        _noise_spec(self, 0)  # a bad noise level fails here, not in every trial
         # resolve the smoother hybrid_detect would, so that sweeps over window
         # or poly_order start from the one the trials run
         smoother = _resolve_smoother(self.grid.n_points, self.detector.smoother)
@@ -201,45 +204,16 @@ _FAILED = (0.0, 1.0)
 _TASK_BUDGET = 1 << 15
 
 
-def _log_failure(is_positive: bool, trial_idx: int, exc: Exception) -> None:
-    log.warning(
-        "trial failed (class=%s idx=%d): %s; counted as negative verdict",
-        "pos" if is_positive else "neg", trial_idx, exc,
-    )
-
-
-def _detect(batch, trials, is_positive: bool) -> list:
-    """One ``hybrid_detect`` call on the (series, config) rows of ``batch``.
-    If it raises, each group of configs equal up to seed runs on its own, so
-    a config that cannot run (say, a window larger than the grid) fails only
-    its own rows: each is logged for its trial in ``trials`` and left None."""
-    series, configs = zip(*batch)
-    try:
-        return hybrid_detect(series, configs)
-    except JoltlabError:
-        results = [None] * len(batch)
-        for group in _config_groups(configs):
-            try:
-                found = hybrid_detect([series[r] for r in group], [configs[r] for r in group])
-            except JoltlabError as exc:
-                for r in group:
-                    _log_failure(is_positive, trials[r], exc)
-                continue
-            for r, result in zip(group, found):
-                results[r] = result
-        return results
-
-
 def _run_trials(task):
     """Per cell of ``cells``, which share (master_seed, mix, grid), the (score,
     p_value) rows of one class's trials. Each trial is sampled once and each
-    noise level generated once, and every detection of the task goes through
-    one :func:`_detect` call. A failure counts as (0, 1) for its own cell and
-    trial, with a warning, and never for a batch-mate: log C is taken per row
-    before the batch, so a data error fails only its own row."""
+    noise level generated once, and all the task's rows go through one
+    :func:`hybrid_detect` call, whose errors propagate. A series that cannot
+    be generated, or whose log C cannot be taken, stays out of the batch and
+    counts as (0, 1) for its own cell and trial, with a warning."""
     cells, is_positive, indices = task
     rows = [[] for _ in cells]
-    batch, slots, trials = [], [], []
+    batch, slots = [], []
     for i in indices:
         spec, det_seed = sample_trial_spec(cells[0], is_positive, i)
         series = {}
@@ -253,15 +227,16 @@ def _run_trials(task):
                     series[cell.noise] = generate(replace(spec, noise=noise))[0]
                 series[cell.noise].log_values  # a data error fails this row only
             except JoltlabError as exc:
-                _log_failure(is_positive, i, exc)
+                log.warning(
+                    "trial failed (class=%s idx=%d): %s; counted as negative verdict",
+                    "pos" if is_positive else "neg", i, exc,
+                )
                 continue
             batch.append((series[cell.noise], replace(cell.detector, seed=det_seed)))
             slots.append((cell_rows, len(cell_rows) - 1))
-            trials.append(i)
     if batch:
-        for (cell_rows, slot), result in zip(slots, _detect(batch, trials, is_positive)):
-            if result is not None:
-                cell_rows[slot] = (result.score, result.p_value)
+        for (cell_rows, slot), result in zip(slots, hybrid_detect(*zip(*batch))):
+            cell_rows[slot] = (result.score, result.p_value)
     return rows
 
 

@@ -316,6 +316,37 @@ def test_failed_command_creates_no_out_dir(tmp_path, command, payload, values, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command, payload, code, named", [
+    ("sweep", {"sweep": {"window": [7, 301]}}, 2, "window 301 exceeds series length 200"),
+    ("mc", {"grid": {"n_points": 20}}, 3, "need >= 32 points, got 20"),
+], ids=["sweep window 301", "mc 20-point grid"])
+def test_cell_the_detector_cannot_run_fails_the_command(tmp_path, capsys, jobs, command,
+                                                        payload, code, named):
+    payload = {"mc": {"n_trials": 2, "noise_levels": ["low"]}, "detector": {"n_perm": 99},
+               **payload}
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, payload), "--jobs", jobs]
+    assert run(argv + ["--out", str(out)]) == code
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, levels, named", [
+    ("mc", ["low", "bogus"], "unknown noise level 'bogus'"),
+    ("mc", ["bogus", "low"], "unknown noise level 'bogus'"),
+    ("mc", ["low", -0.5], "sigma_rel must be >= 0, got -0.5"),
+    ("mc", [], "config key mc.noise_levels must list at least one noise level"),
+    ("sweep", [], "config key mc.noise_levels must list at least one noise level"),
+])
+def test_bad_or_empty_noise_levels_exit_2(tmp_path, capsys, command, levels, named):
+    payload = {**SMALL_SWEEP, "mc": {"n_trials": 2, "noise_levels": levels}}
+    out = tmp_path / "out"
+    assert run([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flags, payload, named", [
     ("detect", ["--seed", "-1"], {}, "seed must be >= 0, got -1"),
     ("detect", [], {"seed": -2}, "seed must be >= 0, got -2"),

@@ -12,6 +12,7 @@ from joltlab.errors import (
     InvalidSpec,
     NumericalError,
     SeriesTooShort,
+    WindowTooLarge,
 )
 from joltlab.estimation import SavitzkyGolay
 from joltlab.growth import (
@@ -258,20 +259,17 @@ def test_failed_generation_logged_once_per_affected_cell(monkeypatch, caplog):
 
 def test_failed_detection_logged_once_and_counted_negative(monkeypatch, caplog):
     # a series whose log C cannot be taken fails only its own rows of the
-    # batch, and a config that cannot run (window 101 on a 100-point grid)
-    # fails only its own cell: the rest of the batch is detected again
+    # batch, and the rest of the batch is detected as it is on its own
     cells = _mixed_cells()
     want = _reference_outcomes(cells)
-    too_wide = replace(FAST, smoother=SavitzkyGolay(101, DETECTION_POLY_ORDER))
-    cells.append(small_cell(n_trials=4, detector=too_wide))
     real_generate = montecarlo.generate
 
-    def hit(cell, spec):
-        return cell.detector == too_wide or (cell.noise == 0.05 and spec.noise.seed % 2 == 1)
+    def hit(spec):
+        return spec.noise.sigma_rel == 0.05 and spec.noise.seed % 2 == 1
 
     def generate_nonpositive_at_5_percent(spec):
         series, label = real_generate(spec)
-        if spec.noise.sigma_rel == 0.05 and spec.noise.seed % 2 == 1:
+        if hit(spec):
             values = series.values.copy()
             values[50] = -values[50]
             series = series.with_values(values)
@@ -280,22 +278,44 @@ def test_failed_detection_logged_once_and_counted_negative(monkeypatch, caplog):
     monkeypatch.setattr(montecarlo, "generate", generate_nonpositive_at_5_percent)
     with caplog.at_level(logging.WARNING, logger=montecarlo.__name__):
         got = _outcomes(cells)
-    n_failed = {"data": 0, "config": 0}
-    for cell, g, w in zip(cells, got, want + [None]):
+    n_failed = 0
+    for cell, g, w in zip(cells, got, want):
         for is_positive in (True, False):
-            hits = np.array([hit(cell, sample_trial_spec(cell, is_positive, i)[0])
+            hits = np.array([hit(sample_trial_spec(cell, is_positive, i)[0])
                              for i in range(cell.n_trials)])
-            n_failed["config" if cell.detector == too_wide else "data"] += int(hits.sum())
-            if w is None:
-                assert hits.all()
-                w_scores = w_p = np.zeros(cell.n_trials)
-            else:
-                w_scores, w_p = w[is_positive]
+            n_failed += int(hits.sum())
+            w_scores, w_p = w[is_positive]
             np.testing.assert_array_equal(g[is_positive][0], np.where(hits, 0.0, w_scores))
             np.testing.assert_array_equal(g[is_positive][1], np.where(hits, 1.0, w_p))
     warnings = [r for r in caplog.records if "trial failed" in r.getMessage()]
-    assert n_failed["data"] > 0 and n_failed["config"] == 2 * 4
-    assert len(warnings) == sum(n_failed.values())
+    assert n_failed > 0
+    assert len(warnings) == n_failed
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("bad, error", [
+    ({"detector": replace(FAST, smoother=SavitzkyGolay(101, DETECTION_POLY_ORDER))},
+     WindowTooLarge),
+    ({"detector": replace(FAST, smoother=SavitzkyGolay(7, 1))}, InvalidSpec),
+    ({"grid": GridSpec(0.0, 20.0, 20)}, SeriesTooShort),
+], ids=["window 101 on 100 points", "poly_order 1", "20-point grid"])
+def test_cell_the_detector_cannot_run_fails_the_run(caplog, jobs, bad, error):
+    # no trial of such a cell is evidence, so the run raises the detector's
+    # own error instead of counting its rows as negative verdicts
+    cells = [small_cell(n_trials=4), small_cell(n_trials=4, **bad)]
+    with caplog.at_level(logging.WARNING, logger=montecarlo.__name__):
+        with pytest.raises(error):
+            run_cells(cells, jobs=jobs)
+    assert not [r for r in caplog.records if "trial failed" in r.getMessage()]
+
+
+@pytest.mark.parametrize("noise, named", [
+    ("bogus", "unknown noise level 'bogus'"),
+    (-0.5, "sigma_rel must be >= 0, got -0.5"),
+])
+def test_cell_with_unknown_noise_level_rejected(noise, named):
+    with pytest.raises(InvalidSpec, match=named):
+        small_cell(noise=noise)
 
 
 @pytest.mark.parametrize("base, field, values", [
