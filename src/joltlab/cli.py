@@ -16,11 +16,10 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+import gc
 import json
 import sys
 from pathlib import Path
-
-import yaml
 
 from .detector import DETECTION_POLY_ORDER, DetectorConfig, hybrid_detect
 from .errors import (
@@ -136,6 +135,8 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
 def load_config(path: str | None) -> dict:
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
+    import yaml  # only a config file needs it
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             user = yaml.safe_load(fh) or {}
@@ -371,6 +372,16 @@ def _apply_overrides(cfg: dict, args) -> dict:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    It first freezes the garbage collector's heap (``gc.freeze``): what
+    exists when a command starts, the modules and their import-time objects,
+    lives until the process exits. Frozen objects are never scanned again,
+    so interpreter exit neither walks nor frees that heap, and pool workers
+    forked later do not copy its pages when they collect.
+    """
+    # the import-time heap lives until exit, so no collection need ever scan it
+    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,6 +41,11 @@ from .growth import smoothstep
 from .timeseries import TimeSeries
 
 
+def _finite(x) -> bool:
+    """Whether ``x`` is a finite real number (a bool is not one)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     """Hybrid detector hyperparameters (the Monte Carlo sweep axes)."""
@@ -54,13 +60,16 @@ class DetectorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.threshold_peak <= 0:
-            raise InvalidSpec("threshold_peak must be > 0")
+        if not (_finite(self.threshold_peak) and self.threshold_peak > 0):
+            raise InvalidSpec(f"threshold_peak must be a finite number > 0, "
+                              f"got {self.threshold_peak!r}")
         if not 0 < self.min_duration_frac <= 1:
             raise InvalidSpec("min_duration_frac must lie in (0, 1]")
-        w = np.asarray(self.combine_weights, dtype=float)
-        if w.size != 3 or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise InvalidSpec("combine_weights must be 3 non-negatives summing to 1")
+        w = self.combine_weights
+        if not (len(w) == 3 and all(_finite(x) and x >= 0 for x in w)
+                and abs(math.fsum(w) - 1.0) <= 1e-9):
+            raise InvalidSpec(f"combine_weights must be 3 finite non-negative numbers "
+                              f"summing to 1, got {w!r}")
         if not 0 < self.decision_threshold < 1:
             raise InvalidSpec("decision_threshold must lie in (0, 1)")
         if self.n_perm < 99:

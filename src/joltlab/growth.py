@@ -13,6 +13,8 @@ draw would leave the positive domain. All generation is a pure function of
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -62,8 +64,11 @@ class NoiseSpec:
     def __post_init__(self):
         if self.sigma_rel is None and self.level not in NOISE_SIGMAS:
             raise InvalidSpec(f"unknown noise level {self.level!r}")
-        if self.sigma_rel is not None and self.sigma_rel < 0:
-            raise InvalidSpec(f"sigma_rel must be >= 0, got {self.sigma_rel}")
+        if self.sigma_rel is not None:
+            if not (isinstance(self.sigma_rel, numbers.Real) and math.isfinite(self.sigma_rel)):
+                raise InvalidSpec(f"sigma_rel must be a finite number, got {self.sigma_rel!r}")
+            if self.sigma_rel < 0:
+                raise InvalidSpec(f"sigma_rel must be >= 0, got {self.sigma_rel}")
         if self.seed < 0:
             raise InvalidSpec(f"noise seed must be >= 0, got {self.seed}")
 

@@ -30,7 +30,6 @@ import json
 import logging
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from dataclasses import dataclass, field, replace
 
@@ -273,7 +272,10 @@ def _outcomes(cells, jobs: int = 1) -> list:
     if jobs == 1:
         chunk_results = [_run_trials(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
+        # a fork pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunk_results = list(pool.map(_run_trials, tasks))
     # map keeps task order and chunks ascend, so each class's rows are
     # already ordered by trial index

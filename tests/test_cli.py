@@ -347,6 +347,28 @@ def test_bad_or_empty_noise_levels_exit_2(tmp_path, capsys, command, levels, nam
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, payload, named", [
+    ("detect", {"detector": {"threshold_peak": float("nan")}}, "threshold_peak"),
+    ("detect", {"detector": {"threshold_peak": float("inf")}}, "threshold_peak"),
+    ("detect", {"detector": {"combine_weights": [float("nan"), 0.5, 0.5]}}, "combine_weights"),
+    ("detect", {"detector": {"combine_weights": ["0.2", "0.3", "0.5"]}}, "combine_weights"),
+    ("mc", {**SMALL_SWEEP, "mc": {"n_trials": 2, "noise_levels": ["low", float("nan")]}},
+     "sigma_rel must be a finite number, got nan"),
+], ids=["threshold_peak nan", "threshold_peak inf", "combine_weights nan",
+        "combine_weights strings", "noise_levels nan"])
+def test_non_finite_or_non_numeric_setting_exit_2(tmp_path, capsys, command, payload, named):
+    # NaN slips through every comparison-based range check; each of these
+    # exited 0 with a NaN score or rows of zeros, or died in the detector
+    argv = [command, "--config", write_config(tmp_path, payload)]
+    if command == "detect":
+        assert run(["generate", "--out", str(tmp_path / "gen")]) == 0
+        argv.insert(1, str(tmp_path / "gen" / "series.csv"))
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flags, payload, named", [
     ("detect", ["--seed", "-1"], {}, "seed must be >= 0, got -1"),
     ("detect", [], {"seed": -2}, "seed must be >= 0, got -2"),
@@ -433,3 +455,52 @@ def test_cli_import_leaves_out_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _fresh_main(argv_lists, cwd):
+    """Run ``main`` on each argv in one fresh interpreter; per call, its exit
+    code, whether yaml and the process pool module are loaded, and the frozen
+    object count."""
+    src = Path(joltlab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import gc, json, sys; from joltlab.cli import main\n"
+        f"for argv in {argv_lists!r}:\n"
+        "    code = main(argv)\n"
+        "    print(json.dumps([code, 'yaml' in sys.modules,\n"
+        "                      'concurrent.futures.process' in sys.modules,\n"
+        "                      gc.get_freeze_count()]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=cwd, timeout=300,
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+
+
+def test_commands_load_neither_yaml_nor_the_pool(tmp_path):
+    # a command without --config needs no yaml, and one at --jobs 1 no pool;
+    # main freezes the import-time heap before it runs the command
+    assert run(["generate", "--out", str(tmp_path / "gen")]) == 0
+    calls = _fresh_main([
+        ["detect", str(tmp_path / "gen" / "series.csv"), "--out", "d"],
+        ["sweep", "--trials", "2", "--jobs", "1", "--out", "s"],
+    ], tmp_path)
+    assert [call[:3] for call in calls] == [[0, False, False], [0, False, False]]
+    assert all(call[3] > 0 for call in calls)
+    assert (tmp_path / "d" / "detection.json").exists()
+    assert (tmp_path / "s" / "heatmap.csv").exists()
+
+
+def test_config_file_and_pool_still_load_where_they_run(tmp_path):
+    assert run(["generate", "--out", str(tmp_path / "gen")]) == 0
+    cfg = write_config(tmp_path, {"detector": {"combine_weights": [1, 0, 0]}})
+    calls = _fresh_main([
+        ["detect", str(tmp_path / "gen" / "series.csv"), "--config", cfg, "--out", "d"],
+        ["sweep", "--trials", "2", "--jobs", "2", "--out", "s"],
+    ], tmp_path)
+    assert [call[:3] for call in calls] == [[0, True, False], [0, True, True]]
+    payload = json.loads((tmp_path / "d" / "detection.json").read_text())
+    assert payload["score"] == payload["sub_scores"]["peak"]  # the config's weights
+    assert (tmp_path / "s" / "heatmap.csv").exists()

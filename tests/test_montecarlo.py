@@ -1,3 +1,4 @@
+import concurrent.futures
 import logging
 from dataclasses import replace
 
@@ -432,3 +433,33 @@ def test_table1_and_heatmap_outputs(tmp_path):
     lines = hm.read_text().splitlines()
     assert lines[0] == "noise_level,decision_threshold,tpr,fpr,error_rate"
     assert len(lines) == 3
+
+
+def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
+    # a fork pool starts every worker at its first submit, so max_workers is
+    # what the run pays for; this stand-in records it and maps in process
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    cell = small_cell(n_trials=2)
+    serial = _outcomes([cell], jobs=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    pooled = _outcomes([cell], jobs=8)
+    assert started == [4]  # two trial chunks per class
+    assert len(pooled) == len(serial) == 1
+    for a, b in zip(serial, pooled):
+        for is_positive in (True, False):
+            for x, y in zip(a[is_positive], b[is_positive]):
+                np.testing.assert_array_equal(x, y)
