@@ -42,8 +42,8 @@ from .timeseries import TimeSeries
 
 
 def _finite(x) -> bool:
-    """Whether ``x`` is a finite real number (a bool is not one)."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    """Whether ``x`` is a finite real number; NaN passes no range check."""
+    return isinstance(x, numbers.Real) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class DetectorConfig:
         if not 0 < self.min_duration_frac <= 1:
             raise InvalidSpec("min_duration_frac must lie in (0, 1]")
         w = self.combine_weights
-        if not (len(w) == 3 and all(_finite(x) and x >= 0 for x in w)
+        if not (hasattr(w, "__len__") and len(w) == 3 and all(_finite(x) and x >= 0 for x in w)
                 and abs(math.fsum(w) - 1.0) <= 1e-9):
             raise InvalidSpec(f"combine_weights must be 3 finite non-negative numbers "
                               f"summing to 1, got {w!r}")
