@@ -23,23 +23,6 @@ from .estimation import (
     savgol_derivative,
     savgol_smooth,
 )
-from .growth import (
-    Composite,
-    Exponential,
-    GridSpec,
-    GrowthModelSpec,
-    InjectedJolt,
-    InteractionSpec,
-    Logistic,
-    LogQuadratic,
-    NoiseSpec,
-    ResourceSchedule,
-    add_noise,
-    apply_resource_damping,
-    compose,
-    generate,
-    inject_intervention,
-)
 from .metrics import (
     JoltMetrics,
     compute_metrics,
@@ -47,15 +30,34 @@ from .metrics import (
     growth_and_doubling,
     jolt_magnitude,
 )
-from .montecarlo import (
-    ConfusionCounts,
-    MCCell,
-    MCReport,
-    TrialMix,
-    run_cell,
-    run_cells,
-    summarize,
-    sweep,
-    sweeps,
-)
 from .timeseries import TimeSeries, read_csv, write_csv
+
+# The generators and the Monte Carlo harness load on first use (PEP 562):
+# detect and metrics run neither, and their dataclasses are most of the
+# package's import time.
+_LAZY = {
+    "growth": (
+        "Composite", "Exponential", "GridSpec", "GrowthModelSpec", "InjectedJolt",
+        "InteractionSpec", "Logistic", "LogQuadratic", "NoiseSpec", "ResourceSchedule",
+        "add_noise", "apply_resource_damping", "compose", "generate", "inject_intervention",
+    ),
+    "montecarlo": (
+        "ConfusionCounts", "MCCell", "MCReport", "TrialMix", "run_cell", "run_cells",
+        "summarize", "sweep", "sweeps",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _LAZY_MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY_MODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY_MODULE})

@@ -31,37 +31,19 @@ from .errors import (
     SchemaError,
 )
 from .estimation import SavitzkyGolay, default_savgol, estimate_derivatives
-from .growth import (
-    Exponential,
-    GridSpec,
-    GrowthModelSpec,
-    InjectedJolt,
-    Logistic,
-    LogQuadratic,
-    NoiseSpec,
-    generate,
-)
 from .metrics import compute_metrics
-from .montecarlo import (
-    CellResult,
-    MCCell,
-    TrialMix,
-    best_configuration,
-    run_cells,
-    summarize,
-    sweeps,
-    write_heatmap,
-    write_report_json,
-    write_table1,
-)
 from .timeseries import read_csv, write_csv
 
-_FAMILIES = {
-    "exponential": Exponential,
-    "logistic": Logistic,
-    "logquadratic": LogQuadratic,
-    "injected_jolt": InjectedJolt,
-}
+
+def _families() -> dict:
+    from .growth import Exponential, InjectedJolt, Logistic, LogQuadratic
+
+    return {
+        "exponential": Exponential,
+        "logistic": Logistic,
+        "logquadratic": LogQuadratic,
+        "injected_jolt": InjectedJolt,
+    }
 
 
 def _defaults(*classes, skip=()) -> dict:
@@ -76,23 +58,16 @@ def _defaults(*classes, skip=()) -> dict:
 
 
 # the library dataclasses own every default; seed, out, jobs, the Monte Carlo
-# trial count and noise levels, and the sweep grid belong to the CLI alone
-DEFAULT_CONFIG = {
+# trial count and noise levels, and the sweep grid belong to the CLI alone.
+# These sections need no module that detection does not import.
+_BASE_CONFIG = {
     "seed": 0,
     "out": ".",
     "jobs": 1,
-    "model": {"family": "logquadratic", **_defaults(*_FAMILIES.values(), skip={"base"})},
-    "grid": _defaults(GridSpec),
-    "noise": _defaults(NoiseSpec, skip={"seed"}),
     "detector": {
         "window": None,
         "poly_order": DETECTION_POLY_ORDER,
         **_defaults(DetectorConfig, skip={"smoother", "seed"}),
-    },
-    "mc": {
-        "n_trials": MCCell.n_trials,
-        "noise_levels": ["low", "medium", "high"],
-        **_defaults(TrialMix, skip={"logistic_l"}),
     },
     "sweep": {
         "window": [7, 11, 15, 21],
@@ -100,6 +75,40 @@ DEFAULT_CONFIG = {
         "budget": 64,
     },
 }
+
+
+def _growth_sections() -> dict:
+    from .growth import GridSpec, NoiseSpec
+
+    return {
+        "model": {"family": "logquadratic", **_defaults(*_families().values(), skip={"base"})},
+        "grid": _defaults(GridSpec),
+        "noise": _defaults(NoiseSpec, skip={"seed"}),
+    }
+
+
+def _mc_section() -> dict:
+    from .montecarlo import MCCell, TrialMix
+
+    return {"mc": {
+        "n_trials": MCCell.n_trials,
+        "noise_levels": ["low", "medium", "high"],
+        **_defaults(TrialMix, skip={"logistic_l"}),
+    }}
+
+
+# the sections a command reads beyond the base ones, where it reads fewer
+# than all; building a section imports its module, so detect and metrics load
+# neither the generators nor the Monte Carlo harness
+_COMMAND_SECTIONS = {"generate": (_growth_sections,), "detect": (), "metrics": ()}
+
+
+def _default_config(command: str | None = None) -> dict:
+    """A fresh copy of the defaults of the sections ``command`` reads."""
+    cfg = copy.deepcopy(_BASE_CONFIG)
+    for section in _COMMAND_SECTIONS.get(command, (_growth_sections, _mc_section)):
+        cfg.update(section())
+    return cfg
 
 
 def _check_type(full: str, default, value) -> None:
@@ -132,9 +141,12 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
     return out
 
 
-def load_config(path: str | None) -> dict:
+def load_config(path: str | None, command: str | None = None) -> dict:
+    """The defaults merged with the YAML mapping at ``path``, which is checked
+    against every section. Without a file, only the defaults of the sections
+    ``command`` reads (all of them when None)."""
     if path is None:
-        return copy.deepcopy(DEFAULT_CONFIG)
+        return _default_config(command)
     import yaml  # only a config file needs it
 
     try:
@@ -146,7 +158,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"malformed config file: {exc}") from None
     if not isinstance(user, dict):
         raise ConfigError("config file must contain a mapping")
-    return _merge(DEFAULT_CONFIG, user)
+    return _merge(_default_config(), user)
 
 
 def _build(cls, section: dict, **extra):
@@ -160,14 +172,16 @@ def _build(cls, section: dict, **extra):
 
 
 def build_family(model: dict):
-    family = model["family"]
-    if family not in _FAMILIES:
+    family, families = model["family"], _families()
+    if family not in families:
         raise ConfigError(f"unknown config key: model.family value {family!r}")
-    extra = {"base": _build(Exponential, model)} if family == "injected_jolt" else {}
-    return _build(_FAMILIES[family], model, **extra)
+    extra = {"base": _build(families["exponential"], model)} if family == "injected_jolt" else {}
+    return _build(families[family], model, **extra)
 
 
 def build_spec(cfg: dict) -> GrowthModelSpec:
+    from .growth import GridSpec, GrowthModelSpec, NoiseSpec
+
     grid = _build(GridSpec, cfg["grid"])
     noise = _build(NoiseSpec, cfg["noise"], seed=cfg["seed"])
     return GrowthModelSpec(family=build_family(cfg["model"]), grid=grid, noise=noise)
@@ -222,6 +236,8 @@ def _spec_payload(spec: GrowthModelSpec) -> dict:
 # --- subcommands --------------------------------------------------------------
 
 def cmd_generate(cfg: dict) -> int:
+    from .growth import generate
+
     spec = build_spec(cfg)
     series, label = generate(spec)
     sidecar = {"spec": _spec_payload(spec), "seed": cfg["seed"], "label": label}
@@ -270,6 +286,9 @@ def cmd_metrics(cfg: dict, input_csv: str) -> int:
 
 
 def _mc_cells(cfg: dict) -> list:
+    from .growth import GridSpec
+    from .montecarlo import MCCell, TrialMix
+
     if not cfg["mc"]["noise_levels"]:
         raise ConfigError("config key mc.noise_levels must list at least one noise level")
     grid = _build(GridSpec, cfg["grid"])
@@ -282,6 +301,8 @@ def _mc_cells(cfg: dict) -> list:
 
 
 def cmd_mc(cfg: dict) -> int:
+    from .montecarlo import CellResult, run_cells, summarize, write_report_json, write_table1
+
     cells = _mc_cells(cfg)
     results = [
         CellResult(noise=cell.noise, params={}, counts=counts, rates=summarize(counts))
@@ -304,6 +325,8 @@ def cmd_mc(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
+    from .montecarlo import best_configuration, sweeps, write_heatmap, write_report_json
+
     axes = {k: list(v) for k, v in cfg["sweep"].items() if k != "budget"}
     axis_names = list(axes)
     reports = sweeps(axes, _mc_cells(cfg), budget=cfg["sweep"]["budget"], jobs=cfg["jobs"])
@@ -374,17 +397,18 @@ def _apply_overrides(cfg: dict, args) -> dict:
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
-    It first freezes the garbage collector's heap (``gc.freeze``): what
-    exists when a command starts, the modules and their import-time objects,
-    lives until the process exits. Frozen objects are never scanned again,
-    so interpreter exit neither walks nor frees that heap, and pool workers
-    forked later do not copy its pages when they collect.
+    Once the command's config is built, it freezes the garbage collector's
+    heap (``gc.freeze``). Building the config imports every module the
+    command runs, so what exists then, the modules and their import-time
+    objects, lives until the process exits. Frozen objects are never scanned
+    again, so interpreter exit neither walks nor frees that heap, and pool
+    workers forked later do not copy its pages when they collect.
     """
-    # the import-time heap lives until exit, so no collection need ever scan it
-    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = _apply_overrides(load_config(args.config, args.command), args)
+        # the import-time heap lives until exit, so no collection need ever scan it
+        gc.freeze()
         if args.command == "generate":
             return cmd_generate(cfg)
         if args.command == "detect":

@@ -37,7 +37,6 @@ from .estimation import (
     edge_mask,
     savgol_weights,
 )
-from .growth import smoothstep
 from .timeseries import TimeSeries
 
 
@@ -217,6 +216,13 @@ def peak_ratio_score(s: np.ndarray, threshold_peak: float = DetectorConfig.thres
     return _by_row(np.where(flat, peak > 0, np.where(raw > 0, x / (1.0 + x), 0.0)))
 
 
+def smoothstep(x):
+    """Quintic smoothstep: 0 below 0, 1 above 1, C^2 at the joints. It shapes
+    the pattern score's templates and the generators' ramps."""
+    x = np.clip(x, 0.0, 1.0)
+    return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
+
+
 @lru_cache(maxsize=64)
 def _smoothstep_template(width: int):
     """Read-only (tz, ||tz||): the mean-removed smoothstep template of one width."""
@@ -334,6 +340,26 @@ def _permutation_index(seed: int, n: int, n_perm: int) -> np.ndarray:
     return idx
 
 
+def _surrogate_stats(signal: Signal, dt: float, index: np.ndarray):
+    """(stats, resid): the permutation test's statistic of each surrogate,
+    along the last axis, and the scaled residuals that ``index`` permutes.
+
+    ``w`` is zero up to rounding between its first and last 2h entries. Each
+    side's gather holds the permutations along its last axis, so ``w @ x``
+    is one matrix-vector product per series, as for a series on its own.
+    """
+    cfg, logv = signal.smoother, signal.centred_log
+    n = logv.shape[-1]
+    w, resid_scale = _permutation_weights(n, cfg.window, cfg.poly_order)
+    w = w / dt**2
+    resid = (logv - signal.fit) * resid_scale
+    lo = cfg.window - 1
+    hi = max(n - lo, lo)
+    stats = (w[:lo] @ np.take(resid, index[:, :lo].T, axis=-1)
+             + w[hi:] @ np.take(resid, index[:, hi:].T, axis=-1))
+    return stats, resid
+
+
 def permutation_test(series, config: DetectorConfig, signal: Signal | None = None,
                      index: np.ndarray | None = None):
     """P-value of mean(S) against an exponential null with permuted residuals.
@@ -366,6 +392,14 @@ def permutation_test(series, config: DetectorConfig, signal: Signal | None = Non
     ``series``, else ``detection_signal(series, config.smoother)``.
     p = (1 + #exceedances) / (n_perm + 1).
 
+    The null assumes exchangeable residuals, that is serially independent
+    noise: a permutation destroys any order the residuals have. The statistic
+    is a low-frequency contrast, so serially correlated noise widens its
+    distribution and not the surrogates', and p comes out too small. On
+    exponentials with AR(1) noise on log C (n=200, default config, 400
+    series per phi, standard error about 0.011), P(p <= 0.05) was 0.037,
+    0.115 and 0.220 at phi 0, 0.3 and 0.6.
+
     ``series`` may be a sequence of series on one grid, all tested on
     ``config`` and so on one draw: then one p-value per series comes back, in
     an array. ``index`` is that draw, ``_permutation_index(config.seed, n,
@@ -375,24 +409,11 @@ def permutation_test(series, config: DetectorConfig, signal: Signal | None = Non
     rows, _ = _batch(series)
     if signal is None:
         signal = detection_signal(series, config.smoother)
-    cfg, logv, dt = signal.smoother, signal.centred_log, rows[0].dt
-    n = logv.shape[-1]
-
+    logv, dt = signal.centred_log, rows[0].dt
     observed = signal.unmasked.mean(axis=-1)
-
-    w, resid_scale = _permutation_weights(n, cfg.window, cfg.poly_order)
-    w = w / dt**2
-    resid = (logv - signal.fit) * resid_scale
-
-    # w is zero up to rounding between its first and last 2h entries. Each
-    # side's gather holds the permutations along its last axis, so ``w @ x``
-    # is one matrix-vector product per series, as for a series on its own.
-    lo = cfg.window - 1
-    hi = max(n - lo, lo)
     if index is None:
-        index = _permutation_index(config.seed, n, config.n_perm)
-    stats = (w[:lo] @ np.take(resid, index[:, :lo].T, axis=-1)
-             + w[hi:] @ np.take(resid, index[:, hi:].T, axis=-1))
+        index = _permutation_index(config.seed, logv.shape[-1], config.n_perm)
+    stats, resid = _surrogate_stats(signal, dt, index)
     spread = np.max(np.abs(logv), axis=-1) + np.max(np.abs(resid), axis=-1)
     floor = 1e-11 * np.maximum(1.0, spread) / dt**2
     exceed = np.count_nonzero(stats >= (observed - floor)[..., None], axis=-1)

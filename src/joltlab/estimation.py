@@ -23,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial import polynomial as P
 
 from .errors import InvalidOrder, OrderExceedsPoly, SeriesTooShort, WindowTooLarge
 from .timeseries import TimeSeries
@@ -111,9 +110,12 @@ def _savgol_operator(window: int, poly_order: int, deriv: int):
         )
     h = window // 2
     u = (np.arange(window) - h) / h
-    coef = np.linalg.pinv(P.polyvander(u, poly_order))
-    # d/dj = (1/h) d/du
-    deriv_at = P.polyvander(u, poly_order - deriv) @ P.polyder(np.eye(poly_order + 1), deriv)
+    coef = np.linalg.pinv(np.vander(u, poly_order + 1, increasing=True))
+    # d^m/du^m u^j = j!/(j - m)! u^(j - m), and d/dj = (1/h) d/du
+    deriv_at = np.zeros((window, poly_order + 1))
+    deriv_at[:, deriv:] = np.vander(u, poly_order + 1 - deriv, increasing=True) * [
+        math.perm(j, deriv) for j in range(deriv, poly_order + 1)
+    ]
     deriv_at /= h**deriv
     parts = (coef, deriv_at[h] @ coef, deriv_at)
     for part in parts:

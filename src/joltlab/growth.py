@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .detector import smoothstep
 from .errors import GridMismatch, InvalidSpec, ScheduleViolation
 from .timeseries import TimeSeries
 
@@ -181,12 +182,6 @@ class GrowthModelSpec:
 
 
 # --- smoothstep helpers -------------------------------------------------------
-
-def smoothstep(x):
-    """Quintic smoothstep: 0 below 0, 1 above 1, C^2 at the joints."""
-    x = np.clip(x, 0.0, 1.0)
-    return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
-
 
 def smoothstep_integral(x):
     """Antiderivative of :func:`smoothstep` with value 0 at x <= 0."""

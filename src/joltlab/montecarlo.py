@@ -34,6 +34,7 @@ from datetime import datetime, timezone
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded once here, not in each forked worker
 
 from .detector import DetectorConfig, _resolve_smoother, hybrid_detect
 from .errors import BudgetExceeded, EmptyCell, InvalidSpec, JoltlabError
