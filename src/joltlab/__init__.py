@@ -36,28 +36,27 @@ from .timeseries import TimeSeries, read_csv, write_csv
 # detect and metrics run neither, and their dataclasses are most of the
 # package's import time.
 _LAZY = {
-    "growth": (
+    **dict.fromkeys((
         "Composite", "Exponential", "GridSpec", "GrowthModelSpec", "InjectedJolt",
         "InteractionSpec", "Logistic", "LogQuadratic", "NoiseSpec", "ResourceSchedule",
         "add_noise", "apply_resource_damping", "compose", "generate", "inject_intervention",
-    ),
-    "montecarlo": (
+    ), "growth"),
+    **dict.fromkeys((
         "ConfusionCounts", "MCCell", "MCReport", "TrialMix", "run_cell", "run_cells",
         "summarize", "sweep", "sweeps",
-    ),
+    ), "montecarlo"),
 }
-_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name):
-    if name not in _LAZY_MODULE:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
-    value = getattr(import_module(f".{_LAZY_MODULE[name]}", __name__), name)
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted({*globals(), *_LAZY_MODULE})
+    return sorted({*globals(), *_LAZY})

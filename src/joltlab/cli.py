@@ -398,8 +398,8 @@ def main(argv=None) -> int:
     """Run one command and return its exit code.
 
     Once the command's config is built, it freezes the garbage collector's
-    heap (``gc.freeze``). Building the config imports every module the
-    command runs, so what exists then, the modules and their import-time
+    heap (``gc.freeze``). Building the config imports every joltlab module
+    the command runs, so what exists then, the modules and their import-time
     objects, lives until the process exits. Frozen objects are never scanned
     again, so interpreter exit neither walks nor frees that heap, and pool
     workers forked later do not copy its pages when they collect.

@@ -457,33 +457,50 @@ def test_cli_import_leaves_out_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+# modules that only the commands that run them load
+_DEFERRED = ("joltlab.growth", "joltlab.montecarlo", "logging", "numpy.polynomial", "numpy.random")
+
+
 def _fresh_main(argv_lists, cwd):
-    """Run ``main`` on each argv in one fresh interpreter; per call, its exit
-    code, whether yaml and the process pool module are loaded, and the frozen
-    object count."""
+    """Run ``main`` on each argv in one fresh interpreter. Per call: its exit
+    code, whether yaml and the process pool module are loaded, the frozen
+    object count, which ``_DEFERRED`` modules are loaded and which of those
+    are not frozen. Then, once: ``dir(joltlab)``, the error of
+    ``joltlab.no_such_name`` and the ``_DEFERRED`` modules loaded after both."""
     src = Path(joltlab.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     code = (
-        "import gc, json, sys; from joltlab.cli import main\n"
+        "import gc, json, sys, joltlab; from joltlab.cli import main\n"
+        "def deferred():\n"
+        "    live = {id(obj) for obj in gc.get_objects()}  # frozen objects are not listed\n"
+        f"    names = [m for m in {_DEFERRED!r} if m in sys.modules]\n"
+        "    return names, [m for m in names if id(sys.modules[m]) in live]\n"
         f"for argv in {argv_lists!r}:\n"
         "    code = main(argv)\n"
         "    print(json.dumps([code, 'yaml' in sys.modules,\n"
         "                      'concurrent.futures.process' in sys.modules,\n"
-        "                      gc.get_freeze_count()]))\n"
+        "                      gc.get_freeze_count(), *deferred()]))\n"
+        "try:\n"
+        "    joltlab.no_such_name\n"
+        "    error = None\n"
+        "except AttributeError as exc:\n"
+        "    error = str(exc)\n"
+        "print(json.dumps({'dir': dir(joltlab), 'error': error, 'loaded': deferred()[0]}))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, cwd=cwd, timeout=300,
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    return [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    lines = proc.stdout.splitlines()
+    return [json.loads(line) for line in lines if line.startswith("[")], json.loads(lines[-1])
 
 
 def test_commands_load_neither_yaml_nor_the_pool(tmp_path):
     # a command without --config needs no yaml, and one at --jobs 1 no pool;
     # main freezes the import-time heap before it runs the command
     assert run(["generate", "--out", str(tmp_path / "gen")]) == 0
-    calls = _fresh_main([
+    calls, _ = _fresh_main([
         ["detect", str(tmp_path / "gen" / "series.csv"), "--out", "d"],
         ["sweep", "--trials", "2", "--jobs", "1", "--out", "s"],
     ], tmp_path)
@@ -496,11 +513,48 @@ def test_commands_load_neither_yaml_nor_the_pool(tmp_path):
 def test_config_file_and_pool_still_load_where_they_run(tmp_path):
     assert run(["generate", "--out", str(tmp_path / "gen")]) == 0
     cfg = write_config(tmp_path, {"detector": {"combine_weights": [1, 0, 0]}})
-    calls = _fresh_main([
+    calls, _ = _fresh_main([
         ["detect", str(tmp_path / "gen" / "series.csv"), "--config", cfg, "--out", "d"],
         ["sweep", "--trials", "2", "--jobs", "2", "--out", "s"],
     ], tmp_path)
     assert [call[:3] for call in calls] == [[0, True, False], [0, True, True]]
     payload = json.loads((tmp_path / "d" / "detection.json").read_text())
     assert payload["score"] == payload["sub_scores"]["peak"]  # the config's weights
+    assert (tmp_path / "s" / "heatmap.csv").exists()
+
+
+def test_detect_and_metrics_load_no_generator_or_monte_carlo_module(tmp_path):
+    assert run(["generate", "--out", str(tmp_path / "gen")]) == 0
+    csv = str(tmp_path / "gen" / "series.csv")
+    calls, package = _fresh_main([
+        ["detect", csv, "--out", "d"],
+        ["metrics", csv, "--out", "m"],
+    ], tmp_path)
+    # the permutation draw loads numpy.random, the one deferred module that
+    # detection runs
+    assert [call[:1] + call[4:5] for call in calls] == [[0, ["numpy.random"]]] * 2
+    assert (tmp_path / "d" / "detection.json").exists()
+    assert (tmp_path / "m" / "metrics.csv").exists()
+    # the lazy exports are listed, and neither listing them nor asking for a
+    # missing name loads their modules
+    lazy = {"Composite", "GridSpec", "generate", "MCCell", "TrialMix", "run_cell", "sweeps"}
+    assert lazy <= set(package["dir"])
+    assert package["error"] == "module 'joltlab' has no attribute 'no_such_name'"
+    assert package["loaded"] == ["numpy.random"]
+
+
+def test_pool_forks_after_the_monte_carlo_heap_is_frozen(tmp_path):
+    assert run(["generate", "--out", str(tmp_path / "gen")]) == 0
+    calls, _ = _fresh_main([
+        ["metrics", str(tmp_path / "gen" / "series.csv"), "--out", "m"],
+        ["sweep", "--trials", "2", "--jobs", "2", "--out", "s"],
+    ], tmp_path)
+    assert calls[0][4:] == [[], []]
+    # sweep imports the harness, and with it numpy.random, before main
+    # freezes the heap, so the pool's workers inherit both frozen
+    code, _, pool, frozen, loaded, unfrozen = calls[1]
+    assert (code, pool) == (0, True)
+    assert {"joltlab.growth", "joltlab.montecarlo", "numpy.random"} <= set(loaded)
+    assert unfrozen == []
+    assert frozen > calls[0][3]
     assert (tmp_path / "s" / "heatmap.csv").exists()

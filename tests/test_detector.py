@@ -331,6 +331,28 @@ def test_permutation_index_gathers_the_permuted_draw(n, seed, n_perm):
     np.testing.assert_array_equal(x[idx], want)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(32, 400), h=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_surrogate_statistics_have_the_exact_permutation_moments(n, h, seed):
+    # w sums to zero, so w dotted with a uniformly permuted r has mean 0 and
+    # variance var(r) n/(n-1) (w.w), var(r) the population variance. The
+    # surrogates are independent draws, so their sample mean and variance
+    # stay within 5 standard errors of those moments.
+    window = 2 * min(h, (n - 8) // 2) + 1
+    t = np.linspace(0.0, 20.0, n)
+    noise = 0.05 * np.random.default_rng(seed).standard_normal(n)
+    series = TimeSeries(t, np.exp(0.08 * t + noise))
+    signal = detection_signal(series, SavitzkyGolay(window, DETECTION_POLY_ORDER))
+    stats, resid = detector._surrogate_stats(signal, series.dt, _permutation_index(seed, n, 1999))
+    w = _permutation_weights(n, window, DETECTION_POLY_ORDER)[0] / series.dt**2
+    variance = resid.var() * n / (n - 1) * (w @ w)
+    m = stats.size
+    assert abs(stats.mean()) <= 5 * math.sqrt(variance / m)
+    sample_var = stats.var(ddof=1)
+    fourth = np.mean((stats - stats.mean()) ** 4)
+    assert abs(sample_var - variance) <= 5 * math.sqrt((fourth - sample_var**2) / m)
+
+
 def test_too_few_permutations():
     with pytest.raises(TooFewPermutations):
         DetectorConfig(n_perm=98)

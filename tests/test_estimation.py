@@ -16,6 +16,7 @@ from joltlab.estimation import (
     SavitzkyGolay,
     _filter_log,
     _savgol_filter,
+    _savgol_operator,
     default_savgol,
     edge_mask,
     estimate_derivatives,
@@ -74,6 +75,25 @@ def test_savgol_filter_matches_exact_oracle(window, poly_order):
             np.testing.assert_allclose(
                 got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
             )
+
+
+def test_savgol_operator_matches_polynomial_basis():
+    # the operator builds its Vandermonde and derivative matrices without
+    # numpy.polynomial; its bits are those of the numpy.polynomial basis
+    from numpy.polynomial import polynomial as P
+
+    build = _savgol_operator.__wrapped__  # leave the cache as it is
+    for window in range(3, 402, 2):
+        h = window // 2
+        u = (np.arange(window) - h) / h
+        for poly_order in range(9):
+            coef = np.linalg.pinv(P.polyvander(u, poly_order))
+            for deriv in range(poly_order + 1):
+                deriv_at = P.polyvander(u, poly_order - deriv) @ P.polyder(
+                    np.eye(poly_order + 1), deriv) / h**deriv
+                got = build(window, poly_order, deriv)
+                for part, want in zip(got, (coef, deriv_at[h] @ coef, deriv_at)):
+                    assert np.array_equal(part, want), (window, poly_order, deriv)
 
 
 def test_quadratic_reproduced_window5_order2():
