@@ -6,7 +6,7 @@ metrics, detecting superexponential regimes with a hybrid detector, and
 validating the detector with a Monte Carlo harness.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .detector import (
     DetectionResult,
@@ -39,7 +39,7 @@ _LAZY = {
     **dict.fromkeys((
         "Composite", "Exponential", "GridSpec", "GrowthModelSpec", "InjectedJolt",
         "InteractionSpec", "Logistic", "LogQuadratic", "NoiseSpec", "ResourceSchedule",
-        "add_noise", "apply_resource_damping", "compose", "generate", "inject_intervention",
+        "add_noise", "apply_resource_damping", "compose", "generate",
     ), "growth"),
     **dict.fromkeys((
         "ConfusionCounts", "MCCell", "MCReport", "TrialMix", "run_cell", "run_cells",

@@ -12,7 +12,6 @@ permutation test against an exponential null.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -103,7 +102,8 @@ class Signal:
         return self.values.compress(~self.edge_mask, axis=-1)
 
     def take(self, rows) -> "Signal":
-        """The signal of one row (an index) or of some rows (a slice)."""
+        """The signal of one row (an index) or of some rows (a slice or a
+        list of indices)."""
         return Signal(self.times, self.values[rows], self.edge_mask, self.smoother,
                       self.centred_log[rows], self.fit[rows])
 
@@ -435,83 +435,69 @@ def _detection_intervals(signal: Signal, min_duration_frac: float) -> list:
     return intervals
 
 
-def _config_groups(configs) -> list:
-    """Row indices of the configs equal up to ``seed``, one list per distinct
-    config in first-seen order, each sorted by seed: the rows that share a
-    draw are then a slice of their group."""
-    keys, groups = [], []
-    for row, config in enumerate(configs):
-        key = {**vars(config), "seed": 0}
-        if key in keys:
-            groups[keys.index(key)].append(row)
-        else:
-            keys.append(key)
-            groups.append([row])
-    return [sorted(group, key=lambda row: configs[row].seed) for group in groups]
+def _detect(groups) -> list:
+    """Per (config, series, seeds) group, (signal, (peak, pattern, duration),
+    scores, p_values) with one row per series: row j has the bits that
+    series j gets on its own with ``seed=seeds[j]``. The series of all
+    groups lie on one grid. Each distinct permutation draw (seed, n_perm) is
+    made once and gathered for every group's rows that use it; only one draw
+    is held at a time."""
+    n = len(_batch([one for _, series, _ in groups for one in series])[0][0])
+    if n < 32:
+        raise SeriesTooShort(f"need >= 32 points, got {n}")
+    scored = []
+    draws = {}  # (seed, n_perm) -> (group, its rows) that use the draw
+    for g, (config, series, seeds) in enumerate(groups):
+        if len(seeds) != len(series):
+            raise ShapeError(f"{len(series)} series need one seed each, got {len(seeds)}")
+        signal = detection_signal(series, config.smoother)
+        s = signal.unmasked
+        subs = (peak_ratio_score(s, config.threshold_peak), pattern_match_score(s),
+                duration_score(s, config.min_duration_frac))
+        w = config.combine_weights
+        scored.append((signal, subs, w[0] * subs[0] + w[1] * subs[1] + w[2] * subs[2]))
+        by_seed = {}
+        for j, seed in enumerate(seeds):
+            by_seed.setdefault(seed, []).append(j)
+        for seed, rows in by_seed.items():
+            draws.setdefault((seed, config.n_perm), []).append((g, rows))
+
+    p_values = [np.empty(len(seeds)) for _, _, seeds in groups]
+    for (seed, n_perm), uses in draws.items():
+        index = _permutation_index(seed, n, n_perm)
+        for g, rows in uses:
+            config, series, _ = groups[g]
+            p_values[g][rows] = permutation_test(
+                [series[j] for j in rows], config, scored[g][0].take(rows), index)
+        del index  # before the next draw, so that one draw is held at a time
+    return [(*group, p) for group, p in zip(scored, p_values)]
 
 
 def hybrid_detect(series, config: DetectorConfig | None = None):
     """Full hybrid detection: signal, sub-scores, combined score, p-value,
     and the verdict of :meth:`DetectorConfig.verdict`.
 
-    ``series`` may also be a sequence of series on one grid, with ``config``
-    a sequence of one config per series: then one DetectionResult per series
-    comes back, bit for bit the one that series gets on its own. Rows whose
-    configs are equal up to ``seed`` are scored as one (rows, n) matrix, and
-    each distinct permutation draw (seed, n_perm) is made once and gathered
-    for every such group that uses it; only one draw is held at a time.
+    ``series`` may instead be a sequence of (config, series, seeds) groups,
+    every series on one grid, with no ``config``: then one (scores,
+    p_values) pair of float arrays comes back per group, whose row j is bit
+    for bit the score and p-value of ``hybrid_detect(series[j],
+    replace(config, seed=seeds[j]))``. Each group is scored as one
+    (rows, n) matrix, and each distinct permutation draw (seed, n_perm) is
+    made once for all the groups that use it.
     """
-    if isinstance(series, TimeSeries):
-        return hybrid_detect([series], [DetectorConfig() if config is None else config])[0]
-    rows, _ = _batch(series)
-    configs = list(config)
-    if len(configs) != len(rows):
-        raise ShapeError(f"{len(rows)} series need one config each, got {len(configs)}")
-    n = len(rows[0])
-    if n < 32:
-        raise SeriesTooShort(f"need >= 32 points, got {n}")
-
-    groups = []  # (members, signal, (peak, pattern, duration), score) per config
-    draws = {}  # (seed, n_perm) -> (group, slice of its members) that use the draw
-    for g, members in enumerate(_config_groups(configs)):
-        cfg = configs[members[0]]
-        signal = detection_signal([rows[r] for r in members], cfg.smoother)
-        s = signal.unmasked
-        peak = peak_ratio_score(s, cfg.threshold_peak)
-        pattern = pattern_match_score(s)
-        duration = duration_score(s, cfg.min_duration_frac)
-        w = cfg.combine_weights
-        score = w[0] * peak + w[1] * pattern + w[2] * duration
-        groups.append((members, signal, (peak, pattern, duration), score))
-        start = 0
-        for seed, same in itertools.groupby(members, key=lambda r: configs[r].seed):
-            stop = start + len(list(same))
-            draws.setdefault((seed, cfg.n_perm), []).append((g, slice(start, stop)))
-            start = stop
-
-    p_values = [np.empty(len(members)) for members, *_ in groups]
-    for (seed, n_perm), uses in draws.items():
-        index = _permutation_index(seed, n, n_perm)
-        for g, part in uses:
-            members, signal = groups[g][:2]
-            p_values[g][part] = permutation_test(
-                [rows[r] for r in members[part]], configs[members[part.start]],
-                signal.take(part), index)
-        del index  # before the next draw, so that one draw is held at a time
-
-    results = [None] * len(rows)
-    for (members, signal, subs, score), p in zip(groups, p_values):
-        peak, pattern, duration = (sub.tolist() for sub in subs)
-        for j, (r, total, p_value) in enumerate(zip(members, score.tolist(), p.tolist())):
-            cfg, row_signal = configs[r], signal.take(j)
-            # an interval is a run of full duration, so without one there is none
-            full = duration[j] == 1.0
-            results[r] = DetectionResult(
-                verdict=cfg.verdict(total, p_value),
-                score=total,
-                sub_scores={"peak": peak[j], "pattern": pattern[j], "duration": duration[j]},
-                intervals=_detection_intervals(row_signal, cfg.min_duration_frac) if full else [],
-                p_value=p_value,
-                signal=row_signal,
-            )
-    return results
+    if not isinstance(series, TimeSeries):
+        return [(scores, p_values) for *_, scores, p_values in _detect(series)]
+    config = DetectorConfig() if config is None else config
+    signal, subs, score, p = _detect([(config, [series], [config.seed])])[0]
+    peak, pattern, duration = (sub.item() for sub in subs)
+    score, p_value, signal = score.item(), p.item(), signal.take(0)
+    return DetectionResult(
+        verdict=config.verdict(score, p_value),
+        score=score,
+        sub_scores={"peak": peak, "pattern": pattern, "duration": duration},
+        # an interval is a run of full duration, so without one there is none
+        intervals=(_detection_intervals(signal, config.min_duration_frac)
+                   if duration == 1.0 else []),
+        p_value=p_value,
+        signal=signal,
+    )

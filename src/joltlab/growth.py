@@ -20,7 +20,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detector import smoothstep
 from .errors import GridMismatch, InvalidSpec, ScheduleViolation
 from .timeseries import TimeSeries
 
@@ -184,7 +183,7 @@ class GrowthModelSpec:
 # --- smoothstep helpers -------------------------------------------------------
 
 def smoothstep_integral(x):
-    """Antiderivative of :func:`smoothstep` with value 0 at x <= 0."""
+    """Antiderivative of :func:`joltlab.detector.smoothstep`, 0 at x <= 0."""
     x = np.asarray(x, dtype=float)
     xc = np.clip(x, 0.0, 1.0)
     inside = xc**4 * (2.5 + xc * (-3.0 + xc))
@@ -308,41 +307,3 @@ def apply_resource_damping(jolt: TimeSeries, schedule: ResourceSchedule) -> Time
         raise GridMismatch("jolt series and schedule must share one grid")
     factor = (schedule.r_max - schedule.utilization) / schedule.r_max
     return jolt.with_values(jolt.values * factor)
-
-
-# --- interventions ------------------------------------------------------------
-
-def inject_intervention(base: TimeSeries, kind: str, **params) -> TimeSeries:
-    """Apply a step-change or efficiency-ramp intervention to a trajectory.
-
-    step_change: multiply values by factor m (> 0) for t >= t_step.
-    efficiency_ramp: multiply the instantaneous growth exponent by a factor
-    ramping smoothly from 1 to ``factor`` over [t0, t1].
-    """
-    logv = base.log_values  # raises NonPositiveValue for either kind
-    if kind == "step_change":
-        m = params.get("m", 1.0)
-        t_step = params.get("t_step")
-        if m <= 0:
-            raise InvalidSpec("step_change requires m > 0")
-        if t_step is None:
-            raise InvalidSpec("step_change requires t_step")
-        mult = np.where(base.times >= t_step, m, 1.0)
-        return base.with_values(base.values * mult)
-    if kind == "efficiency_ramp":
-        factor = params.get("factor", 2.0)
-        t0, t1 = params.get("t0"), params.get("t1")
-        if t0 is None or t1 is None or not t1 > t0:
-            raise InvalidSpec("efficiency_ramp requires t1 > t0")
-        if factor <= 0:
-            raise InvalidSpec("efficiency_ramp requires factor > 0")
-        t = base.times
-        alpha = np.gradient(logv, t)
-        ramp = 1.0 + (factor - 1.0) * smoothstep((t - t0) / (t1 - t0))
-        scaled = alpha * ramp
-        # rebuild log-capability by trapezoidal integration
-        new_log = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (scaled[1:] + scaled[:-1]) * np.diff(t))]
-        )
-        return base.with_values(np.exp(logv[0] + new_log))
-    raise InvalidSpec(f"unknown intervention kind {kind!r}")

@@ -14,10 +14,11 @@ Cells equal up to the verdict's fields share scores and p-values too; as
 ``_outcomes`` owns that, ``run_cells`` gets it as well as ``sweeps``.
 
 Each task (about one per worker and class, within a memory budget) sends
-all its detections through one batched ``hybrid_detect`` call: the rows of
-cells with equal detector configs are scored as one matrix, and each
-trial's permutation draw is made once for all its cells. A batch gives each
-row the bits it would get on its own. A trial whose series cannot be generated,
+all its detections through one ``hybrid_detect`` call in its group form:
+cells with equal detector configs form one (config, series, seeds) group,
+scored as one matrix, and each trial's permutation draw is made once for
+all its cells. Only scores and p-values come back, and each row has the
+bits it would get on its own. A trial whose series cannot be generated,
 or whose log C cannot be taken, counts as a negative verdict with a warning; a
 cell the detector cannot run fails the whole run with the detector's error.
 """
@@ -207,17 +208,21 @@ _TASK_BUDGET = 1 << 15
 def _run_trials(task):
     """Per cell of ``cells``, which share (master_seed, mix, grid), the (score,
     p_value) rows of one class's trials. Each trial is sampled once and each
-    noise level generated once, and all the task's rows go through one
-    :func:`hybrid_detect` call, whose errors propagate. A series that cannot
-    be generated, or whose log C cannot be taken, stays out of the batch and
-    counts as (0, 1) for its own cell and trial, with a warning."""
+    noise level generated once. Cells with equal detector configs form one
+    group, and all the task's groups go through one :func:`hybrid_detect`
+    call, whose errors propagate. A series that cannot be generated, or whose
+    log C cannot be taken, stays out of its group and counts as (0, 1) for
+    its own cell and trial, with a warning."""
     cells, is_positive, indices = task
     rows = [[] for _ in cells]
-    batch, slots = [], []
+    # cells are compared once per task: equal detector configs share a group
+    configs = [cell.detector for cell in cells]
+    group = [configs.index(config) for config in configs]
+    members = {g: ([], [], []) for g in group}  # per group: series, seeds, (rows, slot)
     for i in indices:
         spec, det_seed = sample_trial_spec(cells[0], is_positive, i)
         series = {}
-        for cell, cell_rows in zip(cells, rows):
+        for cell, cell_rows, g in zip(cells, rows, group):
             if i >= cell.n_trials:
                 continue
             cell_rows.append(_FAILED)
@@ -232,11 +237,15 @@ def _run_trials(task):
                     "pos" if is_positive else "neg", i, exc,
                 )
                 continue
-            batch.append((series[cell.noise], replace(cell.detector, seed=det_seed)))
+            batch, seeds, slots = members[g]
+            batch.append(series[cell.noise])
+            seeds.append(det_seed)
             slots.append((cell_rows, len(cell_rows) - 1))
-    if batch:
-        for (cell_rows, slot), result in zip(slots, hybrid_detect(*zip(*batch))):
-            cell_rows[slot] = (result.score, result.p_value)
+    used = [g for g, (batch, _, _) in members.items() if batch]
+    outcomes = hybrid_detect([(configs[g], *members[g][:2]) for g in used]) if used else []
+    for g, (scores, p_values) in zip(used, outcomes):
+        for (cell_rows, slot), score, p in zip(members[g][2], scores.tolist(), p_values.tolist()):
+            cell_rows[slot] = (score, p)
     return rows
 
 

@@ -64,5 +64,5 @@ def test_hybrid_detect_calls_each_part_through_the_module(monkeypatch, rows):
     if rows is None:
         detector.hybrid_detect(series, DetectorConfig())
     else:
-        detector.hybrid_detect([series] * rows, [DetectorConfig(seed=i) for i in range(rows)])
+        detector.hybrid_detect([(DetectorConfig(), [series] * rows, list(range(rows)))])
     assert set(called) == set(parts)

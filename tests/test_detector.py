@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from joltlab.detector import (
     pattern_match_score,
     peak_ratio_score,
     permutation_test,
+    smoothstep,
 )
 from joltlab.errors import (
     GridMismatch,
@@ -41,7 +43,6 @@ from joltlab.growth import (
     add_noise,
     evaluate,
     generate,
-    smoothstep,
 )
 from joltlab.metrics import compute_metrics
 from joltlab.timeseries import TimeSeries
@@ -648,30 +649,42 @@ _BATCH_ROW = st.tuples(
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(32, 400), rows=st.lists(_BATCH_ROW, min_size=1, max_size=6))
 def test_batch_detection_is_each_series_on_its_own(n, rows):
-    # rows share configs up to the seed, share seeds across windows, or
-    # share nothing; each must get the bits it gets in a call of its own
-    series, configs = [], []
+    # rows with equal configs form one group, in which seeds may repeat;
+    # groups share seeds across windows, or share nothing. Each row must get
+    # the bits it gets in a call of its own
+    groups = {}
     for family, level, noise_seed, window, poly_order, seed, n_perm in rows:
         spec = GrowthModelSpec(family, GridSpec(n_points=n), NoiseSpec(level, seed=noise_seed))
-        series.append(generate(spec)[0])
         if window is None or window > n - 8:  # at least 8 unmasked points
             window = default_savgol(n).window
-        smoother = SavitzkyGolay(window, poly_order)
-        configs.append(DetectorConfig(smoother=smoother, n_perm=n_perm, seed=seed))
-    batch = hybrid_detect(series, configs)
-    assert len(batch) == len(series)
-    for got, one, config in zip(batch, series, configs):
-        want = hybrid_detect(one, config)
-        assert (got.verdict, got.score, got.sub_scores, got.p_value, got.intervals) == (
-            want.verdict, want.score, want.sub_scores, want.p_value, want.intervals)
-        assert type(got.verdict) is bool and type(got.score) is float
-        np.testing.assert_array_equal(got.signal.values, want.signal.values)
+        config = DetectorConfig(smoother=SavitzkyGolay(window, poly_order), n_perm=n_perm)
+        series, seeds = groups.setdefault(config, ([], []))
+        series.append(generate(spec)[0])
+        seeds.append(seed)
+    batch = hybrid_detect([(config, *group) for config, group in groups.items()])
+    assert len(batch) == len(groups)
+    for (config, (series, seeds)), (scores, p_values) in zip(groups.items(), batch):
+        assert scores.dtype == p_values.dtype == np.float64
+        assert scores.shape == p_values.shape == (len(series),)
+        for one, seed, score, p_value in zip(series, seeds, scores, p_values):
+            want = hybrid_detect(one, replace(config, seed=seed))
+            assert (score, p_value) == (want.score, want.p_value)
 
 
 def test_batch_on_two_grids_rejected():
     a = make_series(lambda t: np.exp(0.1 * t))
     b = make_series(lambda t: np.exp(0.1 * t), t1=21.0)
+    config = DetectorConfig()
     with pytest.raises(GridMismatch, match="one time grid"):
-        hybrid_detect([a, b], [DetectorConfig()] * 2)
-    with pytest.raises(ShapeError, match="one config each"):
-        hybrid_detect([a, a], [DetectorConfig()])
+        hybrid_detect([(config, [a], [0]), (config, [b], [0])])
+    with pytest.raises(GridMismatch, match="one time grid"):
+        hybrid_detect([(config, [a, b], [0, 1])])
+    with pytest.raises(ShapeError, match="2 series need one seed each, got 1"):
+        hybrid_detect([(config, [a, a], [0])])
+    with pytest.raises(ShapeError, match="at least one series"):
+        hybrid_detect([])
+    with pytest.raises(ShapeError, match="at least one series"):
+        hybrid_detect([(config, [a], [0]), (config, [], [])])
+    short = make_series(lambda t: np.exp(0.1 * t), n=20)
+    with pytest.raises(SeriesTooShort, match="got 20"):
+        hybrid_detect([(config, [short], [0])])

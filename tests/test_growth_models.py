@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from joltlab.detector import smoothstep
 from joltlab.errors import GridMismatch, InvalidSpec, ScheduleViolation
 from joltlab.growth import (
     Composite,
@@ -20,8 +21,6 @@ from joltlab.growth import (
     compose,
     evaluate,
     generate,
-    inject_intervention,
-    smoothstep,
 )
 from joltlab.timeseries import TimeSeries
 
@@ -196,40 +195,3 @@ def test_damping_half_utilization():
 def test_schedule_over_cap_rejected():
     with pytest.raises(ScheduleViolation):
         ResourceSchedule(np.array([0.0, 1.0]), np.array([0.5, 3.0]), r_max=2.0)
-
-
-# --- interventions ------------------------------------------------------------
-
-def test_step_change():
-    t = np.arange(10.0)
-    base = TimeSeries(t, np.ones(10))
-    out = inject_intervention(base, "step_change", m=2.0, t_step=5.0)
-    np.testing.assert_array_equal(out.values[:5], 1.0)
-    np.testing.assert_array_equal(out.values[5:], 2.0)
-
-
-def test_step_change_identity():
-    t = np.arange(10.0)
-    base = TimeSeries(t, np.exp(0.1 * t))
-    out = inject_intervention(base, "step_change", m=1.0, t_step=5.0)
-    np.testing.assert_allclose(out.values, base.values, rtol=1e-12)
-
-
-def test_efficiency_ramp_doubles_growth_rate():
-    t = np.linspace(0, 10, 1001)
-    base = TimeSeries(t, np.exp(0.05 * t))
-    out = inject_intervention(base, "efficiency_ramp", factor=2.0, t0=3.0, t1=7.0)
-    logv = np.log(out.values)
-    dt = t[1] - t[0]
-    # central-difference alpha away from the ramp
-    i2, i8 = 200, 800
-    a2 = (logv[i2 + 1] - logv[i2 - 1]) / (2 * dt)
-    a8 = (logv[i8 + 1] - logv[i8 - 1]) / (2 * dt)
-    assert a2 == pytest.approx(0.05, abs=1e-6)
-    assert a8 == pytest.approx(0.10, abs=1e-6)
-
-
-def test_unknown_intervention_rejected():
-    base = TimeSeries([0.0, 1.0], [1.0, 2.0])
-    with pytest.raises(InvalidSpec):
-        inject_intervention(base, "mystery", m=2.0)

@@ -231,6 +231,24 @@ def test_trial_major_outcomes_match_per_detection_reference(jobs):
     _assert_outcomes_equal(_outcomes(cells, jobs), _reference_outcomes(cells))
 
 
+def test_equal_detector_configs_share_a_group(monkeypatch):
+    # each window's config appears at both noise levels: one group per
+    # window, not one per cell, keeps a sweep's scoring matrices large
+    cells = [cell for cell in _mixed_cells() if cell.master_seed == 7]
+    real_detect = montecarlo.hybrid_detect
+    sizes = []
+
+    def counted(groups):
+        sizes.append(len(groups))
+        return real_detect(groups)
+
+    monkeypatch.setattr(montecarlo, "hybrid_detect", counted)
+    got = _outcomes(cells, jobs=1)
+    assert len(cells) == 4
+    assert sizes == [2, 2]  # one call per class
+    _assert_outcomes_equal(got, _reference_outcomes(cells))
+
+
 def test_failed_generation_logged_once_per_affected_cell(monkeypatch, caplog):
     cells = _mixed_cells()
     want = _reference_outcomes(cells)
@@ -330,10 +348,10 @@ def test_cells_differing_only_in_verdict_share_one_detection(monkeypatch, base, 
     real_detect = montecarlo.hybrid_detect
     rows = 0
 
-    def counted(series, configs):
+    def counted(groups):
         nonlocal rows
-        rows += len(configs)
-        return real_detect(series, configs)
+        rows += sum(len(series) for _, series, _ in groups)
+        return real_detect(groups)
 
     monkeypatch.setattr(montecarlo, "hybrid_detect", counted)
     assert run_cells(cells, jobs=1) == standalone
