@@ -6,7 +6,7 @@ metrics, detecting superexponential regimes with a hybrid detector, and
 validating the detector with a Monte Carlo harness.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .detector import (
     DetectionResult,

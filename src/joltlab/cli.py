@@ -301,13 +301,10 @@ def _mc_cells(cfg: dict) -> list:
 
 
 def cmd_mc(cfg: dict) -> int:
-    from .montecarlo import CellResult, run_cells, summarize, write_report_json, write_table1
+    from .montecarlo import sweeps, write_report_json, write_table1
 
-    cells = _mc_cells(cfg)
-    results = [
-        CellResult(noise=cell.noise, params={}, counts=counts, rates=summarize(counts))
-        for cell, counts in zip(cells, run_cells(cells, jobs=cfg["jobs"]))
-    ]
+    # a sweep with no axes: one cell per noise level
+    results = sweeps({}, _mc_cells(cfg), jobs=cfg["jobs"]).cells
     metadata = {
         "master_seed": cfg["seed"],
         "n_trials": cfg["mc"]["n_trials"],
@@ -325,17 +322,15 @@ def cmd_mc(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    from .montecarlo import best_configuration, sweeps, write_heatmap, write_report_json
+    from .montecarlo import sweeps, write_heatmap, write_report_json
 
     axes = {k: list(v) for k, v in cfg["sweep"].items() if k != "budget"}
-    axis_names = list(axes)
-    reports = sweeps(axes, _mc_cells(cfg), budget=cfg["sweep"]["budget"], jobs=cfg["jobs"])
-    all_cells = [cell for report in reports for cell in report.cells]
-    best = best_configuration(all_cells, axis_names)
-    metadata = {"runs": [report.metadata for report in reports], "detector": cfg["detector"]}
+    report = sweeps(axes, _mc_cells(cfg), budget=cfg["sweep"]["budget"], jobs=cfg["jobs"])
+    metadata = {**report.metadata, "detector": cfg["detector"]}
     out = _write_outputs(cfg, {
-        "heatmap.csv": lambda path: write_heatmap(all_cells, axis_names, path),
-        "report.json": lambda path: write_report_json(all_cells, metadata, path, best=best),
+        "heatmap.csv": lambda path: write_heatmap(report.cells, list(axes), path),
+        "report.json": lambda path: write_report_json(report.cells, metadata, path,
+                                                      best=report.best),
     })
     print(f"wrote {out / 'heatmap.csv'} and {out / 'report.json'}")
     return 0

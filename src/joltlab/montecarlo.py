@@ -21,6 +21,7 @@ all its cells. Only scores and p-values come back, and each row has the
 bits it would get on its own. A trial whose series cannot be generated,
 or whose log C cannot be taken, counts as a negative verdict with a warning; a
 cell the detector cannot run fails the whole run with the detector's error.
+A sweep is one report with one best, and ``joltlab mc`` is a sweep with no axes.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import json
 import logging
 import math
 import numbers
+import os
 from datetime import datetime, timezone
 from dataclasses import dataclass, field, replace
 
@@ -197,35 +199,33 @@ def sample_trial_spec(cell: MCCell, is_positive: bool, trial_idx: int):
     return spec, det_seed
 
 
-# The outcome a failed trial counts as: score 0 and p 1, a negative verdict.
-_FAILED = (0.0, 1.0)
-
 # rows x n items of one task's detection batch at most, in whole trials; each
 # (rows, n) float array of the batch then stays within 256 KB
 _TASK_BUDGET = 1 << 15
 
 
 def _run_trials(task):
-    """Per cell of ``cells``, which share (master_seed, mix, grid), the (score,
-    p_value) rows of one class's trials. Each trial is sampled once and each
-    noise level generated once. Cells with equal detector configs form one
-    group, and all the task's groups go through one :func:`hybrid_detect`
-    call, whose errors propagate. A series that cannot be generated, or whose
-    log C cannot be taken, stays out of its group and counts as (0, 1) for
-    its own cell and trial, with a warning."""
+    """(scores, p_values), two (cells x trials) arrays of one class's trials
+    for ``cells``, which share (master_seed, mix, grid), pre-filled with a
+    failed trial's outcome: score 0 and p 1. Each trial is sampled once and
+    each noise level generated once. Cells with equal detector configs form
+    one group, all groups go through one :func:`hybrid_detect` call, whose
+    errors propagate, and each group's outcomes are scattered into place. A
+    series that cannot be generated, or whose log C cannot be taken, stays
+    out of its group with a warning, so its row keeps (0, 1)."""
     cells, is_positive, indices = task
-    rows = [[] for _ in cells]
+    scores = np.zeros((len(cells), len(indices)))
+    p_values = np.ones((len(cells), len(indices)))
     # cells are compared once per task: equal detector configs share a group
     configs = [cell.detector for cell in cells]
     group = [configs.index(config) for config in configs]
-    members = {g: ([], [], []) for g in group}  # per group: series, seeds, (rows, slot)
-    for i in indices:
+    members = {g: ([], [], []) for g in group}  # per group: series, seeds, (row, column)
+    for column, i in enumerate(indices):
         spec, det_seed = sample_trial_spec(cells[0], is_positive, i)
         series = {}
-        for cell, cell_rows, g in zip(cells, rows, group):
+        for row, (cell, g) in enumerate(zip(cells, group)):
             if i >= cell.n_trials:
                 continue
-            cell_rows.append(_FAILED)
             try:
                 if cell.noise not in series:
                     noise = _noise_spec(cell, spec.noise.seed)
@@ -240,13 +240,13 @@ def _run_trials(task):
             batch, seeds, slots = members[g]
             batch.append(series[cell.noise])
             seeds.append(det_seed)
-            slots.append((cell_rows, len(cell_rows) - 1))
+            slots.append((row, column))
     used = [g for g, (batch, _, _) in members.items() if batch]
     outcomes = hybrid_detect([(configs[g], *members[g][:2]) for g in used]) if used else []
-    for g, (scores, p_values) in zip(used, outcomes):
-        for (cell_rows, slot), score, p in zip(members[g][2], scores.tolist(), p_values.tolist()):
-            cell_rows[slot] = (score, p)
-    return rows
+    for g, (group_scores, group_p_values) in zip(used, outcomes):
+        slots = tuple(zip(*members[g][2]))
+        scores[slots], p_values[slots] = group_scores, group_p_values
+    return scores, p_values
 
 
 def _outcomes(cells, jobs: int = 1) -> list:
@@ -257,12 +257,13 @@ def _outcomes(cells, jobs: int = 1) -> list:
     cells sharing (master_seed, mix, grid) splits each class's trials into
     about one task per worker, each of whole trials and at most
     ``_TASK_BUDGET`` rows x n items, so memory stays bounded in trials and in
-    n. All tasks go through one ``pool.map`` on one worker pool. A task's
-    rows are detected as one batch, bit for bit as one by one, so the
-    outcome does not depend on ``jobs``.
+    n. All tasks go through one ``pool.map`` on one worker pool of no more
+    workers than tasks or CPUs. A task's rows are detected as one batch, bit
+    for bit as one by one, so the outcome does not depend on ``jobs``.
     """
     if jobs < 1:
         raise InvalidSpec(f"jobs must be >= 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     # compared by ==, not by hash: a TrialMix built in code may hold lists
     verdict_free = [replace(c, detector=replace(c.detector, decision_threshold=0.5, alpha_sig=0.5))
                     for c in cells]
@@ -271,13 +272,13 @@ def _outcomes(cells, jobs: int = 1) -> list:
     groups = [[j for j, other in enumerate(shared) if other == key and first[j] == j]
               for k, key in enumerate(shared) if shared.index(key) == k]
     keys, tasks = [], []
-    for members in groups:
+    for g, members in enumerate(groups):
         n_trials = max(cells[k].n_trials for k in members)
         per_task = max(1, _TASK_BUDGET // (len(members) * cells[members[0]].grid.n_points))
         n_tasks = max(min(jobs, n_trials), -(-n_trials // per_task))
         for is_positive in (True, False):
             for chunk in np.array_split(np.arange(n_trials), n_tasks):
-                keys.append((members, is_positive))
+                keys.append((g, is_positive))
                 tasks.append(([cells[k] for k in members], is_positive, chunk.tolist()))
     if jobs == 1:
         chunk_results = [_run_trials(task) for task in tasks]
@@ -287,14 +288,15 @@ def _outcomes(cells, jobs: int = 1) -> list:
         # a fork pool starts all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunk_results = list(pool.map(_run_trials, tasks))
-    # map keeps task order and chunks ascend, so each class's rows are
-    # already ordered by trial index
-    rows = [{True: [], False: []} for _ in cells]
-    for (members, is_positive), results in zip(keys, chunk_results):
-        for k, cell_rows in zip(members, results):
-            rows[k][is_positive].extend(cell_rows)
-    return [{c: tuple(np.array(col) for col in zip(*r[c])) for c in r}
-            for r in (rows[k] for k in first)]
+    # map keeps task order, and the chunks of a (group, class) are adjacent
+    # and ascend, so they join in trial order; each cell keeps its own trials
+    outcomes = [{} for _ in cells]
+    for (g, is_positive), parts in itertools.groupby(zip(keys, chunk_results), lambda p: p[0]):
+        scores, p_values = (np.concatenate(col, axis=1) for col in zip(*(r for _, r in parts)))
+        for row, k in enumerate(groups[g]):
+            n = cells[k].n_trials
+            outcomes[k][is_positive] = (scores[row, :n], p_values[row, :n])
+    return [outcomes[k] for k in first]
 
 
 def _tally(outcomes, config: DetectorConfig) -> ConfusionCounts:
@@ -372,12 +374,16 @@ def apply_axes(config: DetectorConfig, assignment: dict) -> DetectorConfig:
     return replace(config, **kwargs)
 
 
-def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> list:
-    """Grid sweeps over detector hyperparameters, one report per cell template.
+def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> MCReport:
+    """Grid sweep over detector hyperparameters for several cell templates:
+    one report of a :class:`CellResult` per (template, assignment), in that
+    order, their :func:`best_configuration`, and ``{"runs": [...]}``, one
+    run per template. With no axes each template is one cell, ``params ==
+    {}``, as ``joltlab mc`` runs it.
 
-    Every (template, assignment) cell goes to one :func:`run_cells` call, so
-    all of them run through one worker pool, and cells differing only in
-    decision_threshold / alpha_sig share their trial outcomes there.
+    Every cell goes to one :func:`run_cells` call, so all of them run
+    through one worker pool, and cells differing only in decision_threshold
+    / alpha_sig share their trial outcomes there.
     """
     for name, values in axes.items():
         if name not in _CONFIG_AXES:
@@ -396,34 +402,26 @@ def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> list:
     if len(combos) > budget:
         raise BudgetExceeded(f"{len(combos)} cells exceed budget {budget}")
 
-    cells = [
-        replace(template, detector=apply_axes(template.detector, assignment))
-        for template in templates
-        for assignment in combos
-    ]
-    counts = iter(run_cells(cells, jobs))
-    return [
-        _sweep_report(axes, template, combos, [next(counts) for _ in combos])
-        for template in templates
-    ]
-
-
-def _sweep_report(axes: dict, template: MCCell, combos, counts) -> MCReport:
-    """One template's sweep report from the confusion counts of its cells."""
-    cells = [
+    pairs = list(itertools.product(templates, combos))
+    cells = [replace(template, detector=apply_axes(template.detector, assignment))
+             for template, assignment in pairs]
+    results = [
         CellResult(noise=template.noise, params=dict(assignment),
-                   counts=cell_counts, rates=summarize(cell_counts))
-        for assignment, cell_counts in zip(combos, counts)
+                   counts=counts, rates=summarize(counts))
+        for (template, assignment), counts in zip(pairs, run_cells(cells, jobs))
     ]
-    metadata = {
-        "master_seed": template.master_seed,
-        "n_trials": template.n_trials,
-        "noise": template.noise,
-        "axes": {k: list(v) for k, v in axes.items()},
-        "grid": dataclasses.asdict(template.grid),
-        "mix": dataclasses.asdict(template.mix),
-    }
-    return MCReport(cells=cells, best=best_configuration(cells, list(axes)), metadata=metadata)
+    metadata = {"runs": [
+        {
+            "master_seed": template.master_seed,
+            "n_trials": template.n_trials,
+            "noise": template.noise,
+            "axes": {k: list(v) for k, v in axes.items()},
+            "grid": dataclasses.asdict(template.grid),
+            "mix": dataclasses.asdict(template.mix),
+        }
+        for template in templates
+    ]}
+    return MCReport(cells=results, best=best_configuration(results, names), metadata=metadata)
 
 
 def best_configuration(cells, axis_names):
@@ -448,7 +446,7 @@ def best_configuration(cells, axis_names):
 def sweep(axes: dict, template: MCCell, budget: int = 64, jobs: int = 1) -> MCReport:
     """Grid sweep over detector hyperparameters for one cell template; see
     :func:`sweeps`."""
-    return sweeps(axes, [template], budget, jobs)[0]
+    return sweeps(axes, [template], budget, jobs)
 
 
 # --- report emission ----------------------------------------------------------

@@ -99,8 +99,9 @@ class TimeSeries:
 
 
 def read_csv(path) -> TimeSeries:
-    """Read a ``t,value`` CSV file (see module contract) into a TimeSeries."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """Read a ``t,value`` CSV file (see module contract) into a TimeSeries.
+    A UTF-8 byte-order mark, as spreadsheet tools write one, is skipped."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise SchemaError(f"{path}: empty file, expected header '{CSV_HEADER}'")

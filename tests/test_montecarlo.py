@@ -32,6 +32,7 @@ from joltlab.montecarlo import (
     _outcomes,
     _tally,
     apply_axes,
+    best_configuration,
     run_cell,
     run_cells,
     sample_trial_spec,
@@ -399,11 +400,36 @@ def test_sweeps_schedule_invariant_and_match_run_cell():
     axes = {"window": [7, 11], "decision_threshold": [0.3, 0.5]}
     serial = [sweep(axes, template, jobs=1) for template in templates]
     parallel = sweeps(axes, templates, jobs=2)
-    assert [r.cells for r in parallel] == [r.cells for r in serial]
+    assert parallel.cells == [cell for report in serial for cell in report.cells]
     for template, report in zip(templates, serial):
         for cell in report.cells:
             config = apply_axes(template.detector, cell.params)
             assert cell.counts == run_cell(replace(template, detector=config))
+
+
+def test_sweeps_is_one_report_with_one_best():
+    # on this seed the noisier template errs more, and the best of both
+    # templates is not the best of the first template on its own
+    templates = [small_cell(n_trials=10, master_seed=8),
+                 small_cell(n_trials=10, master_seed=8, noise="high")]
+    axes = {"decision_threshold": [0.3, 0.5]}
+    report = sweeps(axes, templates)
+    errors = [sum(c.rates.error_rate for c in report.cells[k:k + 2]) for k in (0, 2)]
+    assert errors[0] < errors[1]
+    assert [c.noise for c in report.cells] == ["low", "low", "high", "high"]
+    assert report.best is best_configuration(report.cells, list(axes))
+    assert report.best.params != sweep(axes, templates[0]).best.params
+    assert [run["noise"] for run in report.metadata["runs"]] == ["low", "high"]
+
+
+def test_sweeps_with_no_axes_is_one_result_per_cell():
+    # as joltlab mc runs it: one cell per noise level, no assignment
+    cells = [small_cell(n_trials=6), small_cell(n_trials=4, noise="high")]
+    report = sweeps({}, cells)
+    assert [c.params for c in report.cells] == [{}, {}]
+    assert [c.noise for c in report.cells] == ["low", "high"]
+    assert [c.counts for c in report.cells] == run_cells(cells)
+    assert report.best is report.cells[0]
 
 
 def test_sweep_budget_enforced():
@@ -474,10 +500,10 @@ def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
     cell = small_cell(n_trials=2)
     serial = _outcomes([cell], jobs=1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    pooled = _outcomes([cell], jobs=8)
-    assert started == [4]  # two trial chunks per class
-    assert len(pooled) == len(serial) == 1
-    for a, b in zip(serial, pooled):
-        for is_positive in (True, False):
-            for x, y in zip(a[is_positive], b[is_positive]):
-                np.testing.assert_array_equal(x, y)
+    # nor more workers than CPUs; an unknown CPU count runs serially
+    for cpus, jobs, workers in [(8, 8, 4), (2, 8, 2), (3, 5000, 3), (None, 8, None)]:
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        started.clear()
+        pooled = _outcomes([cell], jobs=jobs)
+        assert started == ([workers] if workers else [])
+        _assert_outcomes_equal(pooled, serial)

@@ -161,6 +161,18 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_allclose(back.values, s.values, rtol=1e-12)
 
 
+def test_byte_order_mark_is_skipped(tmp_path):
+    # spreadsheet tools save UTF-8 CSVs with a byte-order mark before the header
+    t = np.linspace(0.0, 20.0, 200)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_csv(TimeSeries(t, np.exp(0.01 * t**2)), plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    got, want = read_csv(marked), read_csv(plain)
+    np.testing.assert_array_equal(got.times, want.times)
+    np.testing.assert_array_equal(got.values, want.values)
+    assert main(["detect", str(marked), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_missing_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0,1\n1,2\n")
