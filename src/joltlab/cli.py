@@ -17,7 +17,6 @@ import contextlib
 import copy
 import dataclasses
 import gc
-import json
 import sys
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .estimation import SavitzkyGolay, default_savgol, estimate_derivatives
 from .metrics import compute_metrics
-from .timeseries import read_csv, write_csv
+from .timeseries import read_csv, write_csv, write_json
 
 
 def _families() -> dict:
@@ -243,9 +242,7 @@ def cmd_generate(cfg: dict) -> int:
     sidecar = {"spec": _spec_payload(spec), "seed": cfg["seed"], "label": label}
     out = _write_outputs(cfg, {
         "series.csv": lambda path: write_csv(series, path),
-        "series.json": lambda path: path.write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        ),
+        "series.json": lambda path: write_json(path, sidecar),
     })
     print(f"wrote {out / 'series.csv'} (label={label})")
     return 0

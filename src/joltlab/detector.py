@@ -12,7 +12,6 @@ permutation test against an exponential null.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from .estimation import (
     edge_mask,
     savgol_weights,
 )
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, write_json
 
 
 def _finite(x) -> bool:
@@ -70,6 +69,10 @@ class DetectorConfig:
                               f"summing to 1, got {w!r}")
         if not 0 < self.decision_threshold < 1:
             raise InvalidSpec("decision_threshold must lie in (0, 1)")
+        for name in ("n_perm", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidSpec(f"{name} must be a whole number, got {value!r}")
         if self.n_perm < 99:
             raise TooFewPermutations("n_perm must be >= 99")
         if not 0 < self.alpha_sig < 1:
@@ -127,9 +130,7 @@ class DetectionResult:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 # poly_order of the default detection smoother: exact for the log-quadratic

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidOrder, OrderExceedsPoly, SeriesTooShort, WindowTooLarge
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, write_exact
 
 DERIVATIVE_CSV_HEADER = "t,c,c1,c2,c3,c3_lo,c3_hi,edge"
 
@@ -81,14 +81,8 @@ class DerivativeEstimate:
     edge_mask: np.ndarray
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(DERIVATIVE_CSV_HEADER + "\n")
-            for i in range(self.times.size):
-                fh.write(
-                    f"{self.times[i]:.17g},{self.c[i]:.17g},{self.c1[i]:.17g},"
-                    f"{self.c2[i]:.17g},{self.c3[i]:.17g},{self.c3_lo[i]:.17g},"
-                    f"{self.c3_hi[i]:.17g},{int(self.edge_mask[i])}\n"
-                )
+        write_exact(path, DERIVATIVE_CSV_HEADER, self.times, self.c, self.c1, self.c2,
+                    self.c3, self.c3_lo, self.c3_hi, self.edge_mask)
 
 
 # --- Savitzky-Golay core ------------------------------------------------------

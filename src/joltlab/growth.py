@@ -35,6 +35,12 @@ class GridSpec:
     n_points: int = 200
 
     def __post_init__(self):
+        for name in ("t_start", "t_end"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise InvalidSpec(f"grid {name} must be a finite number, got {value!r}")
+        if not isinstance(self.n_points, numbers.Integral):
+            raise InvalidSpec(f"grid n_points must be a whole number, got {self.n_points!r}")
         if self.n_points < 8:
             raise InvalidSpec("grid needs n_points >= 8")
         if not self.t_end > self.t_start:

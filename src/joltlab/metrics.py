@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import NonPositiveCapability
 from .estimation import DerivativeEstimate
+from .timeseries import write_exact
 
 METRICS_CSV_HEADER = "t,J,JN,alpha,t_double,singular"
 
@@ -39,14 +40,8 @@ class JoltMetrics:
     singular_mask: np.ndarray  # True where J_N is undefined
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(METRICS_CSV_HEADER + "\n")
-            for i in range(self.times.size):
-                fh.write(
-                    f"{self.times[i]:.17g},{self.jolt[i]:.17g},"
-                    f"{self.jolt_dimensionless[i]:.17g},{self.alpha[i]:.17g},"
-                    f"{self.doubling_time[i]:.17g},{int(self.singular_mask[i])}\n"
-                )
+        write_exact(path, METRICS_CSV_HEADER, self.times, self.jolt, self.jolt_dimensionless,
+                    self.alpha, self.doubling_time, self.singular_mask)
 
 
 def _require_positive_capability(d: DerivativeEstimate) -> None:

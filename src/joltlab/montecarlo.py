@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import logging
 import math
 import numbers
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import numpy.random  # noqa: F401  loaded once here, not in each forked worker
 
-from .detector import DetectorConfig, _resolve_smoother, hybrid_detect
+from .detector import DetectorConfig, _finite, _resolve_smoother, hybrid_detect
 from .errors import BudgetExceeded, EmptyCell, InvalidSpec, JoltlabError
 from .estimation import SavitzkyGolay
 from .growth import (
@@ -52,6 +51,7 @@ from .growth import (
     NoiseSpec,
     generate,
 )
+from .timeseries import write_json, write_table
 
 log = logging.getLogger(__name__)
 
@@ -73,6 +73,20 @@ class TrialMix:
     ramp_strength_range: tuple = (0.10, 0.35)
     ramp_start_range: tuple = (5.0, 10.0)
     ramp_len_range: tuple = (4.0, 8.0)
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("_range") and not (
+                hasattr(value, "__len__") and len(value) == 2
+                and all(_finite(x) for x in value) and value[0] <= value[1]
+            ):
+                raise InvalidSpec(f"{f.name} must be two finite numbers lo <= hi, "
+                                  f"got {value!r}")
+            if f.name.endswith("_fraction") and not (
+                isinstance(value, numbers.Real) and 0 <= value <= 1
+            ):
+                raise InvalidSpec(f"{f.name} must lie in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -453,43 +467,23 @@ def sweep(axes: dict, template: MCCell, budget: int = 64, jobs: int = 1) -> MCRe
 
 def write_table1(results, path) -> None:
     """CSV of per-noise-level detector rates with Wilson CIs."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("noise_level,TPR,FPR,TPR_lo,TPR_hi,FPR_lo,FPR_hi\n")
-        for res in results:
-            r = res.rates
-            fh.write(
-                f"{res.noise},{r.tpr:.6f},{r.fpr:.6f},"
-                f"{r.tpr_ci[0]:.6f},{r.tpr_ci[1]:.6f},"
-                f"{r.fpr_ci[0]:.6f},{r.fpr_ci[1]:.6f}\n"
-            )
+    rows = ((res.noise, res.rates.tpr, res.rates.fpr, *res.rates.tpr_ci, *res.rates.fpr_ci)
+            for res in results)
+    write_table(path, "noise_level,TPR,FPR,TPR_lo,TPR_hi,FPR_lo,FPR_hi", rows,
+                "{}" + ",{:.6f}" * 6)
 
 
 def write_heatmap(results, axis_names, path) -> None:
     """Long-format CSV: one row per grid cell, for external heatmap tools."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = ["noise_level"] + list(axis_names) + ["tpr", "fpr", "error_rate"]
-        fh.write(",".join(header) + "\n")
-        for res in results:
-            row = [str(res.noise)]
-            row += [f"{res.params[a]:g}" for a in axis_names]
-            r = res.rates
-            row += [f"{r.tpr:.6f}", f"{r.fpr:.6f}", f"{r.error_rate:.6f}"]
-            fh.write(",".join(row) + "\n")
+    header = ",".join(["noise_level", *axis_names, "tpr", "fpr", "error_rate"])
+    rows = ((res.noise, *(res.params[a] for a in axis_names),
+             res.rates.tpr, res.rates.fpr, res.rates.error_rate) for res in results)
+    write_table(path, header, rows, "{}" + ",{:g}" * len(axis_names) + ",{:.6f}" * 3)
 
 
 def _cell_payload(res: CellResult) -> dict:
-    return {
-        "noise": res.noise,
-        "params": res.params,
-        "counts": dataclasses.asdict(res.counts),
-        "tpr": res.rates.tpr,
-        "fpr": res.rates.fpr,
-        "tnr": res.rates.tnr,
-        "accuracy": res.rates.accuracy,
-        "error_rate": res.rates.error_rate,
-        "tpr_ci": list(res.rates.tpr_ci),
-        "fpr_ci": list(res.rates.fpr_ci),
-    }
+    return {"noise": res.noise, "params": res.params,
+            "counts": dataclasses.asdict(res.counts), **dataclasses.asdict(res.rates)}
 
 
 def write_report_json(results, metadata, path, best=None) -> None:
@@ -503,6 +497,4 @@ def write_report_json(results, metadata, path, best=None) -> None:
         "cells": [_cell_payload(r) for r in results],
         "best": _cell_payload(best) if best is not None else None,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

@@ -1,4 +1,4 @@
-"""Canonical time-series container and CSV I/O.
+"""Canonical time-series container, CSV I/O and the format of every output.
 
 A TimeSeries is the currency of the whole pipeline and owns its contract.
 Construction rejects times and values that are not two 1-D arrays of one
@@ -7,10 +7,17 @@ times that do not strictly increase (NonMonotonicTime). Cached read-only
 properties give the grid spacing ``dt`` (else NonUniformGrid) and ln C,
 ``log_values`` (else NonPositiveValue), once per series. Instances are
 immutable: a writable input array is copied, so the caller's stays writable.
+
+Every file joltlab writes goes through the three writers at the end of this
+module, so each is UTF-8 with LF line endings: ``write_table`` formats a
+header and one line per row, ``write_exact`` writes float columns with 17
+significant digits (a read back is exact; a bool column writes 1/0), and
+``write_json`` writes sorted keys indented by 2, with a final newline.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -127,11 +134,28 @@ def read_csv(path) -> TimeSeries:
 
 
 def write_csv(series: TimeSeries, path) -> None:
-    """Write ``series`` as ``t,value`` CSV with LF line endings.
+    """Write ``series`` as exact ``t,value`` CSV (see ``write_exact``)."""
+    write_exact(path, CSV_HEADER, series.times, series.values)
 
-    Values use 17 significant digits so a read/write round trip is exact.
-    """
+
+def write_table(path, header: str, rows, row_format: str) -> None:
+    """Write ``header`` and then ``row_format.format(*row)`` for each of
+    ``rows``, one line each, UTF-8 with LF line endings."""
+    line = row_format + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for t, v in zip(series.times, series.values):
-            fh.write(f"{t:.17g},{v:.17g}\n")
+        fh.write(header + "\n")
+        fh.writelines(line.format(*row) for row in rows)
+
+
+def write_exact(path, header: str, *columns) -> None:
+    """Write equal-length columns as CSV rows with 17 significant digits, so
+    a read back gives the same floats; a bool column writes as 1/0."""
+    row_format = ",".join(["{:.17g}"] * len(columns))
+    write_table(path, header, zip(*(np.asarray(c).tolist() for c in columns)), row_format)
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as JSON with sorted keys, indented by 2, and a final
+    newline, UTF-8 with LF line endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

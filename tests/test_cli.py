@@ -369,6 +369,33 @@ def test_non_finite_or_non_numeric_setting_exit_2(tmp_path, capsys, command, pay
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, payload, named", [
+    ("mc", {"grid": {"t_end": float("inf")}}, "grid t_end must be a finite number, got inf"),
+    ("generate", {"grid": {"t_end": float("inf")}}, "grid t_end must be a finite number, got inf"),
+    ("mc", {"mc": {"k_range": [0.03, float("inf")]}},
+     "k_range must be two finite numbers lo <= hi, got (0.03, inf)"),
+    ("mc", {"mc": {"k_range": [0.03]}}, "k_range must be two finite numbers lo <= hi, got (0.03,)"),
+    ("mc", {"mc": {"injected_fraction": 1.5}}, "injected_fraction must lie in [0, 1], got 1.5"),
+    ("mc", {"detector": {"n_perm": 199.5}}, "config key detector.n_perm must be int, got 199.5"),
+], ids=["mc t_end inf", "generate t_end inf", "k_range inf", "k_range one bound",
+        "injected_fraction 1.5", "n_perm 199.5"])
+def test_bad_grid_mix_or_detector_setting_exits_2_before_any_trial(tmp_path, capsys, monkeypatch,
+                                                                   command, payload, named):
+    # an infinite t_end exited 0 with a TPR of 0 and a warning per trial; a
+    # bad k_range exited 1 with a traceback from inside the trials
+    def trials_ran(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("joltlab.montecarlo.run_cells", trials_ran)
+    argv = [command, "--config", write_config(tmp_path, payload)]
+    if command == "mc":
+        argv += ["--trials", "2"]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flags, payload, named", [
     ("detect", ["--seed", "-1"], {}, "seed must be >= 0, got -1"),
     ("detect", [], {"seed": -2}, "seed must be >= 0, got -2"),

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -357,6 +358,21 @@ def test_surrogate_statistics_have_the_exact_permutation_moments(n, h, seed):
 def test_too_few_permutations():
     with pytest.raises(TooFewPermutations):
         DetectorConfig(n_perm=98)
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"n_perm": 199.5}, "n_perm must be a whole number, got 199.5"),
+    ({"n_perm": float("nan")}, "n_perm must be a whole number, got nan"),
+    ({"n_perm": "500"}, "n_perm must be a whole number, got '500'"),
+    ({"n_perm": 500.0}, "n_perm must be a whole number, got 500.0"),
+    ({"seed": 1.5}, "seed must be a whole number, got 1.5"),
+    ({"seed": True}, "seed must be a whole number, got True"),
+])
+def test_n_perm_and_seed_must_be_whole(kwargs, named):
+    # each of these was accepted and raised a TypeError inside the detection
+    with pytest.raises(InvalidSpec, match=re.escape(named)):
+        DetectorConfig(**kwargs)
+    assert DetectorConfig(n_perm=np.int64(199), seed=np.uint32(3)).n_perm == 199
 
 
 def _one_rate_null(n, reps):

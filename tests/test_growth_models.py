@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,23 @@ def test_invalid_specs_rejected():
         GridSpec(t_start=1.0, t_end=1.0)
     with pytest.raises(InvalidSpec):
         NoiseSpec(level="extreme")
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"t_end": math.inf}, "grid t_end must be a finite number, got inf"),
+    ({"t_start": -math.inf}, "grid t_start must be a finite number, got -inf"),
+    ({"t_start": math.nan}, "grid t_start must be a finite number, got nan"),
+    ({"t_end": "20"}, "grid t_end must be a finite number, got '20'"),
+    ({"n_points": 200.5}, "grid n_points must be a whole number, got 200.5"),
+    ({"n_points": 200.0}, "grid n_points must be a whole number, got 200.0"),
+    ({"n_points": "200"}, "grid n_points must be a whole number, got '200'"),
+])
+def test_grid_needs_finite_bounds_and_whole_n_points(kwargs, named):
+    # an infinite t_end gave an all-NaN grid: every Monte Carlo trial failed
+    # with a warning and the command still exited 0
+    with pytest.raises(InvalidSpec, match=re.escape(named)):
+        GridSpec(**kwargs)
+    assert GridSpec(t_start=np.float64(1.0), n_points=np.int64(50)).times().size == 50
 
 
 # --- smoothstep ---------------------------------------------------------------

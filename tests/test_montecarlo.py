@@ -1,5 +1,7 @@
 import concurrent.futures
 import logging
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +28,7 @@ from joltlab.growth import (
     generate,
 )
 from joltlab.montecarlo import (
+    CellResult,
     ConfusionCounts,
     MCCell,
     TrialMix,
@@ -154,6 +157,29 @@ def test_trial_mix_with_list_ranges():
     # a TrialMix built in code may hold lists where the CLI builds tuples
     mix = TrialMix(k_range=[0.03, 0.12], b_range=[0.005, 0.02])
     assert run_cell(small_cell(mix=mix)) == run_cell(small_cell())
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"k_range": (0.03, math.inf)}, "k_range must be two finite numbers lo <= hi, got (0.03, inf)"),
+    ({"k_range": (0.03,)}, "k_range must be two finite numbers lo <= hi, got (0.03,)"),
+    ({"b_range": (0.02, 0.005)}, "b_range must be two finite numbers lo <= hi"),
+    ({"t0_range": (math.nan, 12.0)}, "t0_range must be two finite numbers lo <= hi"),
+    ({"ramp_len_range": ("4", "8")}, "ramp_len_range must be two finite numbers lo <= hi"),
+    ({"r_range": 1.0}, "r_range must be two finite numbers lo <= hi, got 1.0"),
+    ({"injected_fraction": 1.5}, "injected_fraction must lie in [0, 1], got 1.5"),
+    ({"logistic_fraction": -0.1}, "logistic_fraction must lie in [0, 1], got -0.1"),
+    ({"logistic_fraction": math.nan}, "logistic_fraction must lie in [0, 1], got nan"),
+])
+def test_trial_mix_rejects_bad_ranges_and_fractions(kwargs, named):
+    # an infinite bound raised OverflowError and a one-element range
+    # IndexError, each from inside the trials
+    with pytest.raises(InvalidSpec, match=re.escape(named)):
+        TrialMix(**kwargs)
+
+
+def test_trial_mix_takes_point_ranges_and_end_fractions():
+    mix = TrialMix(k_range=(0.05, 0.05), injected_fraction=0.0, logistic_fraction=1.0)
+    assert mix.k_range == (0.05, 0.05)
 
 
 def test_numeric_noise_level():
@@ -477,6 +503,50 @@ def test_table1_and_heatmap_outputs(tmp_path):
     lines = hm.read_text().splitlines()
     assert lines[0] == "noise_level,decision_threshold,tpr,fpr,error_rate"
     assert len(lines) == 3
+
+
+def _row_loop_table1(results, path):
+    # how table1.csv was written before it went through write_table
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("noise_level,TPR,FPR,TPR_lo,TPR_hi,FPR_lo,FPR_hi\n")
+        for res in results:
+            r = res.rates
+            fh.write(
+                f"{res.noise},{r.tpr:.6f},{r.fpr:.6f},"
+                f"{r.tpr_ci[0]:.6f},{r.tpr_ci[1]:.6f},"
+                f"{r.fpr_ci[0]:.6f},{r.fpr_ci[1]:.6f}\n"
+            )
+
+
+def _row_loop_heatmap(results, axis_names, path):
+    # how heatmap.csv was written before it went through write_table
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        header = ["noise_level"] + list(axis_names) + ["tpr", "fpr", "error_rate"]
+        fh.write(",".join(header) + "\n")
+        for res in results:
+            row = [str(res.noise)]
+            row += [f"{res.params[a]:g}" for a in axis_names]
+            r = res.rates
+            row += [f"{r.tpr:.6f}", f"{r.fpr:.6f}", f"{r.error_rate:.6f}"]
+            fh.write(",".join(row) + "\n")
+
+
+def test_table1_and_heatmap_write_the_row_loops_bytes(tmp_path):
+    counts = [ConfusionCounts(tp, fp, tn, fn) for tp, fp, tn, fn in
+              [(7, 2, 1, 3), (0, 0, 3, 3), (3, 3, 0, 0), (1000, 1, 999, 0)]]
+    noises = ["low", 0.03, "high", 1e-05]
+    params = [{"window": 7, "decision_threshold": 0.35}, {"window": 11, "decision_threshold": 0.5},
+              {"window": 21, "decision_threshold": 1 / 3}, {"window": 301, "decision_threshold": 1e-7}]
+    results = [CellResult(noise=noise, params=p, counts=c, rates=summarize(c))
+               for noise, p, c in zip(noises, params, counts)]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_table1(results, got)
+    _row_loop_table1(results, want)
+    assert got.read_bytes() == want.read_bytes()
+    for axis_names in (["window", "decision_threshold"], []):
+        write_heatmap(results, axis_names, got)
+        _row_loop_heatmap(results, axis_names, want)
+        assert got.read_bytes() == want.read_bytes(), axis_names
 
 
 def test_pool_starts_no_more_workers_than_tasks(monkeypatch):

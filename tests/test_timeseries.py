@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from joltlab.errors import (
     DataError,
@@ -20,8 +21,9 @@ from joltlab.errors import (
 )
 from joltlab.cli import main
 from joltlab.detector import DetectorConfig
-from joltlab.estimation import SavitzkyGolay
+from joltlab.estimation import DERIVATIVE_CSV_HEADER, DerivativeEstimate, SavitzkyGolay
 from joltlab.growth import GridSpec
+from joltlab.metrics import METRICS_CSV_HEADER, JoltMetrics
 from joltlab.montecarlo import MCCell, run_cells
 from joltlab.timeseries import (
     GRID_REL_TOL,
@@ -171,6 +173,63 @@ def test_byte_order_mark_is_skipped(tmp_path):
     np.testing.assert_array_equal(got.times, want.times)
     np.testing.assert_array_equal(got.values, want.values)
     assert main(["detect", str(marked), "--out", str(tmp_path / "out")]) == 0
+
+
+# the per-row loops that wrote derivatives.csv and metrics.csv before both
+# went through write_exact; the shared writer must give their exact bytes
+
+def _row_loop_derivatives(d, path):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(DERIVATIVE_CSV_HEADER + "\n")
+        for i in range(d.times.size):
+            fh.write(
+                f"{d.times[i]:.17g},{d.c[i]:.17g},{d.c1[i]:.17g},"
+                f"{d.c2[i]:.17g},{d.c3[i]:.17g},{d.c3_lo[i]:.17g},"
+                f"{d.c3_hi[i]:.17g},{int(d.edge_mask[i])}\n"
+            )
+
+
+def _row_loop_metrics(m, path):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(METRICS_CSV_HEADER + "\n")
+        for i in range(m.times.size):
+            fh.write(
+                f"{m.times[i]:.17g},{m.jolt[i]:.17g},"
+                f"{m.jolt_dimensionless[i]:.17g},{m.alpha[i]:.17g},"
+                f"{m.doubling_time[i]:.17g},{int(m.singular_mask[i])}\n"
+            )
+
+
+# any float64, with NaN, infinities, signed zeros and subnormals drawn often
+_ANY_FLOAT = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e-310, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(0, 40))
+def test_per_point_writers_match_the_row_loop(tmp_path_factory, data, n):
+    floats = [data.draw(arrays(np.float64, n, elements=_ANY_FLOAT)) for _ in range(7)]
+    mask = data.draw(arrays(np.bool_, n))
+    out = tmp_path_factory.mktemp("writers")
+    for obj, reference in [
+        (DerivativeEstimate(*floats, mask), _row_loop_derivatives),
+        (JoltMetrics(*floats[:5], mask), _row_loop_metrics),
+    ]:
+        got, want = out / "got.csv", out / "want.csv"
+        obj.write_csv(got)
+        reference(obj, want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_csv_round_trip_is_byte_identical(tmp_path):
+    t = np.linspace(0.0, 20.0, 200)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_csv(TimeSeries(t, np.exp(0.01 * t**2) * (1 + 1e-3 * np.sin(7 * t))), first)
+    write_csv(read_csv(first), second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_missing_header_rejected(tmp_path):
