@@ -393,8 +393,8 @@ def main(argv=None) -> int:
     heap (``gc.freeze``). Building the config imports every joltlab module
     the command runs, so what exists then, the modules and their import-time
     objects, lives until the process exits. Frozen objects are never scanned
-    again, so interpreter exit neither walks nor frees that heap, and pool
-    workers forked later do not copy its pages when they collect.
+    again, so interpreter exit neither walks nor frees that heap, and the
+    Monte Carlo workers forked later do not copy its pages when they collect.
     """
     args = build_parser().parse_args(argv)
     try:

@@ -75,6 +75,8 @@ class NoiseSpec:
                 raise InvalidSpec(f"sigma_rel must be a finite number, got {self.sigma_rel!r}")
             if self.sigma_rel < 0:
                 raise InvalidSpec(f"sigma_rel must be >= 0, got {self.sigma_rel}")
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise InvalidSpec(f"noise seed must be a whole number, got {self.seed!r}")
         if self.seed < 0:
             raise InvalidSpec(f"noise seed must be >= 0, got {self.seed}")
 

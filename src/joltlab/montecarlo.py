@@ -22,6 +22,8 @@ bits it would get on its own. A trial whose series cannot be generated,
 or whose log C cannot be taken, counts as a negative verdict with a warning; a
 cell the detector cannot run fails the whole run with the detector's error.
 A sweep is one report with one best, and ``joltlab mc`` is a sweep with no axes.
+At ``jobs`` above 1 the tasks run in worker processes forked directly, one
+pipe each, no more of them than tasks or usable CPUs; see :func:`_forked_map`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ import logging
 import math
 import numbers
 import os
+import pickle
+import signal
 from datetime import datetime, timezone
 from dataclasses import dataclass, field, replace
 
@@ -75,6 +79,8 @@ class TrialMix:
     ramp_len_range: tuple = (4.0, 8.0)
 
     def __post_init__(self):
+        if not (_finite(self.logistic_l) and self.logistic_l > 0):
+            raise InvalidSpec(f"logistic_l must be a finite number > 0, got {self.logistic_l!r}")
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.name.endswith("_range") and not (
@@ -101,6 +107,10 @@ class MCCell:
     grid: GridSpec = field(default_factory=GridSpec)
 
     def __post_init__(self):
+        for name in ("n_trials", "master_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidSpec(f"{name} must be a whole number, got {value!r}")
         if self.n_trials < 1:
             raise InvalidSpec("n_trials must be >= 1")
         if self.master_seed < 0:
@@ -263,6 +273,78 @@ def _run_trials(task):
     return scores, p_values
 
 
+def _work(fn, tasks, write, pipes):
+    """In a forked child: send ``[fn(task) for task in tasks]``, or the first
+    exception it raises, as one pickle to the file descriptor ``write``, and
+    exit. The child never returns into its caller."""
+    try:
+        for pipe in pipes:  # the read ends the parent holds
+            pipe.close()
+        try:
+            outcome = [fn(task) for task in tasks]
+        except Exception as exc:  # the parent re-raises it
+            outcome = exc
+        payload = pickle.dumps(outcome)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(payload)
+        os._exit(0)
+    finally:
+        os._exit(1)  # failed before its result was sent, which the parent reports
+
+
+def _forked_map(fn, tasks, workers: int) -> list:
+    """``[fn(task) for task in tasks]``, computed in ``workers`` forked children.
+
+    Child k runs tasks k, k + workers, ... and writes one pickle to a pipe of
+    its own (:func:`_work`). The parent reads the pipes in worker order,
+    reaps every child and returns the results in task order. It re-raises a
+    child's exception as it is, with its type and message, so an exit code
+    does not depend on the worker count; a child that ends without a result
+    raises ``RuntimeError`` naming it and its exit status. On an error or an
+    interrupt the children still running are killed before they are reaped.
+
+    Forking here, not through ``multiprocessing``, starts no executor threads
+    and keeps the children on the parent's frozen heap whatever the default
+    start method. Where ``os.fork`` does not exist the map runs serially. On
+    Python 3.12 and later, ``os.fork`` warns (``DeprecationWarning``) in a
+    process that runs other OS threads, such as OpenBLAS's.
+    """
+    if not hasattr(os, "fork"):
+        return [fn(task) for task in tasks]
+    pids, pipes = [], []
+    try:
+        for k in range(workers):
+            read, write = os.pipe()
+            pipes.append(os.fdopen(read, "rb"))
+            try:
+                pids.append(os.fork())
+                if pids[-1] == 0:
+                    _work(fn, tasks[k::workers], write, pipes)
+            finally:
+                os.close(write)
+        results = [None] * len(tasks)
+        for k, pipe in enumerate(pipes):
+            payload = pipe.read()
+            status = os.waitpid(pids[k], 0)[1]
+            pids[k] = None
+            if not payload:
+                raise RuntimeError(f"Monte Carlo worker {k} exited with status "
+                                   f"{os.waitstatus_to_exitcode(status)} and sent no result")
+            outcome = pickle.loads(payload)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            results[k::workers] = outcome
+        return results
+    finally:
+        running = [pid for pid in pids if pid]
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+        for pid in running:
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
 def _outcomes(cells, jobs: int = 1) -> list:
     """Per cell, (scores, p_values) arrays per class, ordered by trial index.
 
@@ -271,13 +353,17 @@ def _outcomes(cells, jobs: int = 1) -> list:
     cells sharing (master_seed, mix, grid) splits each class's trials into
     about one task per worker, each of whole trials and at most
     ``_TASK_BUDGET`` rows x n items, so memory stays bounded in trials and in
-    n. All tasks go through one ``pool.map`` on one worker pool of no more
-    workers than tasks or CPUs. A task's rows are detected as one batch, bit
-    for bit as one by one, so the outcome does not depend on ``jobs``.
+    n. At ``jobs`` above 1 all tasks go through one :func:`_forked_map`, on no
+    more forked workers than tasks or CPUs this process may run on (its
+    affinity mask, else ``os.cpu_count()``); the map returns the results in
+    task order. A task's rows are detected as one batch, bit for bit as one
+    by one, so the outcome does not depend on ``jobs``.
     """
     if jobs < 1:
         raise InvalidSpec(f"jobs must be >= 1, got {jobs}")
-    jobs = min(jobs, os.cpu_count() or 1)
+    # no more workers than the CPUs this process may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(jobs, cpus or 1)
     # compared by ==, not by hash: a TrialMix built in code may hold lists
     verdict_free = [replace(c, detector=replace(c.detector, decision_threshold=0.5, alpha_sig=0.5))
                     for c in cells]
@@ -297,12 +383,8 @@ def _outcomes(cells, jobs: int = 1) -> list:
     if jobs == 1:
         chunk_results = [_run_trials(task) for task in tasks]
     else:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
-
-        # a fork pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            chunk_results = list(pool.map(_run_trials, tasks))
-    # map keeps task order, and the chunks of a (group, class) are adjacent
+        chunk_results = _forked_map(_run_trials, tasks, min(jobs, len(tasks)))
+    # the map keeps task order, and the chunks of a (group, class) are adjacent
     # and ascend, so they join in trial order; each cell keeps its own trials
     outcomes = [{} for _ in cells]
     for (g, is_positive), parts in itertools.groupby(zip(keys, chunk_results), lambda p: p[0]):
@@ -325,7 +407,7 @@ def _tally(outcomes, config: DetectorConfig) -> ConfusionCounts:
 
 
 def run_cells(cells, jobs: int = 1) -> list:
-    """Confusion counts of several Monte Carlo cells, run on one worker pool;
+    """Confusion counts of several Monte Carlo cells, run on one set of workers;
     deterministic for fixed master seeds and independent of ``jobs``."""
     return [
         _tally(outcomes, cell.detector)
@@ -396,7 +478,7 @@ def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> MCReport:
     {}``, as ``joltlab mc`` runs it.
 
     Every cell goes to one :func:`run_cells` call, so all of them run
-    through one worker pool, and cells differing only in decision_threshold
+    on one set of workers, and cells differing only in decision_threshold
     / alpha_sig share their trial outcomes there.
     """
     for name, values in axes.items():

@@ -489,24 +489,34 @@ _DEFERRED = ("joltlab.growth", "joltlab.montecarlo", "logging", "numpy.polynomia
 
 
 def _fresh_main(argv_lists, cwd):
-    """Run ``main`` on each argv in one fresh interpreter. Per call: its exit
-    code, whether yaml and the process pool module are loaded, the frozen
-    object count, which ``_DEFERRED`` modules are loaded and which of those
-    are not frozen. Then, once: ``dir(joltlab)``, the error of
-    ``joltlab.no_such_name`` and the ``_DEFERRED`` modules loaded after both."""
+    """Run ``main`` on each argv in one fresh interpreter that reports two
+    usable CPUs. Per call: its exit code, whether yaml is loaded, whether
+    ``concurrent.futures`` or ``multiprocessing`` is, the frozen object count
+    at each ``os.fork``, the frozen object count, which ``_DEFERRED`` modules
+    are loaded and which of those are not frozen. Then, once:
+    ``dir(joltlab)``, the error of ``joltlab.no_such_name`` and the
+    ``_DEFERRED`` modules loaded after both."""
     src = Path(joltlab.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     code = (
-        "import gc, json, sys, joltlab; from joltlab.cli import main\n"
+        "import gc, json, os, sys, joltlab; from joltlab.cli import main\n"
+        "os.cpu_count, os.sched_getaffinity = lambda: 2, lambda pid: {0, 1}\n"
+        "forks, fork = [], os.fork\n"
+        "def counted_fork():\n"
+        "    forks.append(gc.get_freeze_count())\n"
+        "    return fork()\n"
+        "os.fork = counted_fork\n"
         "def deferred():\n"
         "    live = {id(obj) for obj in gc.get_objects()}  # frozen objects are not listed\n"
         f"    names = [m for m in {_DEFERRED!r} if m in sys.modules]\n"
         "    return names, [m for m in names if id(sys.modules[m]) in live]\n"
         f"for argv in {argv_lists!r}:\n"
+        "    forks.clear()\n"
         "    code = main(argv)\n"
         "    print(json.dumps([code, 'yaml' in sys.modules,\n"
-        "                      'concurrent.futures.process' in sys.modules,\n"
-        "                      gc.get_freeze_count(), *deferred()]))\n"
+        "                      any(m.split('.')[0] in ('concurrent', 'multiprocessing')\n"
+        "                          for m in sys.modules),\n"
+        "                      forks, gc.get_freeze_count(), *deferred()]))\n"
         "try:\n"
         "    joltlab.no_such_name\n"
         "    error = None\n"
@@ -524,27 +534,30 @@ def _fresh_main(argv_lists, cwd):
 
 
 def test_commands_load_neither_yaml_nor_the_pool(tmp_path):
-    # a command without --config needs no yaml, and one at --jobs 1 no pool;
-    # main freezes the import-time heap before it runs the command
+    # a command without --config needs no yaml, and one at --jobs 1 forks no
+    # worker; main freezes the import-time heap before it runs the command
     assert run(["generate", "--out", str(tmp_path / "gen")]) == 0
     calls, _ = _fresh_main([
         ["detect", str(tmp_path / "gen" / "series.csv"), "--out", "d"],
         ["sweep", "--trials", "2", "--jobs", "1", "--out", "s"],
     ], tmp_path)
-    assert [call[:3] for call in calls] == [[0, False, False], [0, False, False]]
-    assert all(call[3] > 0 for call in calls)
+    assert [call[:4] for call in calls] == [[0, False, False, []], [0, False, False, []]]
+    assert all(call[4] > 0 for call in calls)
     assert (tmp_path / "d" / "detection.json").exists()
     assert (tmp_path / "s" / "heatmap.csv").exists()
 
 
 def test_config_file_and_pool_still_load_where_they_run(tmp_path):
+    # yaml loads for a --config file; a sweep at --jobs 2 forks its two
+    # workers itself, with neither concurrent.futures nor multiprocessing
     assert run(["generate", "--out", str(tmp_path / "gen")]) == 0
     cfg = write_config(tmp_path, {"detector": {"combine_weights": [1, 0, 0]}})
     calls, _ = _fresh_main([
         ["detect", str(tmp_path / "gen" / "series.csv"), "--config", cfg, "--out", "d"],
         ["sweep", "--trials", "2", "--jobs", "2", "--out", "s"],
     ], tmp_path)
-    assert [call[:3] for call in calls] == [[0, True, False], [0, True, True]]
+    assert [call[:3] + [len(call[3])] for call in calls] == [[0, True, False, 0],
+                                                            [0, True, False, 2]]
     payload = json.loads((tmp_path / "d" / "detection.json").read_text())
     assert payload["score"] == payload["sub_scores"]["peak"]  # the config's weights
     assert (tmp_path / "s" / "heatmap.csv").exists()
@@ -559,7 +572,7 @@ def test_detect_and_metrics_load_no_generator_or_monte_carlo_module(tmp_path):
     ], tmp_path)
     # the permutation draw loads numpy.random, the one deferred module that
     # detection runs
-    assert [call[:1] + call[4:5] for call in calls] == [[0, ["numpy.random"]]] * 2
+    assert [call[:1] + call[5:6] for call in calls] == [[0, ["numpy.random"]]] * 2
     assert (tmp_path / "d" / "detection.json").exists()
     assert (tmp_path / "m" / "metrics.csv").exists()
     # the lazy exports are listed, and neither listing them nor asking for a
@@ -576,12 +589,14 @@ def test_pool_forks_after_the_monte_carlo_heap_is_frozen(tmp_path):
         ["metrics", str(tmp_path / "gen" / "series.csv"), "--out", "m"],
         ["sweep", "--trials", "2", "--jobs", "2", "--out", "s"],
     ], tmp_path)
-    assert calls[0][4:] == [[], []]
+    assert calls[0][5:] == [[], []]
     # sweep imports the harness, and with it numpy.random, before main
-    # freezes the heap, so the pool's workers inherit both frozen
-    code, _, pool, frozen, loaded, unfrozen = calls[1]
-    assert (code, pool) == (0, True)
+    # freezes the heap, so the workers it forks inherit both frozen
+    code, _, executor, forks, frozen, loaded, unfrozen = calls[1]
+    assert (code, executor) == (0, False)
     assert {"joltlab.growth", "joltlab.montecarlo", "numpy.random"} <= set(loaded)
     assert unfrozen == []
-    assert frozen > calls[0][3]
+    # both forks follow this command's freeze; the command frees a few frozen
+    # objects, such as its config, before it returns
+    assert forks[0] == forks[1] >= frozen > calls[0][4]
     assert (tmp_path / "s" / "heatmap.csv").exists()

@@ -1,7 +1,9 @@
-import concurrent.futures
 import logging
 import math
+import os
 import re
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -169,6 +171,8 @@ def test_trial_mix_with_list_ranges():
     ({"injected_fraction": 1.5}, "injected_fraction must lie in [0, 1], got 1.5"),
     ({"logistic_fraction": -0.1}, "logistic_fraction must lie in [0, 1], got -0.1"),
     ({"logistic_fraction": math.nan}, "logistic_fraction must lie in [0, 1], got nan"),
+    ({"logistic_l": -1.0}, "logistic_l must be a finite number > 0, got -1.0"),
+    ({"logistic_l": math.inf}, "logistic_l must be a finite number > 0, got inf"),
 ])
 def test_trial_mix_rejects_bad_ranges_and_fractions(kwargs, named):
     # an infinite bound raised OverflowError and a one-element range
@@ -211,6 +215,22 @@ def test_cell_on_grid_below_default_window_rejected():
 def test_negative_seed_or_no_jobs_rejected(build, named):
     with pytest.raises(InvalidSpec, match=named):
         build()
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: small_cell(n_trials=2.5), "n_trials must be a whole number, got 2.5"),
+    (lambda: small_cell(n_trials=True), "n_trials must be a whole number, got True"),
+    (lambda: small_cell(master_seed=1.5), "master_seed must be a whole number, got 1.5"),
+    (lambda: small_cell(master_seed=math.nan), "master_seed must be a whole number, got nan"),
+    (lambda: NoiseSpec(level="low", seed=1.5), "noise seed must be a whole number, got 1.5"),
+    (lambda: NoiseSpec(level="low", seed=math.nan), "noise seed must be a whole number, got nan"),
+])
+def test_seed_or_trial_count_that_is_not_a_whole_number_rejected(build, named):
+    # each passed construction, then raised TypeError from the trial loop
+    # or from SeedSequence, or (nan) ran on
+    with pytest.raises(InvalidSpec, match=named):
+        build()
+    assert small_cell(n_trials=np.int64(2), master_seed=np.uint64(3)).n_trials == 2
 
 
 def _reference_outcomes(cells):
@@ -549,31 +569,122 @@ def test_table1_and_heatmap_write_the_row_loops_bytes(tmp_path):
         assert got.read_bytes() == want.read_bytes(), axis_names
 
 
-def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
-    # a fork pool starts every worker at its first submit, so max_workers is
-    # what the run pays for; this stand-in records it and maps in process
+def _map_in_process(monkeypatch):
+    """Stand in for ``_forked_map``: record each worker count and map in
+    process. Returns the list of recorded counts."""
     started = []
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def in_process(fn, tasks, workers):
+        started.append(workers)
+        return [fn(task) for task in tasks]
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(montecarlo, "_forked_map", in_process)
+    return started
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
+def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
+    # the map forks every worker it is given, so its worker count is what
+    # the run pays for
     cell = small_cell(n_trials=2)
     serial = _outcomes([cell], jobs=1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    started = _map_in_process(monkeypatch)
     # nor more workers than CPUs; an unknown CPU count runs serially
+    monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
     for cpus, jobs, workers in [(8, 8, 4), (2, 8, 2), (3, 5000, 3), (None, 8, None)]:
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         started.clear()
         pooled = _outcomes([cell], jobs=jobs)
         assert started == ([workers] if workers else [])
         _assert_outcomes_equal(pooled, serial)
+
+
+@pytest.mark.parametrize("affinity, workers", [({0}, None), ({0, 1, 2}, 3)])
+def test_workers_are_capped_at_the_cpus_the_process_may_run_on(monkeypatch, affinity, workers):
+    # under `taskset -c 0` on a 2-CPU host, os.cpu_count() is 2 but one CPU
+    # is usable, so --jobs 8 runs serially
+    started = _map_in_process(monkeypatch)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    _outcomes([small_cell(n_trials=2)], jobs=8)
+    assert started == ([workers] if workers else [])
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Interrupt a map still waiting on its workers after 30 s, so that a
+    hang fails the test instead of holding the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("the forked map was still waiting after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_forked_map_returns_results_in_task_order(deadline):
+    assert montecarlo._forked_map(lambda t: (t, os.getpid()), [], 2) == []
+    results = montecarlo._forked_map(lambda t: (t, os.getpid()), list(range(7)), 3)
+    assert [t for t, _ in results] == list(range(7))
+    # worker k runs tasks k, k + 3, ..., each in a process of its own
+    pids = [pid for _, pid in results]
+    assert all(len(set(pids[k::3])) == 1 for k in range(3))
+    assert len(set(pids)) == 3 and os.getpid() not in pids
+    _assert_no_child_left()
+
+
+def test_forked_map_reraises_a_workers_error_as_it_is(deadline):
+    def fail_on_3(task):
+        if task == 3:
+            raise WindowTooLarge("window 301 exceeds series length 200")
+        return task
+
+    with pytest.raises(WindowTooLarge) as info:
+        montecarlo._forked_map(fail_on_3, list(range(6)), 2)
+    assert type(info.value) is WindowTooLarge
+    assert str(info.value) == "window 301 exceeds series length 200"
+    _assert_no_child_left()
+
+
+def test_forked_map_names_a_worker_that_died_without_a_result(deadline):
+    def die_on_1(task):
+        if task == 1:
+            os._exit(3)
+        return task
+
+    with pytest.raises(RuntimeError, match="worker 1 exited with status 3 and sent no result"):
+        montecarlo._forked_map(die_on_1, list(range(4)), 2)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("first", ["raises", "interrupts"])
+def test_forked_map_kills_the_workers_still_running(deadline, first):
+    # worker 0 fails, or interrupts the parent, while worker 1 would run for
+    # a minute; the map kills worker 1 and returns well before the deadline
+    def task(k):
+        if k == 1:
+            time.sleep(60)
+        elif first == "raises":
+            raise InvalidSpec("worker 0 failed")
+        else:
+            time.sleep(0.2)  # the parent is reading worker 0's pipe by now
+            os.kill(os.getppid(), signal.SIGINT)
+        return k
+
+    with pytest.raises(InvalidSpec if first == "raises" else KeyboardInterrupt):
+        montecarlo._forked_map(task, [0, 1], 2)
+    _assert_no_child_left()
+
+
+def test_forked_map_runs_serially_without_fork(monkeypatch):
+    monkeypatch.delattr(montecarlo.os, "fork")
+    assert montecarlo._forked_map(lambda t: (t, os.getpid()), [0, 1, 2], 2) == [
+        (t, os.getpid()) for t in range(3)]
