@@ -6,8 +6,8 @@ grids and seeds; CLI flags override config keys one-to-one. Unknown config
 keys, and values whose type differs from the default's, are rejected
 (fail-closed).
 
-Exit codes: 0 success, 2 usage/config error, 3 data contract violation,
-4 internal numerical failure. Detection verdicts never drive exit codes.
+Exit codes: 0 success, 2 usage/config error, 3 data contract violation.
+Detection verdicts never drive exit codes.
 """
 
 from __future__ import annotations
@@ -21,14 +21,7 @@ import sys
 from pathlib import Path
 
 from .detector import DETECTION_POLY_ORDER, DetectorConfig, hybrid_detect
-from .errors import (
-    ConfigError,
-    DataError,
-    JoltlabError,
-    NumericalError,
-    ParseError,
-    SchemaError,
-)
+from .errors import ConfigError, DataError, JoltlabError, ParseError, SchemaError
 from .estimation import SavitzkyGolay, default_savgol, estimate_derivatives
 from .metrics import compute_metrics
 from .timeseries import read_csv, write_csv, write_json
@@ -322,7 +315,11 @@ def cmd_sweep(cfg: dict) -> int:
     from .montecarlo import sweeps, write_heatmap, write_report_json
 
     axes = {k: list(v) for k, v in cfg["sweep"].items() if k != "budget"}
-    report = sweeps(axes, _mc_cells(cfg), budget=cfg["sweep"]["budget"], jobs=cfg["jobs"])
+    cells = _mc_cells(cfg)
+    for name in axes:  # every row runs its own axis value, never the detector's
+        if cfg["detector"][name] != _BASE_CONFIG["detector"][name]:
+            raise ConfigError(f"config key detector.{name} is replaced by the axis sweep.{name}")
+    report = sweeps(axes, cells, budget=cfg["sweep"]["budget"], jobs=cfg["jobs"])
     metadata = {**report.metadata, "detector": cfg["detector"]}
     out = _write_outputs(cfg, {
         "heatmap.csv": lambda path: write_heatmap(report.cells, list(axes), path),
@@ -414,7 +411,7 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except JoltlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, DataError) else 4 if isinstance(exc, NumericalError) else 2
+        return 3 if isinstance(exc, DataError) else 2
 
 
 if __name__ == "__main__":

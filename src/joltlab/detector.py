@@ -13,20 +13,13 @@ permutation test against an exponential null.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    GridMismatch,
-    InvalidSpec,
-    SeriesTooShort,
-    ShapeError,
-    TooFewPermutations,
-    TooFewPoints,
-)
+from .errors import (GridMismatch, InvalidSpec, SeriesTooShort, ShapeError, Spec,
+                     TooFewPermutations, TooFewPoints, real, whole)
 from .estimation import (
     SavitzkyGolay,
     _filter_log,
@@ -38,47 +31,24 @@ from .estimation import (
 from .timeseries import TimeSeries, write_json
 
 
-def _finite(x) -> bool:
-    """Whether ``x`` is a finite real number; NaN passes no range check."""
-    return isinstance(x, numbers.Real) and math.isfinite(x)
-
-
 @dataclass(frozen=True)
-class DetectorConfig:
+class DetectorConfig(Spec, section="detector"):
     """Hybrid detector hyperparameters (the Monte Carlo sweep axes)."""
 
     smoother: SavitzkyGolay | None = None  # None -> window scaled to n
-    threshold_peak: float = 3.0
-    min_duration_frac: float = 0.25
-    combine_weights: tuple = (1 / 3, 1 / 3, 1 / 3)
-    decision_threshold: float = 0.5
-    n_perm: int = 499
-    alpha_sig: float = 0.05
-    seed: int = 0
+    threshold_peak: float = real(3.0, gt=0)
+    min_duration_frac: float = real(0.25, gt=0, le=1)
+    combine_weights: tuple = real((1 / 3, 1 / 3, 1 / 3), ge=0, n=3)
+    decision_threshold: float = real(0.5, gt=0, lt=1)
+    n_perm: int = whole(499, ge=99, error=TooFewPermutations)
+    alpha_sig: float = real(0.05, gt=0, lt=1)
+    seed: int = whole(0, ge=0)
 
     def __post_init__(self):
-        if not (_finite(self.threshold_peak) and self.threshold_peak > 0):
-            raise InvalidSpec(f"threshold_peak must be a finite number > 0, "
-                              f"got {self.threshold_peak!r}")
-        if not 0 < self.min_duration_frac <= 1:
-            raise InvalidSpec("min_duration_frac must lie in (0, 1]")
+        super().__post_init__()
         w = self.combine_weights
-        if not (hasattr(w, "__len__") and len(w) == 3 and all(_finite(x) and x >= 0 for x in w)
-                and abs(math.fsum(w) - 1.0) <= 1e-9):
-            raise InvalidSpec(f"combine_weights must be 3 finite non-negative numbers "
-                              f"summing to 1, got {w!r}")
-        if not 0 < self.decision_threshold < 1:
-            raise InvalidSpec("decision_threshold must lie in (0, 1)")
-        for name in ("n_perm", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise InvalidSpec(f"{name} must be a whole number, got {value!r}")
-        if self.n_perm < 99:
-            raise TooFewPermutations("n_perm must be >= 99")
-        if not 0 < self.alpha_sig < 1:
-            raise InvalidSpec("alpha_sig must lie in (0, 1)")
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
+        if abs(math.fsum(w) - 1.0) > 1e-9:
+            raise InvalidSpec(f"detector combine_weights must sum to 1, got {w!r}")
 
     def verdict(self, score, p_value):
         """The detection rule, elementwise on arrays: a jolt is reported when

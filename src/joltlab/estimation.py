@@ -24,24 +24,24 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidOrder, OrderExceedsPoly, SeriesTooShort, WindowTooLarge
+from .errors import InvalidOrder, OrderExceedsPoly, SeriesTooShort, Spec, WindowTooLarge, whole
 from .timeseries import TimeSeries, write_exact
 
 DERIVATIVE_CSV_HEADER = "t,c,c1,c2,c3,c3_lo,c3_hi,edge"
 
 
 @dataclass(frozen=True)
-class SavitzkyGolay:
+class SavitzkyGolay(Spec):
     """Local polynomial smoother config: odd window >= 5, poly_order < window."""
 
-    window: int = 11
-    poly_order: int = 4
+    window: int = whole(11, ge=5, error=InvalidOrder)
+    poly_order: int = whole(4, ge=0, error=InvalidOrder)
 
     def __post_init__(self):
-        if self.window < 5 or self.window % 2 == 0:
-            raise InvalidOrder("window must be an odd integer >= 5")
-        if not 0 <= self.poly_order < self.window:
-            raise InvalidOrder("poly_order must satisfy 0 <= poly_order < window")
+        super().__post_init__()
+        if self.window % 2 == 0 or self.poly_order >= self.window:
+            raise InvalidOrder(f"SavitzkyGolay needs an odd window and poly_order < window, "
+                               f"got window {self.window}, poly_order {self.poly_order}")
 
 
 _MIN_DEFAULT_WINDOW = SavitzkyGolay.window

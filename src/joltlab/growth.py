@@ -13,14 +13,12 @@ draw would leave the positive domain. All generation is a pure function of
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidSpec, ScheduleViolation
+from .errors import GridMismatch, InvalidSpec, ScheduleViolation, Spec, real, whole
 from .timeseries import TimeSeries
 
 NOISE_SIGMAS = {"none": 0.0, "low": 0.01, "medium": 0.05, "high": 0.10}
@@ -29,20 +27,13 @@ NOISE_SIGMAS = {"none": 0.0, "low": 0.01, "medium": 0.05, "high": 0.10}
 # --- declarative specs --------------------------------------------------------
 
 @dataclass(frozen=True)
-class GridSpec:
-    t_start: float = 0.0
-    t_end: float = 20.0
-    n_points: int = 200
+class GridSpec(Spec, section="grid"):
+    t_start: float = real(0.0)
+    t_end: float = real(20.0)
+    n_points: int = whole(200, ge=8)
 
     def __post_init__(self):
-        for name in ("t_start", "t_end"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise InvalidSpec(f"grid {name} must be a finite number, got {value!r}")
-        if not isinstance(self.n_points, numbers.Integral):
-            raise InvalidSpec(f"grid n_points must be a whole number, got {self.n_points!r}")
-        if self.n_points < 8:
-            raise InvalidSpec("grid needs n_points >= 8")
+        super().__post_init__()
         if not self.t_end > self.t_start:
             raise InvalidSpec("grid needs t_end > t_start")
 
@@ -60,25 +51,17 @@ def _grid_times(t_start: float, t_end: float, n_points: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(Spec, section="noise"):
     """Multiplicative noise tier (or explicit relative sigma) plus seed."""
 
     level: str = "none"
-    sigma_rel: float | None = None
-    seed: int = 0
+    sigma_rel: float | None = real(None, ge=0)
+    seed: int = whole(0, ge=0)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.sigma_rel is None and self.level not in NOISE_SIGMAS:
             raise InvalidSpec(f"unknown noise level {self.level!r}")
-        if self.sigma_rel is not None:
-            if not (isinstance(self.sigma_rel, numbers.Real) and math.isfinite(self.sigma_rel)):
-                raise InvalidSpec(f"sigma_rel must be a finite number, got {self.sigma_rel!r}")
-            if self.sigma_rel < 0:
-                raise InvalidSpec(f"sigma_rel must be >= 0, got {self.sigma_rel}")
-        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
-            raise InvalidSpec(f"noise seed must be a whole number, got {self.seed!r}")
-        if self.seed < 0:
-            raise InvalidSpec(f"noise seed must be >= 0, got {self.seed}")
 
     @property
     def sigma(self) -> float:
@@ -88,41 +71,29 @@ class NoiseSpec:
 
 
 @dataclass(frozen=True)
-class Exponential:
-    c0: float = 1.0
-    k: float = 0.1
-
-    def __post_init__(self):
-        if self.c0 <= 0:
-            raise InvalidSpec("Exponential requires c0 > 0")
+class Exponential(Spec):
+    c0: float = real(1.0, gt=0)
+    k: float = real(0.1)
 
 
 @dataclass(frozen=True)
-class Logistic:
-    l: float = 100.0
-    r: float = 1.0
-    t0: float = 10.0
-
-    def __post_init__(self):
-        if self.l <= 0 or self.r <= 0:
-            raise InvalidSpec("Logistic requires l > 0 and r > 0")
+class Logistic(Spec):
+    l: float = real(100.0, gt=0)
+    r: float = real(1.0, gt=0)
+    t0: float = real(10.0)
 
 
 @dataclass(frozen=True)
-class LogQuadratic:
+class LogQuadratic(Spec):
     """C(t) = c0 * exp(a*t + b*t^2); superexponential when b > 0."""
 
-    c0: float = 1.0
-    a: float = 0.0
-    b: float = 0.01
-
-    def __post_init__(self):
-        if self.c0 <= 0:
-            raise InvalidSpec("LogQuadratic requires c0 > 0")
+    c0: float = real(1.0, gt=0)
+    a: float = real(0.0)
+    b: float = real(0.01)
 
 
 @dataclass(frozen=True)
-class InjectedJolt:
+class InjectedJolt(Spec):
     """Base trajectory whose relative growth rate ramps up by ``ramp_strength``.
 
     The ramp follows a C^2 quintic smoothstep over [jolt_start, jolt_end]
@@ -131,15 +102,14 @@ class InjectedJolt:
     """
 
     base: object = field(default_factory=Exponential)
-    jolt_start: float = 5.0
-    jolt_end: float = 10.0
-    ramp_strength: float = 0.1
+    jolt_start: float = real(5.0)
+    jolt_end: float = real(10.0)
+    ramp_strength: float = real(0.1, ge=0)
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.jolt_end > self.jolt_start:
             raise InvalidSpec("InjectedJolt requires jolt_end > jolt_start")
-        if self.ramp_strength < 0:
-            raise InvalidSpec("InjectedJolt requires ramp_strength >= 0")
 
 
 @dataclass(frozen=True)
@@ -287,18 +257,17 @@ def compose(factors, interaction: InteractionSpec | None = None) -> TimeSeries:
 
 
 @dataclass(frozen=True)
-class ResourceSchedule:
+class ResourceSchedule(Spec):
     """Sampled resource utilization R(t) with cap r_max."""
 
     times: np.ndarray
     utilization: np.ndarray
-    r_max: float
+    r_max: float = real(gt=0)
 
     def __post_init__(self):
+        super().__post_init__()
         t = np.asarray(self.times, dtype=float)
         u = np.asarray(self.utilization, dtype=float)
-        if self.r_max <= 0:
-            raise InvalidSpec("r_max must be positive")
         if t.shape != u.shape:
             raise GridMismatch("schedule grid/utilization length mismatch")
         if np.any(u < 0):

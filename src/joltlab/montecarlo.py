@@ -42,8 +42,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import numpy.random  # noqa: F401  loaded once here, not in each forked worker
 
-from .detector import DetectorConfig, _finite, _resolve_smoother, hybrid_detect
-from .errors import BudgetExceeded, EmptyCell, InvalidSpec, JoltlabError
+from .detector import DetectorConfig, _resolve_smoother, hybrid_detect
+from .errors import BudgetExceeded, EmptyCell, InvalidSpec, JoltlabError, Spec, pair, real, whole
 from .estimation import SavitzkyGolay
 from .growth import (
     Exponential,
@@ -64,57 +64,34 @@ ACCURACY_CLASS_WEIGHTS = (0.5, 0.5)  # of TPR and TNR in balanced accuracy
 
 
 @dataclass(frozen=True)
-class TrialMix:
+class TrialMix(Spec, section="mc"):
     """Parameter ranges for per-trial sampling of positive/negative specs."""
 
-    b_range: tuple = (0.005, 0.02)
-    k_range: tuple = (0.03, 0.12)
-    r_range: tuple = (0.5, 1.5)
-    t0_range: tuple = (8.0, 12.0)
-    logistic_l: float = Logistic.l
-    injected_fraction: float = 0.5
-    logistic_fraction: float = 0.5
-    ramp_strength_range: tuple = (0.10, 0.35)
-    ramp_start_range: tuple = (5.0, 10.0)
-    ramp_len_range: tuple = (4.0, 8.0)
-
-    def __post_init__(self):
-        if not (_finite(self.logistic_l) and self.logistic_l > 0):
-            raise InvalidSpec(f"logistic_l must be a finite number > 0, got {self.logistic_l!r}")
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.name.endswith("_range") and not (
-                hasattr(value, "__len__") and len(value) == 2
-                and all(_finite(x) for x in value) and value[0] <= value[1]
-            ):
-                raise InvalidSpec(f"{f.name} must be two finite numbers lo <= hi, "
-                                  f"got {value!r}")
-            if f.name.endswith("_fraction") and not (
-                isinstance(value, numbers.Real) and 0 <= value <= 1
-            ):
-                raise InvalidSpec(f"{f.name} must lie in [0, 1], got {value!r}")
+    b_range: tuple = pair((0.005, 0.02))
+    k_range: tuple = pair((0.03, 0.12))
+    r_range: tuple = pair((0.5, 1.5))
+    t0_range: tuple = pair((8.0, 12.0))
+    logistic_l: float = real(Logistic.l, gt=0)
+    injected_fraction: float = real(0.5, ge=0, le=1)
+    logistic_fraction: float = real(0.5, ge=0, le=1)
+    ramp_strength_range: tuple = pair((0.10, 0.35))
+    ramp_start_range: tuple = pair((5.0, 10.0))
+    ramp_len_range: tuple = pair((4.0, 8.0))
 
 
 @dataclass(frozen=True)
-class MCCell:
+class MCCell(Spec, section="mc"):
     """One Monte Carlo cell: noise level, detector config and trial budget."""
 
     noise: str | float = "low"
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    n_trials: int = 1000
-    master_seed: int = 0
+    n_trials: int = whole(1000, ge=1)
+    master_seed: int = whole(0, ge=0)
     mix: TrialMix = field(default_factory=TrialMix)
     grid: GridSpec = field(default_factory=GridSpec)
 
     def __post_init__(self):
-        for name in ("n_trials", "master_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise InvalidSpec(f"{name} must be a whole number, got {value!r}")
-        if self.n_trials < 1:
-            raise InvalidSpec("n_trials must be >= 1")
-        if self.master_seed < 0:
-            raise InvalidSpec(f"master_seed must be >= 0, got {self.master_seed}")
+        super().__post_init__()
         _noise_spec(self, 0)  # a bad noise level fails here, not in every trial
         # resolve the smoother hybrid_detect would, so that sweeps over window
         # or poly_order start from the one the trials run

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -394,6 +395,71 @@ def test_bad_grid_mix_or_detector_setting_exits_2_before_any_trial(tmp_path, cap
     assert run(argv + ["--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, payload, named", [
+    ("generate", {"model": {"family": "exponential", "k": math.nan}},
+     "Exponential k must be a finite number, got nan"),
+    ("generate", {"model": {"family": "logistic", "r": math.inf}},
+     "Logistic r must be a finite number, got inf"),
+    ("generate", {"model": {"family": "logquadratic", "b": math.nan}},
+     "LogQuadratic b must be a finite number, got nan"),
+    ("generate", {"model": {"family": "exponential", "c0": math.inf}},
+     "Exponential c0 must be a finite number, got inf"),
+    ("generate", {"model": {"family": "injected_jolt", "ramp_strength": math.nan}},
+     "InjectedJolt ramp_strength must be a finite number, got nan"),
+    ("generate", {"grid": {"t_end": True}}, "config key grid.t_end must be a number, got True"),
+    ("generate", {"noise": {"sigma_rel": True}},
+     "config key noise.sigma_rel must be a number or null, got True"),
+    ("mc", {"mc": {"injected_fraction": True}},
+     "config key mc.injected_fraction must be a number, got True"),
+    ("mc", {"detector": {"decision_threshold": "0.5"}},
+     "config key detector.decision_threshold must be a number, got '0.5'"),
+], ids=["exponential k nan", "logistic r inf", "logquadratic b nan", "exponential c0 inf",
+        "injected_jolt ramp_strength nan", "grid t_end true", "noise sigma_rel true",
+        "injected_fraction true", "decision_threshold string"])
+def test_spec_value_outside_its_contract_exits_2_naming_it(tmp_path, capsys, monkeypatch,
+                                                           command, payload, named):
+    # a NaN or infinite rate blamed "generated trajectory is not strictly
+    # positive", and an infinite c0 exited 3 as if the data were at fault
+    def trials_ran(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("joltlab.montecarlo.run_cells", trials_ran)
+    argv = [command, "--config", write_config(tmp_path, payload)]
+    if command == "mc":
+        argv += ["--trials", "2"]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("detector, name", [
+    ({"window": 301}, "window"),
+    ({"window": 21}, "window"),
+    ({"decision_threshold": 0.6}, "decision_threshold"),
+])
+def test_sweep_rejects_a_detector_setting_an_axis_replaces(tmp_path, capsys, monkeypatch,
+                                                           detector, name):
+    # the default window and decision_threshold axes replaced these without
+    # a word, and report.json still gave the detector value no row ran
+    def trials_ran(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("joltlab.montecarlo.run_cells", trials_ran)
+    cfg = write_config(tmp_path, {**SMALL_SWEEP, "detector": {"n_perm": 99, **detector}})
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key detector.{name} is replaced by the axis sweep.{name}" in err
+    assert not out.exists()
+
+
+def test_sweep_takes_a_detector_setting_at_its_default(tmp_path):
+    cfg = write_config(tmp_path, {**SMALL_SWEEP, "detector": {
+        "n_perm": 99, "window": None, "decision_threshold": 0.5}})
+    assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("command, flags, payload, named", [

@@ -15,7 +15,7 @@ from joltlab.errors import (
     BudgetExceeded,
     EmptyCell,
     InvalidSpec,
-    NumericalError,
+    NonFiniteValue,
     SeriesTooShort,
     WindowTooLarge,
 )
@@ -170,9 +170,9 @@ def test_trial_mix_with_list_ranges():
     ({"r_range": 1.0}, "r_range must be two finite numbers lo <= hi, got 1.0"),
     ({"injected_fraction": 1.5}, "injected_fraction must lie in [0, 1], got 1.5"),
     ({"logistic_fraction": -0.1}, "logistic_fraction must lie in [0, 1], got -0.1"),
-    ({"logistic_fraction": math.nan}, "logistic_fraction must lie in [0, 1], got nan"),
-    ({"logistic_l": -1.0}, "logistic_l must be a finite number > 0, got -1.0"),
-    ({"logistic_l": math.inf}, "logistic_l must be a finite number > 0, got inf"),
+    ({"logistic_fraction": math.nan}, "logistic_fraction must be a finite number, got nan"),
+    ({"logistic_l": -1.0}, "logistic_l must be > 0, got -1.0"),
+    ({"logistic_l": math.inf}, "logistic_l must be a finite number, got inf"),
 ])
 def test_trial_mix_rejects_bad_ranges_and_fractions(kwargs, named):
     # an infinite bound raised OverflowError and a one-element range
@@ -303,7 +303,7 @@ def test_failed_generation_logged_once_per_affected_cell(monkeypatch, caplog):
 
     def generate_fails_at_5_percent(spec):
         if spec.noise.sigma_rel == 0.05:
-            raise NumericalError("noise draw failed")
+            raise NonFiniteValue("non-finite value in series")
         return real_generate(spec)
 
     monkeypatch.setattr(montecarlo, "generate", generate_fails_at_5_percent)
