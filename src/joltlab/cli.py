@@ -2,9 +2,11 @@
 
 Subcommands: generate, detect, metrics, mc, sweep. Runs are declarative: a
 YAML config file holds model specs, noise, detector settings, Monte Carlo
-grids and seeds; CLI flags override config keys one-to-one. Unknown config
-keys, and values whose type differs from the default's, are rejected
-(fail-closed).
+grids and seeds; CLI flags override config keys one-to-one. Each command is
+declared once, in ``_COMMANDS`` (its help, input CSV, flags and config
+sections), and each flag in ``_FLAGS`` (the config key it overrides and its
+help). Unknown config keys, and values whose type differs from the
+default's, are rejected (fail-closed).
 
 Exit codes: 0 success, 2 usage/config error, 3 data contract violation.
 Detection verdicts never drive exit codes.
@@ -89,16 +91,37 @@ def _mc_section() -> dict:
     }}
 
 
-# the sections a command reads beyond the base ones, where it reads fewer
-# than all; building a section imports its module, so detect and metrics load
-# neither the generators nor the Monte Carlo harness
-_COMMAND_SECTIONS = {"generate": (_growth_sections,), "detect": (), "metrics": ()}
+_ALL_SECTIONS = (_growth_sections, _mc_section)
+
+# each command: its help, whether it reads an input CSV, its flags beyond
+# --config and --out, and the config sections it reads beyond the base ones.
+# Building a section imports its module, so detect and metrics load neither
+# the generators nor the Monte Carlo harness.
+_COMMANDS = {
+    "generate": ("generate a synthetic series CSV + sidecar", False, ("--seed",),
+                 (_growth_sections,)),
+    "detect": ("run the hybrid jolt detector on a CSV", True, ("--seed",), ()),
+    "metrics": ("compute jolt metrics for a CSV", True, (), ()),
+    "mc": ("Monte Carlo TPR/FPR table across noise levels", False,
+           ("--seed", "--jobs", "--trials"), _ALL_SECTIONS),
+    "sweep": ("hyperparameter sweep with heatmap output", False,
+              ("--seed", "--jobs", "--trials"), _ALL_SECTIONS),
+}
+
+# each flag that overrides a config key: the key, the flag's type and its help
+_FLAGS = {
+    "--out": ("out", str, "output directory override"),
+    "--seed": ("seed", int, "master seed override"),
+    "--jobs": ("jobs", int, "parallel workers"),
+    "--trials": ("mc.n_trials", int, "override Monte Carlo trials per class"),
+}
 
 
 def _default_config(command: str | None = None) -> dict:
-    """A fresh copy of the defaults of the sections ``command`` reads."""
+    """A fresh copy of the defaults of the sections ``command`` reads (all
+    of them when None)."""
     cfg = copy.deepcopy(_BASE_CONFIG)
-    for section in _COMMAND_SECTIONS.get(command, (_growth_sections, _mc_section)):
+    for section in _COMMANDS[command][3] if command else _ALL_SECTIONS:
         cfg.update(section())
     return cfg
 
@@ -332,55 +355,22 @@ def cmd_sweep(cfg: dict) -> int:
 
 # --- entry point --------------------------------------------------------------
 
-def _flags(parser, seed=True, mc=False):
-    """Register only the flags the command reads; any other exits 2."""
-    parser.add_argument("--config", default=None, help="YAML run config")
-    parser.add_argument("--out", default=None, help="output directory override")
-    if seed:
-        parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    if mc:
-        parser.add_argument("--jobs", type=int, default=None, help="parallel workers")
-        parser.add_argument("--trials", type=int, default=None,
-                            help="override Monte Carlo trials per class")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="joltlab",
         description="Generate, analyze and detect superexponential capability growth.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="generate a synthetic series CSV + sidecar")
-    _flags(p)
-
-    p = sub.add_parser("detect", help="run the hybrid jolt detector on a CSV")
-    p.add_argument("input", help="input CSV (header 't,value')")
-    _flags(p)
-
-    p = sub.add_parser("metrics", help="compute jolt metrics for a CSV")
-    p.add_argument("input", help="input CSV (header 't,value')")
-    _flags(p, seed=False)
-
-    p = sub.add_parser("mc", help="Monte Carlo TPR/FPR table across noise levels")
-    _flags(p, mc=True)
-
-    p = sub.add_parser("sweep", help="hyperparameter sweep with heatmap output")
-    _flags(p, mc=True)
-
+    for command, (summary, reads_input, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        if reads_input:
+            p.add_argument("input", help="input CSV (header 't,value')")
+        # only the flags the command reads are registered; any other exits 2
+        p.add_argument("--config", help="YAML run config")
+        for flag in ("--out", *flags):
+            _, kind, text = _FLAGS[flag]
+            p.add_argument(flag, type=kind, help=text)
     return parser
-
-
-def _apply_overrides(cfg: dict, args) -> dict:
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if args.out is not None:
-        cfg["out"] = args.out
-    if getattr(args, "jobs", None) is not None:
-        cfg["jobs"] = args.jobs
-    if getattr(args, "trials", None) is not None:
-        cfg["mc"]["n_trials"] = args.trials
-    return cfg
 
 
 def main(argv=None) -> int:
@@ -395,20 +385,17 @@ def main(argv=None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config, args.command), args)
+        cfg = load_config(args.config, args.command)
+        for flag, (key, _, _) in _FLAGS.items():
+            value = getattr(args, flag[2:], None)  # None: not given, or not the command's
+            if value is not None:
+                section, _, name = key.rpartition(".")
+                (cfg[section] if section else cfg)[name] = value
         # the import-time heap lives until exit, so no collection need ever scan it
         gc.freeze()
-        if args.command == "generate":
-            return cmd_generate(cfg)
-        if args.command == "detect":
-            return cmd_detect(cfg, args.input)
-        if args.command == "metrics":
-            return cmd_metrics(cfg, args.input)
-        if args.command == "mc":
-            return cmd_mc(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # looked up when it runs, so that a patched cli.cmd_<command> is called
+        cmd = globals()[f"cmd_{args.command}"]
+        return cmd(cfg, args.input) if "input" in args else cmd(cfg)
     except JoltlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, DataError) else 2

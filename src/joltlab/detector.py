@@ -108,6 +108,11 @@ class DetectionResult:
 # orders; third-derivative estimation elsewhere still uses poly_order >= 4.
 DETECTION_POLY_ORDER = 2
 
+# the filter's rounding floor per unit of max(1, |centred log C|) / dt^2: the
+# signal snaps |S| at or below it to zero, and the permutation test counts a
+# surrogate within it as a tie, so both read this one factor
+_ROUNDING_FLOOR = 1e-11
+
 
 def _resolve_smoother(n: int, smoother: SavitzkyGolay | None) -> SavitzkyGolay:
     return smoother if smoother is not None else default_savgol(n, DETECTION_POLY_ORDER)
@@ -150,7 +155,7 @@ def detection_signal(series, smoother: SavitzkyGolay | None = None) -> Signal:
     dt = grid.dt
     logv = grid.log_values if single else np.stack([row.log_values for row in rows])
     logv, (fit, s) = _filter_log(logv, cfg, dt, (0, 2))
-    floor = 1e-11 * np.maximum(1.0, np.max(np.abs(logv), axis=-1, keepdims=True)) / dt**2
+    floor = _ROUNDING_FLOOR * np.maximum(1.0, np.max(np.abs(logv), axis=-1, keepdims=True)) / dt**2
     s[np.abs(s) <= floor] = 0.0
     return Signal(grid.times, s, edge_mask(len(grid), cfg.window), cfg, logv, fit)
 
@@ -354,13 +359,13 @@ def permutation_test(series, config: DetectorConfig, signal: Signal | None = Non
     (h = window // 2), and only those entries of each surrogate are gathered.
     Ties are stated on the scalar: a surrogate counts as an exceedance when
     ``stat >= observed - floor``, with the filter's rounding floor
-    ``1e-11 * max(1, max|logv - mean(logv)| + max|resid|) / dt^2``, which
-    like the signal's floor does not move with the value scale. Surrogates
-    of a noiseless exponential (statistic zero up to rounding) therefore tie
-    with its zero observed statistic, giving p = 1. The observed statistic
-    is the interior mean of the floored detection signal, whose pass over
-    log C also gives the residuals: ``signal`` when given, a signal of
-    ``series``, else ``detection_signal(series, config.smoother)``.
+    ``_ROUNDING_FLOOR * max(1, max|logv - mean(logv)| + max|resid|) / dt^2``,
+    which like the signal's floor does not move with the value scale.
+    Surrogates of a noiseless exponential (statistic zero up to rounding)
+    therefore tie with its zero observed statistic, giving p = 1. The
+    observed statistic is the interior mean of the floored detection signal,
+    whose pass over log C also gives the residuals: ``signal`` when given, a
+    signal of ``series``, else ``detection_signal(series, config.smoother)``.
     p = (1 + #exceedances) / (n_perm + 1).
 
     The null assumes exchangeable residuals, that is serially independent
@@ -386,7 +391,7 @@ def permutation_test(series, config: DetectorConfig, signal: Signal | None = Non
         index = _permutation_index(config.seed, logv.shape[-1], config.n_perm)
     stats, resid = _surrogate_stats(signal, dt, index)
     spread = np.max(np.abs(logv), axis=-1) + np.max(np.abs(resid), axis=-1)
-    floor = 1e-11 * np.maximum(1.0, spread) / dt**2
+    floor = _ROUNDING_FLOOR * np.maximum(1.0, spread) / dt**2
     exceed = np.count_nonzero(stats >= (observed - floor)[..., None], axis=-1)
     return _by_row((1 + exceed) / (config.n_perm + 1))
 

@@ -120,10 +120,13 @@ class BudgetExceeded(ConfigError):
 # --- spec field contracts -----------------------------------------------------
 
 def _finite(x) -> bool:
-    return isinstance(x, numbers.Real) and math.isfinite(x)
+    try:
+        return isinstance(x, numbers.Real) and math.isfinite(x)
+    except OverflowError:  # an int past float range
+        return False
 
 
-def real(default=MISSING, *, gt=None, ge=None, lt=None, le=None, n=None, error=InvalidSpec):
+def real(default=MISSING, *, gt=None, ge=None, lt=None, le=None, n=None):
     """A field holding a finite real number, not a bool, > gt, >= ge, < lt and
     <= le where given (an upper bound needs a lower one); with ``n``, a sequence
     of ``n`` of them, where a bool counts (as weights). A None default admits None."""
@@ -149,7 +152,8 @@ def real(default=MISSING, *, gt=None, ge=None, lt=None, le=None, n=None, error=I
             return None
         return f"be {n} finite numbers {where}".rstrip()
 
-    return field(default=default, metadata={"contract": (test if n is None else test_each, error)})
+    return field(default=default,
+                 metadata={"contract": (test if n is None else test_each, InvalidSpec)})
 
 
 def whole(default, *, ge, error=InvalidSpec):

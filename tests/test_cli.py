@@ -415,9 +415,16 @@ def test_bad_grid_mix_or_detector_setting_exits_2_before_any_trial(tmp_path, cap
      "config key mc.injected_fraction must be a number, got True"),
     ("mc", {"detector": {"decision_threshold": "0.5"}},
      "config key detector.decision_threshold must be a number, got '0.5'"),
+    # an int past float range exited 1 with an OverflowError traceback
+    ("generate", {"model": {"family": "exponential", "c0": 10**400}},
+     "Exponential c0 must be a finite number"),
+    ("generate", {"model": {"family": "exponential", "k": 10**400}},
+     "Exponential k must be a finite number"),
+    ("mc", {"mc": {"k_range": [0.03, 10**400]}}, "mc k_range must be two finite numbers lo <= hi"),
 ], ids=["exponential k nan", "logistic r inf", "logquadratic b nan", "exponential c0 inf",
         "injected_jolt ramp_strength nan", "grid t_end true", "noise sigma_rel true",
-        "injected_fraction true", "decision_threshold string"])
+        "injected_fraction true", "decision_threshold string", "exponential c0 past float",
+        "exponential k past float", "k_range past float"])
 def test_spec_value_outside_its_contract_exits_2_naming_it(tmp_path, capsys, monkeypatch,
                                                            command, payload, named):
     # a NaN or infinite rate blamed "generated trajectory is not strictly

@@ -142,9 +142,16 @@ def test_every_spec_builds_from_its_defaults():
      "ResourceSchedule r_max must be a finite number, got nan"),
     (lambda: DetectorConfig(decision_threshold="0.5"),
      "detector decision_threshold must be a finite number, got '0.5'"),
+    # an int past float range raised OverflowError in the finiteness check
+    (lambda: Exponential(c0=10**400), "Exponential c0 must be a finite number"),
+    (lambda: TrialMix(k_range=(0.03, 10**400)), "mc k_range must be two finite numbers lo <= hi"),
+    (lambda: DetectorConfig(combine_weights=(10**400, 0, 0)),
+     "detector combine_weights must be 3 finite numbers >= 0"),
 ], ids=["Exponential c0", "Logistic l", "LogQuadratic b", "InjectedJolt ramp_strength",
         "GridSpec t_end", "NoiseSpec sigma_rel", "TrialMix injected_fraction",
-        "ResourceSchedule r_max", "DetectorConfig decision_threshold"])
+        "ResourceSchedule r_max", "DetectorConfig decision_threshold",
+        "Exponential c0 past float", "TrialMix k_range past float",
+        "DetectorConfig combine_weights past float"])
 def test_values_that_once_passed_construction_are_refused(build, named):
     # each of these was built, and failed later or ran on: NaN rates blamed
     # the trajectory's sign, a string threshold raised a bare TypeError
