@@ -144,14 +144,15 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
     out = copy.deepcopy(defaults)
     for key, value in user.items():
         full = f"{path}{key}"
-        if key not in defaults:
+        if key not in defaults and path != "sweep.":  # sweep axes: the library checks them
             raise ConfigError(f"unknown config key: {full}")
-        if isinstance(defaults[key], dict) and not isinstance(value, dict):
+        default = defaults.get(key, [])
+        if isinstance(default, dict) and not isinstance(value, dict):
             raise ConfigError(f"config key {full} must be a mapping")
-        if isinstance(defaults[key], dict):
-            out[key] = _merge(defaults[key], value, f"{full}.")
+        if isinstance(default, dict):
+            out[key] = _merge(default, value, f"{full}.")
         else:
-            _check_type(full, defaults[key], value)
+            _check_type(full, default, value)
             out[key] = value
     return out
 
@@ -335,13 +336,15 @@ def cmd_mc(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    from .montecarlo import sweeps, write_heatmap, write_report_json
+    from .montecarlo import axis_paths, sweeps, write_heatmap, write_report_json
 
     axes = {k: list(v) for k, v in cfg["sweep"].items() if k != "budget"}
-    cells = _mc_cells(cfg)
-    for name in axes:  # every row runs its own axis value, never the detector's
-        if cfg["detector"][name] != _BASE_CONFIG["detector"][name]:
-            raise ConfigError(f"config key detector.{name} is replaced by the axis sweep.{name}")
+    axis_paths(axes)  # an unknown axis fails first, not as a key it would replace
+    cells, defaults = _mc_cells(cfg), _default_config()
+    # every row runs its own axis value, never that of a section a cell is built from
+    for section, name in ((s, n) for s in ("detector", "mc", "grid") for n in axes):
+        if name in cfg[section] and cfg[section][name] != defaults[section][name]:
+            raise ConfigError(f"config key {section}.{name} is replaced by the axis sweep.{name}")
     report = sweeps(axes, cells, budget=cfg["sweep"]["budget"], jobs=cfg["jobs"])
     metadata = {**report.metadata, "detector": cfg["detector"]}
     out = _write_outputs(cfg, {

@@ -33,7 +33,7 @@ from .timeseries import TimeSeries, write_json
 
 @dataclass(frozen=True)
 class DetectorConfig(Spec, section="detector"):
-    """Hybrid detector hyperparameters (the Monte Carlo sweep axes)."""
+    """Hybrid detector hyperparameters."""
 
     smoother: SavitzkyGolay | None = None  # None -> window scaled to n
     threshold_peak: float = real(3.0, gt=0)
@@ -114,10 +114,6 @@ DETECTION_POLY_ORDER = 2
 _ROUNDING_FLOOR = 1e-11
 
 
-def _resolve_smoother(n: int, smoother: SavitzkyGolay | None) -> SavitzkyGolay:
-    return smoother if smoother is not None else default_savgol(n, DETECTION_POLY_ORDER)
-
-
 def _batch(series) -> tuple[list, bool]:
     """(rows, single): ``series`` as a list of series on one time grid, and
     whether it was one TimeSeries rather than a sequence of them."""
@@ -149,7 +145,7 @@ def detection_signal(series, smoother: SavitzkyGolay | None = None) -> Signal:
     one row per series, each the bits that series gets on its own."""
     rows, single = _batch(series)
     grid = rows[0]
-    cfg = _resolve_smoother(len(grid), smoother)
+    cfg = smoother if smoother is not None else default_savgol(len(grid), DETECTION_POLY_ORDER)
     if cfg.poly_order < 2:
         raise InvalidSpec("detection signal needs poly_order >= 2")
     dt = grid.dt

@@ -2,7 +2,7 @@
 
 Generates labeled synthetic trajectories (jolting positives vs exponential /
 logistic negatives), runs the detector on each, and tallies confusion counts
-into TPR/FPR summaries and hyperparameter-sweep heatmap data.
+into TPR/FPR summaries and sweep heatmap data.
 
 Per-trial seeds are pure functions of (master seed, class, trial index),
 and tallies are commutative sums, so results are independent of the
@@ -38,13 +38,14 @@ import pickle
 import signal
 from datetime import datetime, timezone
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 import numpy.random  # noqa: F401  loaded once here, not in each forked worker
 
-from .detector import DetectorConfig, _resolve_smoother, hybrid_detect
+from .detector import DETECTION_POLY_ORDER, DetectorConfig, hybrid_detect
 from .errors import BudgetExceeded, EmptyCell, InvalidSpec, JoltlabError, Spec, pair, real, whole
-from .estimation import SavitzkyGolay
+from .estimation import SavitzkyGolay, default_savgol
 from .growth import (
     Exponential,
     GridSpec,
@@ -93,10 +94,10 @@ class MCCell(Spec, section="mc"):
     def __post_init__(self):
         super().__post_init__()
         _noise_spec(self, 0)  # a bad noise level fails here, not in every trial
-        # resolve the smoother hybrid_detect would, so that sweeps over window
-        # or poly_order start from the one the trials run
-        smoother = _resolve_smoother(self.grid.n_points, self.detector.smoother)
-        object.__setattr__(self, "detector", replace(self.detector, smoother=smoother))
+        # the smoother hybrid_detect would resolve, for window and poly_order axes
+        if self.detector.smoother is None:
+            smoother = default_savgol(self.grid.n_points, DETECTION_POLY_ORDER)
+            object.__setattr__(self, "detector", replace(self.detector, smoother=smoother))
 
 
 @dataclass(frozen=True)
@@ -418,66 +419,66 @@ def summarize(counts: ConfusionCounts) -> RateSummary:
     )
 
 
-# --- hyperparameter sweep -----------------------------------------------------
+# --- sweep over cell fields ---------------------------------------------------
 
-_CONFIG_AXES = {
-    "window", "poly_order", "threshold_peak", "min_duration_frac",
-    "decision_threshold", "n_perm", "alpha_sig",
-}
-_WHOLE_AXES = {"window", "poly_order", "n_perm"}
+# a cell's specs with axis fields, by path; a spec before the spec holding it
+_AXIS_SPECS = {"detector.smoother": SavitzkyGolay, "detector": DetectorConfig,
+               "mix": TrialMix, "grid": GridSpec}
 
 
-def apply_axes(config: DetectorConfig, assignment: dict) -> DetectorConfig:
-    """Return ``config`` with sweep-axis values applied. A window or
-    poly_order value changes ``config.smoother``, so it must not be None."""
-    kwargs = {}
-    smoother = config.smoother
-    if "window" in assignment or "poly_order" in assignment:
-        if smoother is None:
-            raise InvalidSpec("window and poly_order axes need a smoother, got smoother=None")
-        kwargs["smoother"] = SavitzkyGolay(
-            window=int(assignment.get("window", smoother.window)),
-            poly_order=int(assignment.get("poly_order", smoother.poly_order)),
-        )
-    for name in ("threshold_peak", "min_duration_frac", "decision_threshold", "alpha_sig"):
-        if name in assignment:
-            kwargs[name] = float(assignment[name])
-    if "n_perm" in assignment:
-        kwargs["n_perm"] = int(assignment["n_perm"])
-    return replace(config, **kwargs)
+def axis_paths(names) -> dict:
+    """The path from a cell to the spec of each sweep axis in ``names``, a scalar
+    field of its detector, smoother, mix or grid, named bare. Any other name,
+    such as the detector's seed, which each trial replaces, raises InvalidSpec."""
+    paths = {f.name: path for path, spec in _AXIS_SPECS.items() for f in dataclasses.fields(spec)
+             if isinstance(f.default, numbers.Real) and f.name != "seed"}
+    for name in names:
+        if name not in paths:
+            raise InvalidSpec(f"unknown sweep axis {name!r}")
+    return {name: paths[name] for name in names}
+
+
+def apply_axes(template: MCCell, assignment: dict, paths: dict) -> MCCell:
+    """``template`` with each axis value of ``assignment`` set, uncast, at ``paths``."""
+    changes = {path: {} for path in ("", *_AXIS_SPECS)}
+    for name, value in assignment.items():
+        changes[paths[name]][name] = value
+    for path in _AXIS_SPECS:
+        if changes[path]:
+            outer, _, spec = path.rpartition(".")
+            changes[outer][spec] = replace(attrgetter(path)(template), **changes[path])
+    return replace(template, **changes[""])
 
 
 def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> MCReport:
-    """Grid sweep over detector hyperparameters for several cell templates:
-    one report of a :class:`CellResult` per (template, assignment), in that
-    order, their :func:`best_configuration`, and ``{"runs": [...]}``, one
-    run per template. With no axes each template is one cell, ``params ==
-    {}``, as ``joltlab mc`` runs it.
+    """Grid sweep over cell fields (see :func:`axis_paths`) for several cell
+    templates: one report of a :class:`CellResult` per (template, assignment),
+    in that order, their :func:`best_configuration`, and ``{"runs": [...]}``,
+    one run per template. With no axes each template is one cell, ``params ==
+    {}``, as ``joltlab mc`` runs it. A value its field refuses raises
+    InvalidSpec naming the axis and the value, before the budget check. An
+    n_points axis keeps the window its template resolved when it was built.
 
     Every cell goes to one :func:`run_cells` call, so all of them run
     on one set of workers, and cells differing only in decision_threshold
     / alpha_sig share their trial outcomes there.
     """
+    paths = axis_paths(axes)
     for name, values in axes.items():
-        if name not in _CONFIG_AXES:
-            raise InvalidSpec(f"unknown sweep axis {name!r}")
         if len(values) < 2:
             raise InvalidSpec(f"sweep axis {name!r} needs at least 2 values")
-        # apply_axes converts with int()/float(), which would truncate 7.5
-        # to 7 or take the string "0.5"; reject what the field cannot hold
-        kind = "a whole number" if name in _WHOLE_AXES else "a number"
-        for value in values:
-            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not number or (name in _WHOLE_AXES and not float(value).is_integer()):
-                raise InvalidSpec(f"sweep axis {name!r} value {value!r} is not {kind}")
-    names = list(axes.keys())
-    combos = [dict(zip(names, combo)) for combo in itertools.product(*axes.values())]
+        for template, value in itertools.product(templates, values):
+            try:  # the field's contract; the smoother raises InvalidOrder
+                replace(attrgetter(paths[name])(template), **{name: value})
+            except JoltlabError as exc:
+                raise InvalidSpec(f"sweep axis {name!r} value {value!r} "
+                                  f"is not valid: {exc}") from None
+    combos = [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
     if len(combos) > budget:
         raise BudgetExceeded(f"{len(combos)} cells exceed budget {budget}")
 
     pairs = list(itertools.product(templates, combos))
-    cells = [replace(template, detector=apply_axes(template.detector, assignment))
-             for template, assignment in pairs]
+    cells = [apply_axes(template, assignment, paths) for template, assignment in pairs]
     results = [
         CellResult(noise=template.noise, params=dict(assignment),
                    counts=counts, rates=summarize(counts))
@@ -494,7 +495,7 @@ def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> MCReport:
         }
         for template in templates
     ]}
-    return MCReport(cells=results, best=best_configuration(results, names), metadata=metadata)
+    return MCReport(cells=results, best=best_configuration(results, list(axes)), metadata=metadata)
 
 
 def best_configuration(cells, axis_names):
@@ -517,8 +518,7 @@ def best_configuration(cells, axis_names):
 
 
 def sweep(axes: dict, template: MCCell, budget: int = 64, jobs: int = 1) -> MCReport:
-    """Grid sweep over detector hyperparameters for one cell template; see
-    :func:`sweeps`."""
+    """Grid sweep over cell fields for one cell template; see :func:`sweeps`."""
     return sweeps(axes, [template], budget, jobs)
 
 

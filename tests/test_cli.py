@@ -283,10 +283,12 @@ SMALL_SWEEP = {
 
 
 @pytest.mark.parametrize("payload, named", [
-    ({"sweep": {"window": [7.5, 11]}}, "sweep axis 'window' value 7.5 is not a whole number"),
-    ({"sweep": {"window": ["a", 11]}}, "sweep axis 'window' value 'a' is not a whole number"),
-    ({"sweep": {"decision_threshold": ["x", 0.5]}},
-     "sweep axis 'decision_threshold' value 'x' is not a number"),
+    ({"sweep": {"window": [7.5, 11]}}, "sweep axis 'window' value 7.5 is not valid: "
+     "SavitzkyGolay window must be a whole number, got 7.5"),
+    ({"sweep": {"window": ["a", 11]}}, "sweep axis 'window' value 'a' is not valid: "
+     "SavitzkyGolay window must be a whole number, got 'a'"),
+    ({"sweep": {"decision_threshold": ["x", 0.5]}}, "sweep axis 'decision_threshold' value 'x' "
+     "is not valid: detector decision_threshold must be a finite number, got 'x'"),
     ({"detector": {"n_perm": 99, "window": 21.5}},
      "config key detector.window must be a whole number or null, got 21.5"),
 ])
@@ -460,6 +462,44 @@ def test_sweep_rejects_a_detector_setting_an_axis_replaces(tmp_path, capsys, mon
     assert run(["sweep", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"config key detector.{name} is replaced by the axis sweep.{name}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, axis", [
+    ({"sweep": {"alpha_sig": [0.01, 0.05]}}, "alpha_sig"),
+    ({"sweep": {"logistic_fraction": [0.0, 1.0]}}, "logistic_fraction"),
+    ({"grid": {}, "sweep": {"n_points": [64, 100]}}, "n_points"),
+])
+def test_sweep_takes_an_axis_of_the_mix_grid_or_detector(tmp_path, payload, axis):
+    cfg = write_config(tmp_path, {**SMALL_SWEEP, **payload})
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "heatmap.csv").read_text().splitlines()
+    assert lines[0] == f"noise_level,window,decision_threshold,{axis},tpr,fpr,error_rate"
+    assert len(lines) == 1 + 4 * 5 * 2  # the default axes stay
+    values = payload["sweep"][axis]
+    assert {row.split(",")[3] for row in lines[1:]} == {f"{v:g}" for v in values}
+
+
+@pytest.mark.parametrize("payload, flags, named", [
+    ({"sweep": {"n_trials": [1, 2]}}, ["--trials", "2"], "unknown sweep axis 'n_trials'"),
+    ({"sweep": {"k_range": [[0.03, 0.1], [0.05, 0.2]]}}, [], "unknown sweep axis 'k_range'"),
+    ({"sweep": {"noise_levels": [["low"], ["high"]]}}, [], "unknown sweep axis 'noise_levels'"),
+    ({"grid": {"n_points": 64}, "sweep": {"n_points": [64, 100]}}, [],
+     "config key grid.n_points is replaced by the axis sweep.n_points"),
+], ids=["n_trials", "k_range", "noise_levels", "grid.n_points replaced"])
+def test_sweep_rejects_a_non_axis_or_a_key_its_axis_replaces(tmp_path, capsys, monkeypatch,
+                                                             payload, flags, named):
+    # the unknown axis is named first: --trials 2 is not blamed on the
+    # n_trials axis that would replace it
+    def trials_ran(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("joltlab.montecarlo.run_cells", trials_ran)
+    cfg = write_config(tmp_path, {**SMALL_SWEEP, **payload})
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", cfg, *flags, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 

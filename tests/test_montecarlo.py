@@ -1,10 +1,12 @@
 import logging
 import math
+import numbers
 import os
 import re
 import signal
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from joltlab.montecarlo import (
     _outcomes,
     _tally,
     apply_axes,
+    axis_paths,
     best_configuration,
     run_cell,
     run_cells,
@@ -408,16 +411,73 @@ def test_cells_differing_only_in_verdict_share_one_detection(monkeypatch, base, 
 # --- sweep --------------------------------------------------------------------
 
 def test_apply_axes():
-    # a cell's resolved config: the axes replace fields of its own smoother
-    base = small_cell().detector
-    cfg = apply_axes(base, {"window": 21, "decision_threshold": 0.4})
-    assert cfg.smoother == SavitzkyGolay(window=21, poly_order=DETECTION_POLY_ORDER)
-    assert cfg.decision_threshold == 0.4
-    assert apply_axes(base, {"poly_order": 3}).smoother == SavitzkyGolay(11, 3)
-    # without a smoother there is no window or poly order to start from
-    for axis in ("window", "poly_order"):
-        with pytest.raises(InvalidSpec, match="smoother=None"):
-            apply_axes(DetectorConfig(), {axis: 3})
+    # the axes replace fields of the cell's resolved smoother, its detector,
+    # its mix and its grid, and nothing else
+    template = small_cell()
+    assignment = {"window": 21, "decision_threshold": 0.4, "logistic_fraction": 0.0,
+                  "n_points": 64}
+    cell = apply_axes(template, assignment, axis_paths(assignment))
+    assert cell == replace(
+        template,
+        detector=replace(template.detector, decision_threshold=0.4,
+                         smoother=SavitzkyGolay(window=21, poly_order=DETECTION_POLY_ORDER)),
+        mix=replace(template.mix, logistic_fraction=0.0),
+        grid=GridSpec(0.0, 20.0, 64),
+    )
+    poly = apply_axes(template, {"poly_order": 3}, axis_paths(["poly_order"]))
+    assert poly.detector.smoother == SavitzkyGolay(11, 3)
+    # an n_points axis keeps the window resolved for the template's grid
+    wider = apply_axes(template, {"n_points": 400}, axis_paths(["n_points"]))
+    assert wider.detector == template.detector
+
+
+# each scalar field of the default cell's detector, smoother, mix and grid,
+# as (path from the cell to its spec, field name)
+_CELL = MCCell()
+_SCALAR_FIELDS = [
+    (path, f.name)
+    for path in ("detector", "detector.smoother", "mix", "grid")
+    for f in fields(attrgetter(path)(_CELL))
+    if isinstance(getattr(attrgetter(path)(_CELL), f.name), numbers.Real)
+]
+
+
+def test_scalar_field_names_of_a_cells_specs_are_distinct():
+    # an axis names its field bare, so a second field of that name would be
+    # one axis with two meanings
+    names = [name for _, name in _SCALAR_FIELDS]
+    assert len(names) == len(set(names))
+
+
+def _replaced(spec, path: str, name: str, value):
+    """``spec`` with the field ``name`` of the spec at ``path`` set to ``value``."""
+    if not path:
+        return replace(spec, **{name: value})
+    head, _, rest = path.partition(".")
+    return replace(spec, **{head: _replaced(getattr(spec, head), rest, name, value)})
+
+
+@pytest.mark.parametrize("path, name", [s for s in _SCALAR_FIELDS if s[1] != "seed"],
+                         ids=[name for _, name in _SCALAR_FIELDS if name != "seed"])
+def test_every_scalar_field_is_an_axis_whose_cells_match_run_cell(path, name):
+    template = small_cell(n_trials=4)
+    assert axis_paths([name]) == {name: path}
+    value = getattr(attrgetter(path)(template), name)
+    values = [value, value + (2 if isinstance(value, int) else 0.1)]
+    report = sweep({name: values}, template)
+    assert [cell.params for cell in report.cells] == [{name: v} for v in values]
+    for cell, v in zip(report.cells, values):
+        assert cell.counts == run_cell(_replaced(template, path, name, v))
+
+
+@pytest.mark.parametrize("name", [
+    "noise", "n_trials", "master_seed",  # the cell's own fields
+    "seed",  # each trial replaces the detector's seed
+    "smoother", "combine_weights", "k_range", "ramp_len_range",  # not scalars
+])
+def test_a_cell_field_seed_or_sequence_is_not_an_axis(name):
+    with pytest.raises(InvalidSpec, match=f"unknown sweep axis '{name}'"):
+        sweep({name: [1, 2]}, small_cell())
 
 
 def test_sweep_2x2_shape():
@@ -449,8 +509,8 @@ def test_sweeps_schedule_invariant_and_match_run_cell():
     assert parallel.cells == [cell for report in serial for cell in report.cells]
     for template, report in zip(templates, serial):
         for cell in report.cells:
-            config = apply_axes(template.detector, cell.params)
-            assert cell.counts == run_cell(replace(template, detector=config))
+            by_hand = apply_axes(template, cell.params, axis_paths(cell.params))
+            assert cell.counts == run_cell(by_hand)
 
 
 def test_sweeps_is_one_report_with_one_best():
