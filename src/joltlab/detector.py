@@ -291,23 +291,31 @@ def _permutation_weights(n: int, window: int, poly_order: int):
     return w, _resid_scale(n, window, poly_order)
 
 
-# intp items per row chunk of the permutation draw (4 MB)
-_DRAW_BUDGET = 1 << 19
+# intp items of the one buffer that each row chunk of the permutation draw is
+# shuffled in (256 KB)
+_DRAW_BUDGET = 1 << 15
 
 
-def _permutation_index(seed: int, n: int, n_perm: int) -> np.ndarray:
-    """Read-only int32 (n_perm, n) row shuffles of ``arange(n)``. ``rng.permuted``
-    draws the same shuffle whatever the array holds, so ``x[idx]`` is its draw
-    on ``x``; every series scored on one seed shares it. It shuffles intp
-    items, which numpy swaps faster, and keeps int32 ones. Rows are drawn in
-    chunks of at most ``_DRAW_BUDGET`` intp items; the generator shuffles row
+def _permutation_index(seed: int, n: int, n_perm: int, keep: int) -> np.ndarray:
+    """Read-only intp row shuffles of ``arange(n)``, of which only the first and
+    last ``keep`` columns are kept: (n_perm, 2 * keep), or the whole (n_perm, n)
+    draw when ``keep`` is 0 or ``2 * keep >= n``. ``rng.permuted`` draws the
+    same shuffle whatever the array holds, so ``x[idx]`` is its draw on ``x``
+    in the kept columns; every series scored on one seed shares it. Rows are
+    shuffled in place in one buffer of at most ``max(n, _DRAW_BUDGET)`` items,
+    reset to ``arange(n)`` before each chunk; the generator shuffles row
     after row, so the chunks give the one-shot draw."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    idx = np.empty((n_perm, n), dtype=np.int32)
+    lo, hi = (keep, n - keep) if 0 < 2 * keep < n else (n, n)
+    idx = np.empty((n_perm, lo + n - hi), dtype=np.intp)
     rows = max(1, _DRAW_BUDGET // n)
+    buffer = np.empty((min(rows, n_perm), n), dtype=np.intp)
     for start in range(0, n_perm, rows):
-        chunk = idx[start:start + rows]
-        chunk[...] = rng.permuted(np.broadcast_to(np.arange(n), chunk.shape), axis=1)
+        chunk = buffer[:n_perm - start]
+        chunk[...] = np.arange(n)
+        rng.permuted(chunk, axis=1, out=chunk)
+        idx[start:start + rows, :lo] = chunk[:, :lo]
+        idx[start:start + rows, lo:] = chunk[:, hi:]
     idx.setflags(write=False)
     return idx
 
@@ -316,19 +324,27 @@ def _surrogate_stats(signal: Signal, dt: float, index: np.ndarray):
     """(stats, resid): the permutation test's statistic of each surrogate,
     along the last axis, and the scaled residuals that ``index`` permutes.
 
-    ``w`` is zero up to rounding between its first and last 2h entries. Each
-    side's gather holds the permutations along its last axis, so ``w @ x``
-    is one matrix-vector product per series, as for a series on its own.
+    ``w`` is zero up to rounding between its first and last 2h entries, so
+    only the first ``window - 1`` and the last ``n - hi`` columns of the draw
+    are gathered. ``index`` is the whole draw or the kept columns of
+    :func:`_permutation_index`, at least ``window - 1`` on each side; either
+    way those are its outer columns. Each side's gather holds the
+    permutations along its last axis, so ``w @ x`` is one matrix-vector
+    product per series, as for a series on its own.
     """
     cfg, logv = signal.smoother, signal.centred_log
     n = logv.shape[-1]
+    lo = cfg.window - 1
+    hi = max(n - lo, lo)
+    width = index.shape[-1]
+    if width != n and not 2 * lo <= width < n:
+        raise ShapeError(f"a permutation index of {width} columns does not hold the first "
+                         f"and last {lo} of {n} that window {cfg.window} reads")
     w, resid_scale = _permutation_weights(n, cfg.window, cfg.poly_order)
     w = w / dt**2
     resid = (logv - signal.fit) * resid_scale
-    lo = cfg.window - 1
-    hi = max(n - lo, lo)
     stats = (w[:lo] @ np.take(resid, index[:, :lo].T, axis=-1)
-             + w[hi:] @ np.take(resid, index[:, hi:].T, axis=-1))
+             + w[hi:] @ np.take(resid, index[:, width - (n - hi):].T, axis=-1))
     return stats, resid
 
 
@@ -375,8 +391,10 @@ def permutation_test(series, config: DetectorConfig, signal: Signal | None = Non
     ``series`` may be a sequence of series on one grid, all tested on
     ``config`` and so on one draw: then one p-value per series comes back, in
     an array. ``index`` is that draw, ``_permutation_index(config.seed, n,
-    config.n_perm)``, when the caller has made it: one draw per seed then
-    serves every series and smoother tested on it.
+    config.n_perm, keep)`` with ``keep`` at least the smoother's ``window -
+    1``, when the caller has made it: one draw per seed then serves every
+    series and smoother tested on it. Without it the test draws its own,
+    keeping the ``window - 1`` columns on each side that its smoother reads.
     """
     rows, _ = _batch(series)
     if signal is None:
@@ -384,7 +402,8 @@ def permutation_test(series, config: DetectorConfig, signal: Signal | None = Non
     logv, dt = signal.centred_log, rows[0].dt
     observed = signal.unmasked.mean(axis=-1)
     if index is None:
-        index = _permutation_index(config.seed, logv.shape[-1], config.n_perm)
+        index = _permutation_index(config.seed, logv.shape[-1], config.n_perm,
+                                   signal.smoother.window - 1)
     stats, resid = _surrogate_stats(signal, dt, index)
     spread = np.max(np.abs(logv), axis=-1) + np.max(np.abs(resid), axis=-1)
     floor = _ROUNDING_FLOOR * np.maximum(1.0, spread) / dt**2
@@ -412,8 +431,9 @@ def _detect(groups) -> list:
     scores, p_values) with one row per series: row j has the bits that
     series j gets on its own with ``seed=seeds[j]``. The series of all
     groups lie on one grid. Each distinct permutation draw (seed, n_perm) is
-    made once and gathered for every group's rows that use it; only one draw
-    is held at a time."""
+    made once, keeping the columns that the widest window among the groups
+    that use it reads, and gathered for every group's rows that use it; only
+    one draw is held at a time."""
     n = len(_batch([one for _, series, _ in groups for one in series])[0][0])
     if n < 32:
         raise SeriesTooShort(f"need >= 32 points, got {n}")
@@ -436,7 +456,8 @@ def _detect(groups) -> list:
 
     p_values = [np.empty(len(seeds)) for _, _, seeds in groups]
     for (seed, n_perm), uses in draws.items():
-        index = _permutation_index(seed, n, n_perm)
+        keep = max(scored[g][0].smoother.window for g, _ in uses) - 1
+        index = _permutation_index(seed, n, n_perm, keep)
         for g, rows in uses:
             config, series, _ = groups[g]
             p_values[g][rows] = permutation_test(

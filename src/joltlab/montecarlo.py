@@ -456,8 +456,10 @@ def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> MCReport:
     in that order, their :func:`best_configuration`, and ``{"runs": [...]}``,
     one run per template. With no axes each template is one cell, ``params ==
     {}``, as ``joltlab mc`` runs it. A value its field refuses raises
-    InvalidSpec naming the axis and the value, before the budget check. An
-    n_points axis keeps the window its template resolved when it was built.
+    InvalidSpec naming the axis and the value, before the budget check; values
+    that conflict inside one spec raise InvalidSpec naming every axis and
+    value of the cell, before any trial. An n_points axis keeps the window
+    its template resolved when it was built.
 
     Every cell goes to one :func:`run_cells` call, so all of them run
     on one set of workers, and cells differing only in decision_threshold
@@ -478,7 +480,13 @@ def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> MCReport:
         raise BudgetExceeded(f"{len(combos)} cells exceed budget {budget}")
 
     pairs = list(itertools.product(templates, combos))
-    cells = [apply_axes(template, assignment, paths) for template, assignment in pairs]
+    cells = []
+    for template, assignment in pairs:
+        try:  # values valid alone may conflict inside one spec
+            cells.append(apply_axes(template, assignment, paths))
+        except JoltlabError as exc:
+            named = ", ".join(f"{name}={value!r}" for name, value in assignment.items())
+            raise InvalidSpec(f"sweep cell {named} is not valid: {exc}") from None
     results = [
         CellResult(noise=template.noise, params=dict(assignment),
                    counts=counts, rates=summarize(counts))

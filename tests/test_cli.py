@@ -300,6 +300,22 @@ def test_inexact_window_or_axis_value_exit_2(tmp_path, capsys, payload, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axes, named", [
+    ({"window": [21, 25], "decision_threshold": [0.5, 0.6], "t_start": [0, 1],
+      "t_end": [0.5, 30]}, ("t_start=1", "t_end=0.5", "grid needs t_end > t_start")),
+    ({"window": [5, 7], "poly_order": [4, 6], "decision_threshold": [0.5, 0.6]},
+     ("window=5", "poly_order=6", "got window 5, poly_order 6")),
+], ids=["grid t_start t_end", "smoother window poly_order"])
+def test_axis_values_that_conflict_in_one_spec_exit_2(tmp_path, capsys, axes, named):
+    # each value is valid alone; the cell they make together is not
+    cfg = write_config(tmp_path, {**SMALL_SWEEP, "sweep": axes})
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "is not valid" in err and all(part in err for part in named), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, payload, values, code", [
     ("generate", {"model": {"family": "exponential", "c0": -1.0}}, None, 2),
     ("metrics", {}, [2.0 ** i for i in range(5)], 3),

@@ -323,14 +323,66 @@ def test_permutation_weights_match_dense_oracle(h, poly_order, extra):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(8, 400), seed=st.integers(0, 2**64 - 1), n_perm=st.integers(99, 600))
-def test_permutation_index_gathers_the_permuted_draw(n, seed, n_perm):
+@given(n=st.integers(8, 400), seed=st.integers(0, 2**64 - 1), n_perm=st.integers(99, 600),
+       keep=st.integers(0, 220))
+def test_permutation_index_gathers_the_permuted_draw(n, seed, n_perm, keep):
+    # the kept columns are those of the one-shot draw however the rows are
+    # chunked: one row at a time, ragged chunks, or the default buffer
     x = np.random.default_rng(n).standard_normal(n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     want = rng.permuted(np.broadcast_to(x, (n_perm, n)).copy(), axis=1)
-    idx = _permutation_index(seed, n, n_perm)
-    assert idx.dtype == np.int32 and not idx.flags.writeable
-    np.testing.assert_array_equal(x[idx], want)
+    if 0 < 2 * keep < n:
+        want = np.hstack([want[:, :keep], want[:, n - keep:]])
+    for budget in (1, 7, n - 1, 7 * n, detector._DRAW_BUDGET):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(detector, "_DRAW_BUDGET", budget)
+            idx = _permutation_index(seed, n, n_perm, keep)
+        assert idx.dtype == np.intp and not idx.flags.writeable
+        np.testing.assert_array_equal(x[idx], want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(32, 120), h=st.integers(2, 59), extra=st.integers(0, 30),
+       seed=st.integers(0, 2**32 - 1))
+def test_surrogate_stats_are_the_same_bits_from_the_kept_columns(n, h, extra, seed):
+    # windows up to n - 1, so that 2 (window - 1) > n keeps the whole draw;
+    # an index kept for a wider window serves a narrower one
+    window = 2 * min(h, (n - 2) // 2) + 1
+    t = np.linspace(0.0, 20.0, n)
+    noise = 0.05 * np.random.default_rng(seed).standard_normal((3, n))
+    series = [TimeSeries(t, np.exp(0.08 * t + 0.004 * t**2 + row)) for row in noise]
+    signal = detection_signal(series, SavitzkyGolay(window, DETECTION_POLY_ORDER))
+    full = detector._surrogate_stats(signal, t[1] - t[0], _permutation_index(seed, n, 199, 0))
+    for keep in (window - 1, window - 1 + extra):
+        index = _permutation_index(seed, n, 199, keep)
+        kept = detector._surrogate_stats(signal, t[1] - t[0], index)
+        assert np.array_equal(kept[0], full[0]) and np.array_equal(kept[1], full[1])
+    narrow = _permutation_index(seed, n, 199, window - 2)
+    if narrow.shape[1] < n:
+        with pytest.raises(ShapeError, match="does not hold the first and last"):
+            detector._surrogate_stats(signal, t[1] - t[0], narrow)
+
+
+def test_groups_of_different_windows_share_one_draw_of_the_widest(monkeypatch):
+    # n=64: window 31 keeps 2 x 30 of the 64 columns, window 41 all of them
+    t = np.linspace(0.0, 20.0, 64)
+    rng = np.random.default_rng(8)
+    series = [TimeSeries(t, np.exp(0.06 * t + 0.003 * t**2 + 0.02 * rng.standard_normal(64)))
+              for _ in range(2)]
+    for windows in ((5, 7, 21, 31), (7, 41)):
+        groups = [(DetectorConfig(smoother=SavitzkyGolay(w, DETECTION_POLY_ORDER), n_perm=199),
+                   series, [3, 3]) for w in windows]
+        draws = []
+        draw = detector._permutation_index
+        monkeypatch.setattr(detector, "_permutation_index",
+                            lambda *args: draws.append(args) or draw(*args))
+        batch = hybrid_detect(groups)
+        monkeypatch.undo()
+        assert draws == [(3, 64, 199, max(windows) - 1)]
+        for (config, _, seeds), (scores, p_values) in zip(groups, batch):
+            for one, seed, score, p_value in zip(series, seeds, scores, p_values):
+                want = hybrid_detect(one, replace(config, seed=seed))
+                assert (score, p_value) == (want.score, want.p_value)
 
 
 @settings(max_examples=40, deadline=None)
@@ -345,7 +397,8 @@ def test_surrogate_statistics_have_the_exact_permutation_moments(n, h, seed):
     noise = 0.05 * np.random.default_rng(seed).standard_normal(n)
     series = TimeSeries(t, np.exp(0.08 * t + noise))
     signal = detection_signal(series, SavitzkyGolay(window, DETECTION_POLY_ORDER))
-    stats, resid = detector._surrogate_stats(signal, series.dt, _permutation_index(seed, n, 1999))
+    index = _permutation_index(seed, n, 1999, window - 1)
+    stats, resid = detector._surrogate_stats(signal, series.dt, index)
     w = _permutation_weights(n, window, DETECTION_POLY_ORDER)[0] / series.dt**2
     variance = resid.var() * n / (n - 1) * (w @ w)
     m = stats.size
