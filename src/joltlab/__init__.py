@@ -8,34 +8,18 @@ validating the detector with a Monte Carlo harness.
 
 __version__ = "0.4.0"
 
-from .detector import (
-    DetectionResult,
-    DetectorConfig,
-    detection_signal,
-    hybrid_detect,
-    permutation_test,
-)
-from .errors import JoltlabError
-from .estimation import (
-    DerivativeEstimate,
-    SavitzkyGolay,
-    estimate_derivatives,
-    savgol_derivative,
-    savgol_smooth,
-)
-from .metrics import (
-    JoltMetrics,
-    compute_metrics,
-    dimensionless_jolt,
-    growth_and_doubling,
-    jolt_magnitude,
-)
-from .timeseries import TimeSeries, read_csv, write_csv
-
-# The generators and the Monte Carlo harness load on first use (PEP 562):
-# detect and metrics run neither, and their dataclasses are most of the
-# package's import time.
+# Every export loads on first use (PEP 562), so ``import joltlab`` loads no
+# numpy and ``joltlab.cli`` runs before numpy does; detect and metrics never
+# load the generators or the Monte Carlo harness.
 _LAZY = {
+    **dict.fromkeys(("DetectionResult", "DetectorConfig", "detection_signal",
+                     "hybrid_detect", "permutation_test"), "detector"),
+    "JoltlabError": "errors",
+    **dict.fromkeys(("DerivativeEstimate", "SavitzkyGolay", "estimate_derivatives",
+                     "savgol_derivative", "savgol_smooth"), "estimation"),
+    **dict.fromkeys(("JoltMetrics", "compute_metrics", "dimensionless_jolt",
+                     "growth_and_doubling", "jolt_magnitude"), "metrics"),
+    **dict.fromkeys(("TimeSeries", "read_csv", "write_csv"), "timeseries"),
     **dict.fromkeys((
         "Composite", "Exponential", "GridSpec", "GrowthModelSpec", "InjectedJolt",
         "InteractionSpec", "Logistic", "LogQuadratic", "NoiseSpec", "ResourceSchedule",

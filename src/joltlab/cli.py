@@ -19,8 +19,17 @@ import contextlib
 import copy
 import dataclasses
 import gc
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread unless the user set a count: OpenBLAS's helper thread spins
+# on a spare CPU, joltlab's largest product is one (window - 1) x n_perm gemv,
+# and mc and sweep fork processes instead. OpenBLAS reads these variables
+# once, when numpy loads, so a process that loaded numpy first is left as it is.
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARS):
+    os.environ["OMP_NUM_THREADS"] = "1"
 
 from .detector import DETECTION_POLY_ORDER, DetectorConfig, hybrid_detect
 from .errors import ConfigError, DataError, JoltlabError, ParseError, SchemaError

@@ -283,9 +283,10 @@ def _forked_map(fn, tasks, workers: int) -> list:
 
     Forking here, not through ``multiprocessing``, starts no executor threads
     and keeps the children on the parent's frozen heap whatever the default
-    start method. Where ``os.fork`` does not exist the map runs serially. On
-    Python 3.12 and later, ``os.fork`` warns (``DeprecationWarning``) in a
-    process that runs other OS threads, such as OpenBLAS's.
+    start method. Where ``os.fork`` does not exist the map runs serially.
+    Python 3.12 and later warn (``DeprecationWarning``) from ``os.fork`` in a
+    process that runs other OS threads: a CLI process runs none unless the
+    user sets a BLAS thread count, and a library caller's may run OpenBLAS's.
     """
     if not hasattr(os, "fork"):
         return [fn(task) for task in tasks]

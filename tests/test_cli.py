@@ -598,6 +598,88 @@ def test_flag_the_command_does_not_read_exit_2(capsys, argv):
 
 # --- import path --------------------------------------------------------------
 
+def _thread_free_env(**variables):
+    """This environment with joltlab's sources on the path, no
+    ``*_NUM_THREADS`` variable, and then ``variables``."""
+    src = Path(joltlab.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    return {**env, "PYTHONPATH": str(src), **variables}
+
+
+_THREADS = "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None"
+
+
+def test_package_import_loads_no_numpy_and_sets_no_thread_variable():
+    code = (
+        "import json, os, sys, joltlab\n"
+        "before = ['numpy' in sys.modules,\n"
+        "          sorted(k for k in os.environ if k.endswith('_NUM_THREADS'))]\n"
+        "missing = [n for n in dir(joltlab) if not hasattr(joltlab, n)]\n"
+        "print(json.dumps([*before, missing]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_thread_free_env(),
+                          timeout=120, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, [], []]
+
+
+@pytest.mark.parametrize("variables, expected", [
+    ({}, {"OMP_NUM_THREADS": "1"}),
+    ({"OMP_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}),
+    ({"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2"}),
+], ids=["default", "OMP_NUM_THREADS=2", "OPENBLAS_NUM_THREADS=2"])
+def test_cli_runs_blas_on_one_thread_unless_the_user_sets_a_count(variables, expected):
+    # importing the CLI sets OMP_NUM_THREADS=1 before numpy loads, so OpenBLAS
+    # starts no helper thread; a count the user set is left as it is
+    code = (
+        "import json, os, joltlab.cli\n"
+        "print(json.dumps([{k: v for k, v in os.environ.items()\n"
+        f"                   if k.endswith('_NUM_THREADS')}}, {_THREADS}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_thread_free_env(**variables),
+                          timeout=120, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    env, threads = json.loads(proc.stdout)
+    assert env == expected
+    if variables:
+        return  # the user's count then sets the threads
+    if threads is None:
+        pytest.skip("no /proc/self/task to count OS threads")
+    assert threads == 1
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # detect at n=200 (window 21) and at n=1000 (window 101, one 100 x 499
+    # gemv per series), and mc at --jobs 2: the same bytes at one BLAS thread
+    # and at two
+    series = {}
+    for n in (200, 1000):
+        config = write_config(tmp_path, {"grid": {"n_points": n}, "noise": {"level": "medium"}},
+                              name=f"n{n}.yaml")
+        assert run(["generate", "--config", config, "--out", str(tmp_path / f"n{n}")]) == 0
+        series[n] = str(tmp_path / f"n{n}" / "series.csv")
+    commands = {
+        "detect-n200": (["detect", series[200]],
+                        ("detection.json", "metrics.csv", "derivatives.csv")),
+        "detect-n1000": (["detect", series[1000]],
+                         ("detection.json", "metrics.csv", "derivatives.csv")),
+        "mc": (["mc", "--trials", "4", "--jobs", "2"], ("table1.csv",)),
+    }
+    outputs = {}
+    for variables in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        env = _thread_free_env(**variables)
+        for name, (argv, files) in commands.items():
+            out = tmp_path / f"{name}-{len(variables)}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "joltlab.cli", *argv, "--out", str(out)],
+                env=env, cwd=tmp_path, timeout=300, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.setdefault(name, []).append([(out / f).read_bytes() for f in files])
+    for name, (default, two_threads) in outputs.items():
+        assert default == two_threads, name
+
+
 def test_cli_import_leaves_out_scipy():
     src = Path(joltlab.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -619,20 +701,19 @@ _DEFERRED = ("joltlab.growth", "joltlab.montecarlo", "logging", "numpy.polynomia
 
 def _fresh_main(argv_lists, cwd):
     """Run ``main`` on each argv in one fresh interpreter that reports two
-    usable CPUs. Per call: its exit code, whether yaml is loaded, whether
-    ``concurrent.futures`` or ``multiprocessing`` is, the frozen object count
-    at each ``os.fork``, the frozen object count, which ``_DEFERRED`` modules
-    are loaded and which of those are not frozen. Then, once:
-    ``dir(joltlab)``, the error of ``joltlab.no_such_name`` and the
-    ``_DEFERRED`` modules loaded after both."""
-    src = Path(joltlab.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
+    usable CPUs and has no ``*_NUM_THREADS`` variable. Per call: its exit
+    code, whether yaml is loaded, whether ``concurrent.futures`` or
+    ``multiprocessing`` is, the frozen object count and the OS thread count
+    (None without ``/proc/self/task``) at each ``os.fork``, the frozen object
+    count, which ``_DEFERRED`` modules are loaded and which of those are not
+    frozen. Then, once: ``dir(joltlab)``, the error of
+    ``joltlab.no_such_name`` and the ``_DEFERRED`` modules loaded after both."""
     code = (
         "import gc, json, os, sys, joltlab; from joltlab.cli import main\n"
         "os.cpu_count, os.sched_getaffinity = lambda: 2, lambda pid: {0, 1}\n"
         "forks, fork = [], os.fork\n"
         "def counted_fork():\n"
-        "    forks.append(gc.get_freeze_count())\n"
+        f"    forks.append([gc.get_freeze_count(), {_THREADS}])\n"
         "    return fork()\n"
         "os.fork = counted_fork\n"
         "def deferred():\n"
@@ -654,7 +735,7 @@ def _fresh_main(argv_lists, cwd):
         "print(json.dumps({'dir': dir(joltlab), 'error': error, 'loaded': deferred()[0]}))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, cwd=cwd, timeout=300,
+        [sys.executable, "-c", code], env=_thread_free_env(), cwd=cwd, timeout=300,
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -727,5 +808,10 @@ def test_pool_forks_after_the_monte_carlo_heap_is_frozen(tmp_path):
     assert unfrozen == []
     # both forks follow this command's freeze; the command frees a few frozen
     # objects, such as its config, before it returns
-    assert forks[0] == forks[1] >= frozen > calls[0][4]
+    (frozen_0, threads_0), (frozen_1, threads_1) = forks
+    assert frozen_0 == frozen_1 >= frozen > calls[0][4]
+    # and both fork from a process that runs one OS thread, as OpenBLAS
+    # starts no helper thread at the CLI's default
+    if threads_0 is not None:
+        assert [threads_0, threads_1] == [1, 1]
     assert (tmp_path / "s" / "heatmap.csv").exists()
