@@ -5,8 +5,10 @@ YAML config file holds model specs, noise, detector settings, Monte Carlo
 grids and seeds; CLI flags override config keys one-to-one. Each command is
 declared once, in ``_COMMANDS`` (its help, input CSV, flags and config
 sections), and each flag in ``_FLAGS`` (the config key it overrides and its
-help). Unknown config keys, and values whose type differs from the
-default's, are rejected (fail-closed).
+help). Unknown config keys are rejected (fail-closed). Once the file and the
+flags are merged, every key of every section is checked once, whatever the
+command, by the contract of the spec field it sets; ``_Keys`` declares the
+keys of the CLI alone. The error names the key, or the flag that set it.
 
 Exit codes: 0 success, 2 usage/config error, 3 data contract violation.
 Detection verdicts never drive exit codes.
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import dataclasses
 import gc
 import os
@@ -32,50 +33,70 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARS)
     os.environ["OMP_NUM_THREADS"] = "1"
 
 from .detector import DETECTION_POLY_ORDER, DetectorConfig, hybrid_detect
-from .errors import ConfigError, DataError, JoltlabError, ParseError, SchemaError
+from .errors import (ConfigError, DataError, JoltlabError, ParseError, SchemaError, Spec, text,
+                     whole)
 from .estimation import SavitzkyGolay, default_savgol, estimate_derivatives
 from .metrics import compute_metrics
 from .timeseries import read_csv, write_csv, write_json
+
+_FAMILIES = ("exponential", "logistic", "logquadratic", "injected_jolt")
 
 
 def _families() -> dict:
     from .growth import Exponential, InjectedJolt, Logistic, LogQuadratic
 
-    return {
-        "exponential": Exponential,
-        "logistic": Logistic,
-        "logquadratic": LogQuadratic,
-        "injected_jolt": InjectedJolt,
-    }
+    return dict(zip(_FAMILIES, (Exponential, Logistic, LogQuadratic, InjectedJolt)))
 
 
-def _defaults(*classes, skip=()) -> dict:
-    """Config section of the field defaults of ``classes``. Tuples become
-    lists, the type YAML gives them, so that ``_check_type`` accepts them."""
-    return {
-        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
-        for cls in classes
-        for f in dataclasses.fields(cls)
-        if f.name not in skip
-    }
+def _listing(least: int, wording: str):  # each value is checked where it is used
+    return lambda x: None if isinstance(x, list) and len(x) >= least else wording
 
 
-# the library dataclasses own every default; seed, out, jobs, the Monte Carlo
-# trial count and noise levels, and the sweep grid belong to the CLI alone.
-# These sections need no module that detection does not import.
+_AXIS = _listing(2, "list at least two values")  # any sweep key but budget
+
+
+@dataclasses.dataclass(init=False, repr=False, eq=False)  # never built: its fields are read
+class _Keys(Spec):
+    """The config keys of the CLI alone, by last name (detector.window, ...)."""
+
+    seed: int = whole(0, ge=0)
+    out: str = text(".")
+    # at most 256 forked workers, each a copy of this process (about 40 MB
+    # resident); workers beyond the usable CPUs never start
+    jobs: int = whole(1, ge=1, le=256)
+    window: int | None = whole(None, ge=5)  # SavitzkyGolay's; null: the default for n
+    # each cell runs mc.n_trials trials a class: up to 8.2 million detections
+    # at the ceiling and the default 1000 trials
+    budget: int = whole(64, ge=1, le=4096)
+    noise_levels: tuple = dataclasses.field(default=("low", "medium", "high"), metadata={
+        "contract": (_listing(1, "list at least one noise level"), ConfigError)})
+    family: str = text("logquadratic", among=_FAMILIES)
+
+
+def _section(*specs, skip=(), **defaults) -> dict:
+    """Config section of the contracted fields of ``specs`` not in ``skip``:
+    each key's default (``defaults``' where given) and contract test."""
+    return {f.name: (defaults.get(f.name, f.default), f.metadata["contract"][0])
+            for spec in specs for f in dataclasses.fields(spec)
+            if "contract" in f.metadata and f.name not in skip}
+
+
+_OWN = _section(_Keys)
+
+# the library specs own every other default; a seed field skipped here is set
+# by the top-level seed. These sections need no module that detection does
+# not import.
 _BASE_CONFIG = {
-    "seed": 0,
-    "out": ".",
-    "jobs": 1,
+    **{key: _OWN[key] for key in ("seed", "out", "jobs")},
     "detector": {
-        "window": None,
-        "poly_order": DETECTION_POLY_ORDER,
-        **_defaults(DetectorConfig, skip={"smoother", "seed"}),
+        "window": _OWN["window"],
+        **_section(SavitzkyGolay, DetectorConfig, skip={"window", "seed"},
+                   poly_order=DETECTION_POLY_ORDER),
     },
     "sweep": {
-        "window": [7, 11, 15, 21],
-        "decision_threshold": [0.3, 0.4, 0.5, 0.6, 0.7],
-        "budget": 64,
+        "window": ((7, 11, 15, 21), _AXIS),
+        "decision_threshold": ((0.3, 0.4, 0.5, 0.6, 0.7), _AXIS),
+        "budget": _OWN["budget"],
     },
 }
 
@@ -84,20 +105,17 @@ def _growth_sections() -> dict:
     from .growth import GridSpec, NoiseSpec
 
     return {
-        "model": {"family": "logquadratic", **_defaults(*_families().values(), skip={"base"})},
-        "grid": _defaults(GridSpec),
-        "noise": _defaults(NoiseSpec, skip={"seed"}),
+        "model": {"family": _OWN["family"], **_section(*_families().values())},
+        "grid": _section(GridSpec),
+        "noise": _section(NoiseSpec, skip={"seed"}),
     }
 
 
 def _mc_section() -> dict:
     from .montecarlo import MCCell, TrialMix
 
-    return {"mc": {
-        "n_trials": MCCell.n_trials,
-        "noise_levels": ["low", "medium", "high"],
-        **_defaults(TrialMix, skip={"logistic_l"}),
-    }}
+    return {"mc": {"noise_levels": _OWN["noise_levels"],
+                   **_section(MCCell, TrialMix, skip={"master_seed"})}}
 
 
 _ALL_SECTIONS = (_growth_sections, _mc_section)
@@ -126,64 +144,76 @@ _FLAGS = {
 }
 
 
-def _default_config(command: str | None = None) -> dict:
-    """A fresh copy of the defaults of the sections ``command`` reads (all
-    of them when None)."""
-    cfg = copy.deepcopy(_BASE_CONFIG)
+def _schema(command: str | None) -> dict:
+    """The default and contract test of each key of the sections ``command``
+    reads (all of them when None)."""
+    schema = dict(_BASE_CONFIG)
     for section in _COMMANDS[command][3] if command else _ALL_SECTIONS:
-        cfg.update(section())
-    return cfg
+        schema.update(section())
+    return schema
 
 
-def _check_type(full: str, default, value) -> None:
-    # a None default takes a number or null, a float default any number, and
-    # any other default exactly its own type (so a bool is not an int)
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if default is None:
-        ok, expected = number or value is None, "a number or null"
-    elif isinstance(default, float):
-        ok, expected = number, "a number"
-    else:
-        ok, expected = type(value) is type(default), type(default).__name__
-    if not ok:
-        raise ConfigError(f"config key {full} must be {expected}, got {value!r}")
+def _values(schema: dict) -> dict:
+    """Fresh defaults of ``schema``, each tuple as a list: the type YAML gives."""
+    return {key: _values(entry) if isinstance(entry, dict)
+            else list(entry[0]) if isinstance(entry[0], tuple) else entry[0]
+            for key, entry in schema.items()}
 
 
-def _merge(defaults: dict, user: dict, path: str = "") -> dict:
-    out = copy.deepcopy(defaults)
+def _merge(cfg: dict, user: dict, path: str = "") -> None:
     for key, value in user.items():
         full = f"{path}{key}"
-        if key not in defaults and path != "sweep.":  # sweep axes: the library checks them
+        if key not in cfg and path != "sweep.":  # any sweep key but budget is an axis
             raise ConfigError(f"unknown config key: {full}")
-        default = defaults.get(key, [])
-        if isinstance(default, dict) and not isinstance(value, dict):
+        if isinstance(cfg.get(key), dict) and not isinstance(value, dict):
             raise ConfigError(f"config key {full} must be a mapping")
-        if isinstance(default, dict):
-            out[key] = _merge(default, value, f"{full}.")
+        if isinstance(cfg.get(key), dict):
+            _merge(cfg[key], value, f"{full}.")
         else:
-            _check_type(full, default, value)
-            out[key] = value
-    return out
+            cfg[key] = value
 
 
-def load_config(path: str | None, command: str | None = None) -> dict:
-    """The defaults merged with the YAML mapping at ``path``, which is checked
-    against every section. Without a file, only the defaults of the sections
-    ``command`` reads (all of them when None)."""
-    if path is None:
-        return _default_config(command)
-    import yaml  # only a config file needs it
+def _check(cfg: dict, schema: dict, flags: dict, path: str = "") -> None:
+    """Check each value of ``cfg`` by the contract test of its key in
+    ``schema``; an error names the key, or the flag in ``flags`` that set it."""
+    for key, value in cfg.items():
+        full, entry = f"{path}{key}", schema.get(key, (None, _AXIS))
+        if isinstance(entry, dict):
+            _check(value, entry, flags, f"{full}.")
+        elif (wrong := entry[1](value)) is not None:
+            name = flags.get(full, f"config key {full}")
+            raise ConfigError(f"{name} must {wrong}, got {value!r}")
 
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            user = yaml.safe_load(fh) or {}
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"malformed config file: {exc}") from None
-    if not isinstance(user, dict):
-        raise ConfigError("config file must contain a mapping")
-    return _merge(_default_config(), user)
+
+def load_config(path: str | None, command: str | None = None, flags: dict | None = None) -> dict:
+    """The defaults merged with the YAML mapping at ``path``, then with
+    ``flags`` ({flag: value}), every key checked by its contract. A file is
+    merged with every section; without one, only the sections ``command``
+    reads are built (all of them when None)."""
+    schema = _schema(command if path is None else None)
+    cfg = _values(schema)
+    if path is not None:
+        import yaml  # only a config file needs it
+
+        from .montecarlo import axis_paths
+
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                user = yaml.safe_load(fh) or {}
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from None
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"malformed config file: {exc}") from None
+        if not isinstance(user, dict):
+            raise ConfigError("config file must contain a mapping")
+        _merge(cfg, user)
+        # an unknown axis fails first, not as a flag or a key it would replace
+        axis_paths([key for key in cfg["sweep"] if key != "budget"])
+    for flag, value in (flags or {}).items():
+        section, _, name = _FLAGS[flag][0].rpartition(".")
+        (cfg[section] if section else cfg)[name] = value
+    _check(cfg, schema, {_FLAGS[flag][0]: flag for flag in flags or {}})
+    return cfg
 
 
 def _build(cls, section: dict, **extra):
@@ -198,8 +228,6 @@ def _build(cls, section: dict, **extra):
 
 def build_family(model: dict):
     family, families = model["family"], _families()
-    if family not in families:
-        raise ConfigError(f"unknown config key: model.family value {family!r}")
     extra = {"base": _build(families["exponential"], model)} if family == "injected_jolt" else {}
     return _build(families[family], model, **extra)
 
@@ -214,15 +242,10 @@ def build_spec(cfg: dict) -> GrowthModelSpec:
 
 def build_detector(cfg: dict, n_points: int) -> DetectorConfig:
     d = cfg["detector"]
-    window = d["window"]
-    if window is not None:
-        if not float(window).is_integer():
-            raise ConfigError(
-                f"config key detector.window must be a whole number or null, got {window!r}"
-            )
-        smoother = SavitzkyGolay(window=int(window), poly_order=d["poly_order"])
-    else:
+    if d["window"] is None:
         smoother = default_savgol(n_points, poly_order=d["poly_order"])
+    else:
+        smoother = SavitzkyGolay(window=d["window"], poly_order=d["poly_order"])
     return _build(DetectorConfig, d, smoother=smoother, seed=cfg["seed"])
 
 
@@ -312,8 +335,6 @@ def _mc_cells(cfg: dict) -> list:
     from .growth import GridSpec
     from .montecarlo import MCCell, TrialMix
 
-    if not cfg["mc"]["noise_levels"]:
-        raise ConfigError("config key mc.noise_levels must list at least one noise level")
     grid = _build(GridSpec, cfg["grid"])
     detector, mix = build_detector(cfg, grid.n_points), _build(TrialMix, cfg["mc"])
     return [
@@ -345,11 +366,10 @@ def cmd_mc(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    from .montecarlo import axis_paths, sweeps, write_heatmap, write_report_json
+    from .montecarlo import sweeps, write_heatmap, write_report_json
 
     axes = {k: list(v) for k, v in cfg["sweep"].items() if k != "budget"}
-    axis_paths(axes)  # an unknown axis fails first, not as a key it would replace
-    cells, defaults = _mc_cells(cfg), _default_config()
+    cells, defaults = _mc_cells(cfg), load_config(None)
     # every row runs its own axis value, never that of a section a cell is built from
     for section, name in ((s, n) for s in ("detector", "mc", "grid") for n in axes):
         if name in cfg[section] and cfg[section][name] != defaults[section][name]:
@@ -380,8 +400,8 @@ def build_parser():
         # only the flags the command reads are registered; any other exits 2
         p.add_argument("--config", help="YAML run config")
         for flag in ("--out", *flags):
-            _, kind, text = _FLAGS[flag]
-            p.add_argument(flag, type=kind, help=text)
+            _, kind, about = _FLAGS[flag]
+            p.add_argument(flag, type=kind, help=about)
     return parser
 
 
@@ -396,13 +416,10 @@ def main(argv=None) -> int:
     Monte Carlo workers forked later do not copy its pages when they collect.
     """
     args = build_parser().parse_args(argv)
+    # a flag not given is None, and one the command does not read is missing
+    flags = {f: getattr(args, f[2:]) for f in _FLAGS if getattr(args, f[2:], None) is not None}
     try:
-        cfg = load_config(args.config, args.command)
-        for flag, (key, _, _) in _FLAGS.items():
-            value = getattr(args, flag[2:], None)  # None: not given, or not the command's
-            if value is not None:
-                section, _, name = key.rpartition(".")
-                (cfg[section] if section else cfg)[name] = value
+        cfg = load_config(args.config, args.command, flags)
         # the import-time heap lives until exit, so no collection need ever scan it
         gc.freeze()
         # looked up when it runs, so that a patched cli.cmd_<command> is called

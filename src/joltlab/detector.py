@@ -40,7 +40,9 @@ class DetectorConfig(Spec, section="detector"):
     min_duration_frac: float = real(0.25, gt=0, le=1)
     combine_weights: tuple = real((1 / 3, 1 / 3, 1 / 3), ge=0, n=3)
     decision_threshold: float = real(0.5, gt=0, lt=1)
-    n_perm: int = whole(499, ge=99, error=TooFewPermutations)
+    # p-values resolve 1/(n_perm + 1); the draw and its gathers hold about
+    # 32 * n_perm * (window - 1) bytes: 6.4 MB at the ceiling and n=200
+    n_perm: int = whole(499, ge=99, le=10_000, error=TooFewPermutations)
     alpha_sig: float = real(0.05, gt=0, lt=1)
     seed: int = whole(0, ge=0)
 

@@ -5,14 +5,15 @@ catch library failures with a single except clause. The CLI maps subclasses
 onto exit codes (config errors -> 2, data contract violations -> 3).
 
 A spec is a dataclass deriving from :class:`Spec`. It declares each field's
-contract once, in the field's metadata, as one of three kinds: :func:`real`,
+contract once, in the field's metadata, as one of four kinds: :func:`real`,
 a finite real number, optionally bounded (``gt``, ``ge``, ``lt``, ``le``);
-:func:`whole`, a whole number >= ``ge``; :func:`pair`, a (lo, hi) pair of
-finite reals with lo <= hi. ``Spec.__post_init__`` is the one checker: from
-a plan read once per class, it raises the first failing field's error
-(InvalidSpec unless it names another) naming the class or its config
-section, the field and the value. A spec's own ``__post_init__`` calls it
-first, then checks the cross-field rules.
+:func:`whole`, a whole number in [``ge``, ``le``]; :func:`pair`, a (lo, hi)
+pair of finite reals with lo <= hi; :func:`text`, a non-empty string.
+``Spec.__post_init__`` is the one checker: from a plan read once per class,
+it raises the first failing field's error (InvalidSpec unless it names
+another) naming the class or its config section, the field and the value.
+A spec's own ``__post_init__`` calls it first, then checks the cross-field
+rules.
 """
 
 import math
@@ -156,15 +157,30 @@ def real(default=MISSING, *, gt=None, ge=None, lt=None, le=None, n=None):
                  metadata={"contract": (test if n is None else test_each, InvalidSpec)})
 
 
-def whole(default, *, ge, error=InvalidSpec):
-    """A field holding a whole number >= ``ge``; a bool is not one."""
+def whole(default, *, ge, le=None, error=InvalidSpec):
+    """A field holding a whole number >= ``ge`` and <= any ``le``; a bool is
+    not one. A None default admits None."""
 
     def test(x):
+        if x is None and default is None:
+            return None
         if not isinstance(x, numbers.Integral) or isinstance(x, bool):
-            return "be a whole number"
-        return None if x >= ge else f"be >= {ge}"
+            return "be a whole number or null" if default is None else "be a whole number"
+        if x < ge:
+            return f"be >= {ge}"
+        return None if le is None or x <= le else f"be <= {le}"
 
     return field(default=default, metadata={"contract": (test, error)})
+
+
+def text(default, *, among=None):
+    """A field holding a non-empty string; with ``among``, one of those."""
+    wanted = "be a non-empty string" if among is None else f"be one of {', '.join(among)}"
+
+    def test(x):
+        return None if isinstance(x, str) and x and (among is None or x in among) else wanted
+
+    return field(default=default, metadata={"contract": (test, InvalidSpec)})
 
 
 def pair(default):

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidSpec, ScheduleViolation, Spec, real, whole
+from .errors import GridMismatch, InvalidSpec, ScheduleViolation, Spec, real, text, whole
 from .timeseries import TimeSeries
 
 NOISE_SIGMAS = {"none": 0.0, "low": 0.01, "medium": 0.05, "high": 0.10}
@@ -30,7 +30,9 @@ NOISE_SIGMAS = {"none": 0.0, "low": 0.01, "medium": 0.05, "high": 0.10}
 class GridSpec(Spec, section="grid"):
     t_start: float = real(0.0)
     t_end: float = real(20.0)
-    n_points: int = whole(200, ge=8)
+    # a default detection holds about 1.6 KB a point (n_perm 499, window
+    # n/10): 160 MB at the ceiling
+    n_points: int = whole(200, ge=8, le=100_000)
 
     def __post_init__(self):
         super().__post_init__()
@@ -54,7 +56,7 @@ def _grid_times(t_start: float, t_end: float, n_points: int) -> np.ndarray:
 class NoiseSpec(Spec, section="noise"):
     """Multiplicative noise tier (or explicit relative sigma) plus seed."""
 
-    level: str = "none"
+    level: str = text("none")
     sigma_rel: float | None = real(None, ge=0)
     seed: int = whole(0, ge=0)
 

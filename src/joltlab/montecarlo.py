@@ -86,7 +86,9 @@ class MCCell(Spec, section="mc"):
 
     noise: str | float = "low"
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    n_trials: int = whole(1000, ge=1)
+    # a rate's Wilson interval is within +-0.0031 at the ceiling, where a cell
+    # runs 200,000 detections: about 6 minutes on one CPU at n=200
+    n_trials: int = whole(1000, ge=1, le=100_000)
     master_seed: int = whole(0, ge=0)
     mix: TrialMix = field(default_factory=TrialMix)
     grid: GridSpec = field(default_factory=GridSpec)
@@ -476,9 +478,10 @@ def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> MCReport:
             except JoltlabError as exc:
                 raise InvalidSpec(f"sweep axis {name!r} value {value!r} "
                                   f"is not valid: {exc}") from None
+    count = math.prod(len(values) for values in axes.values())  # before any cell is made
+    if count > budget:
+        raise BudgetExceeded(f"{count} cells exceed budget {budget}")
     combos = [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
-    if len(combos) > budget:
-        raise BudgetExceeded(f"{len(combos)} cells exceed budget {budget}")
 
     pairs = list(itertools.product(templates, combos))
     cells = []

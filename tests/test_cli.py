@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 import joltlab
+from joltlab import cli
 from joltlab.cli import build_detector, load_config, main
 from joltlab.detector import DetectorConfig
 from joltlab.errors import DataError
@@ -71,24 +72,102 @@ def test_unknown_nested_key_named(tmp_path, capsys):
     assert "detector.windw" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("payload, key, expected", [
-    ({"detector": {"n_perm": "abc"}}, "detector.n_perm", "int"),
-    ({"detector": {"n_perm": 199.5}}, "detector.n_perm", "int"),
-    ({"detector": {"window": "x"}}, "detector.window", "a number or null"),
-    ({"grid": {"n_points": "a"}}, "grid.n_points", "int"),
-    ({"sweep": {"window": 7}}, "sweep.window", "list"),
-    ({"detector": {"combine_weights": 1}}, "detector.combine_weights", "list"),
-    ({"seed": "abc"}, "seed", "int"),
-    ({"seed": True}, "seed", "int"),
-    ({"grid": {"t_end": "20"}}, "grid.t_end", "a number"),
+# at least one value outside each config key's contract, and one for each
+# flag; a key of load_config(None) without a row, or a row whose key has no
+# contract, fails the tests below
+BIG = 10**400  # past float range, and past every ceiling
+OUTSIDE = [
+    ("seed", -1), ("seed", "abc"), ("seed", True), ("out", ""), ("out", 5), ("jobs", 0),
+    ("jobs", 257),
+    ("detector.window", 7.0), ("detector.window", "x"), ("detector.window", 3),
+    ("detector.poly_order", -1), ("detector.threshold_peak", 0),
+    ("detector.min_duration_frac", 1.5), ("detector.combine_weights", 1),
+    ("detector.decision_threshold", 1), ("detector.n_perm", 199.5), ("detector.n_perm", "abc"),
+    ("detector.n_perm", BIG), ("detector.alpha_sig", 0),
+    ("sweep.window", 7), ("sweep.decision_threshold", [0.5]), ("sweep.budget", -1),
+    ("sweep.budget", BIG),
+    ("model.family", "nope"), ("model.c0", 0), ("model.k", math.nan), ("model.l", -1),
+    ("model.r", 0), ("model.t0", "10"), ("model.a", None), ("model.b", math.inf),
+    ("model.jolt_start", True), ("model.jolt_end", [10]), ("model.ramp_strength", -0.1),
+    ("grid.t_start", None), ("grid.t_end", "20"), ("grid.n_points", 5), ("grid.n_points", "a"),
+    ("grid.n_points", BIG),
+    ("noise.level", 3), ("noise.sigma_rel", -0.1),
+    ("mc.n_trials", 0), ("mc.n_trials", BIG), ("mc.noise_levels", []), ("mc.noise_levels", "low"),
+    ("mc.b_range", [0.02, 0.005]), ("mc.k_range", [0.03]), ("mc.r_range", "x"),
+    ("mc.t0_range", [8, math.inf]), ("mc.logistic_l", 0), ("mc.injected_fraction", 1.5),
+    ("mc.logistic_fraction", -0.5), ("mc.ramp_strength_range", 1),
+    ("mc.ramp_start_range", [10, 5]), ("mc.ramp_len_range", None),
+]
+FLAGS_OUTSIDE = {"--out": "", "--seed": "-1", "--jobs": "0", "--trials": "100001"}
+COMMANDS = ("generate", "detect", "metrics", "mc", "sweep")
+
+
+def _keys(cfg, path=""):
+    for key, value in cfg.items():
+        yield from _keys(value, f"{path}{key}.") if isinstance(value, dict) else [path + key]
+
+
+def _label(value):
+    return "10**400" if value is BIG else repr(value)
+
+
+def test_every_config_key_and_flag_has_a_value_outside_its_contract():
+    assert {key for key, _ in OUTSIDE} == set(_keys(load_config(None)))
+    assert set(FLAGS_OUTSIDE) == set(cli._FLAGS)
+
+
+@pytest.fixture(scope="module")
+def input_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("input") / "series.csv"
+    path.write_text("t,value\n" + "".join(f"{i},{1.05 ** i}\n" for i in range(100)))
+    return str(path)
+
+
+def _refused(argv, command, input_csv, workdir, monkeypatch, capsys):
+    """Run ``command`` with ``argv`` in ``workdir`` and return its stderr; it
+    must exit 2 and leave ``workdir`` as it was."""
+    monkeypatch.chdir(workdir)
+    before = sorted(os.listdir(workdir))
+    inputs = [input_csv] if command in ("detect", "metrics") else []
+    assert run([command, *inputs, *argv]) == 2
+    assert sorted(os.listdir(workdir)) == before  # no --out directory, no output
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", OUTSIDE, ids=[f"{k}={_label(v)}" for k, v in OUTSIDE])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_config_key_outside_its_contract_exits_2_naming_it(tmp_path, monkeypatch, capsys,
+                                                            input_csv, command, key, value):
+    # every section is checked whatever the command; out is the working directory
+    payload = value
+    for part in reversed(key.split(".")):
+        payload = {part: payload}
+    argv = ["--config", write_config(tmp_path, payload)]
+    err = _refused(argv, command, input_csv, tmp_path, monkeypatch, capsys)
+    assert err.startswith(f"error: config key {key} must "), err
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in COMMANDS for flag in FLAGS_OUTSIDE
+    if flag == "--out" or flag in cli._COMMANDS[command][2]
 ])
-def test_wrong_typed_config_value_exit_2(tmp_path, capsys, payload, key, expected):
-    cfg = write_config(tmp_path, payload)
-    out = tmp_path / "out"
-    assert run(["generate", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"config key {key} must be {expected}, got" in err
-    assert not out.exists()
+def test_a_flag_outside_its_contract_exits_2_naming_it(tmp_path, monkeypatch, capsys, input_csv,
+                                                       command, flag):
+    argv = ["--out", "out", flag, FLAGS_OUTSIDE[flag]]
+    err = _refused(argv, command, input_csv, tmp_path, monkeypatch, capsys)
+    assert err.startswith(f"error: {flag} must "), err
+
+
+@pytest.mark.parametrize("command, payload, ceiling", [
+    ("detect", {"detector": {"n_perm": BIG}}, "config key detector.n_perm must be <= 10000"),
+    ("generate", {"grid": {"n_points": BIG}}, "config key grid.n_points must be <= 100000"),
+    ("mc", {"mc": {"n_trials": BIG}}, "config key mc.n_trials must be <= 100000"),
+], ids=["detect n_perm", "generate n_points", "mc n_trials"])
+def test_a_size_past_its_ceiling_exits_2_naming_it(tmp_path, monkeypatch, capsys, input_csv,
+                                                   command, payload, ceiling):
+    # each exited 1 with a ValueError traceback from the array it allocated
+    argv = ["--config", write_config(tmp_path, payload), "--out", "out"]
+    assert ceiling in _refused(argv, command, input_csv, tmp_path, monkeypatch, capsys)
 
 
 def test_config_accepts_numbers_for_float_and_null_defaults(tmp_path):
@@ -389,13 +468,17 @@ def test_non_finite_or_non_numeric_setting_exit_2(tmp_path, capsys, command, pay
 
 
 @pytest.mark.parametrize("command, payload, named", [
-    ("mc", {"grid": {"t_end": float("inf")}}, "grid t_end must be a finite number, got inf"),
-    ("generate", {"grid": {"t_end": float("inf")}}, "grid t_end must be a finite number, got inf"),
+    ("mc", {"grid": {"t_end": float("inf")}},
+     "config key grid.t_end must be a finite number, got inf"),
+    ("generate", {"grid": {"t_end": float("inf")}},
+     "config key grid.t_end must be a finite number, got inf"),
     ("mc", {"mc": {"k_range": [0.03, float("inf")]}},
-     "k_range must be two finite numbers lo <= hi, got (0.03, inf)"),
-    ("mc", {"mc": {"k_range": [0.03]}}, "k_range must be two finite numbers lo <= hi, got (0.03,)"),
+     "config key mc.k_range must be two finite numbers lo <= hi, got [0.03, inf]"),
+    ("mc", {"mc": {"k_range": [0.03]}},
+     "config key mc.k_range must be two finite numbers lo <= hi, got [0.03]"),
     ("mc", {"mc": {"injected_fraction": 1.5}}, "injected_fraction must lie in [0, 1], got 1.5"),
-    ("mc", {"detector": {"n_perm": 199.5}}, "config key detector.n_perm must be int, got 199.5"),
+    ("mc", {"detector": {"n_perm": 199.5}},
+     "config key detector.n_perm must be a whole number, got 199.5"),
 ], ids=["mc t_end inf", "generate t_end inf", "k_range inf", "k_range one bound",
         "injected_fraction 1.5", "n_perm 199.5"])
 def test_bad_grid_mix_or_detector_setting_exits_2_before_any_trial(tmp_path, capsys, monkeypatch,
@@ -417,28 +500,30 @@ def test_bad_grid_mix_or_detector_setting_exits_2_before_any_trial(tmp_path, cap
 
 @pytest.mark.parametrize("command, payload, named", [
     ("generate", {"model": {"family": "exponential", "k": math.nan}},
-     "Exponential k must be a finite number, got nan"),
+     "config key model.k must be a finite number, got nan"),
     ("generate", {"model": {"family": "logistic", "r": math.inf}},
-     "Logistic r must be a finite number, got inf"),
+     "config key model.r must be a finite number, got inf"),
     ("generate", {"model": {"family": "logquadratic", "b": math.nan}},
-     "LogQuadratic b must be a finite number, got nan"),
+     "config key model.b must be a finite number, got nan"),
     ("generate", {"model": {"family": "exponential", "c0": math.inf}},
-     "Exponential c0 must be a finite number, got inf"),
+     "config key model.c0 must be a finite number, got inf"),
     ("generate", {"model": {"family": "injected_jolt", "ramp_strength": math.nan}},
-     "InjectedJolt ramp_strength must be a finite number, got nan"),
-    ("generate", {"grid": {"t_end": True}}, "config key grid.t_end must be a number, got True"),
+     "config key model.ramp_strength must be a finite number, got nan"),
+    ("generate", {"grid": {"t_end": True}},
+     "config key grid.t_end must be a finite number, got True"),
     ("generate", {"noise": {"sigma_rel": True}},
-     "config key noise.sigma_rel must be a number or null, got True"),
+     "config key noise.sigma_rel must be a finite number, got True"),
     ("mc", {"mc": {"injected_fraction": True}},
-     "config key mc.injected_fraction must be a number, got True"),
+     "config key mc.injected_fraction must be a finite number, got True"),
     ("mc", {"detector": {"decision_threshold": "0.5"}},
-     "config key detector.decision_threshold must be a number, got '0.5'"),
+     "config key detector.decision_threshold must be a finite number, got '0.5'"),
     # an int past float range exited 1 with an OverflowError traceback
     ("generate", {"model": {"family": "exponential", "c0": 10**400}},
-     "Exponential c0 must be a finite number"),
+     "config key model.c0 must be a finite number"),
     ("generate", {"model": {"family": "exponential", "k": 10**400}},
-     "Exponential k must be a finite number"),
-    ("mc", {"mc": {"k_range": [0.03, 10**400]}}, "mc k_range must be two finite numbers lo <= hi"),
+     "config key model.k must be a finite number"),
+    ("mc", {"mc": {"k_range": [0.03, 10**400]}},
+     "config key mc.k_range must be two finite numbers lo <= hi"),
 ], ids=["exponential k nan", "logistic r inf", "logquadratic b nan", "exponential c0 inf",
         "injected_jolt ramp_strength nan", "grid t_end true", "noise sigma_rel true",
         "injected_fraction true", "decision_threshold string", "exponential c0 past float",
@@ -503,7 +588,10 @@ def test_sweep_takes_an_axis_of_the_mix_grid_or_detector(tmp_path, payload, axis
     ({"sweep": {"noise_levels": [["low"], ["high"]]}}, [], "unknown sweep axis 'noise_levels'"),
     ({"grid": {"n_points": 64}, "sweep": {"n_points": [64, 100]}}, [],
      "config key grid.n_points is replaced by the axis sweep.n_points"),
-], ids=["n_trials", "k_range", "noise_levels", "grid.n_points replaced"])
+    ({"mc": {"logistic_l": 2.0}, "sweep": {"logistic_l": [1.0, 2.0]}}, [],
+     "config key mc.logistic_l is replaced by the axis sweep.logistic_l"),
+], ids=["n_trials", "k_range", "noise_levels", "grid.n_points replaced",
+        "mc.logistic_l replaced"])
 def test_sweep_rejects_a_non_axis_or_a_key_its_axis_replaces(tmp_path, capsys, monkeypatch,
                                                              payload, flags, named):
     # the unknown axis is named first: --trials 2 is not blamed on the
@@ -519,6 +607,14 @@ def test_sweep_rejects_a_non_axis_or_a_key_its_axis_replaces(tmp_path, capsys, m
     assert not out.exists()
 
 
+def test_mc_takes_the_logistic_capacity_of_its_mix(tmp_path):
+    cfg = write_config(tmp_path, {**SMALL_SWEEP, "mc": {
+        "n_trials": 2, "noise_levels": ["low"], "logistic_l": 2.0}})
+    out = tmp_path / "out"
+    assert run(["mc", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["metadata"]["mix"]["logistic_l"] == 2.0
+
+
 def test_sweep_takes_a_detector_setting_at_its_default(tmp_path):
     cfg = write_config(tmp_path, {**SMALL_SWEEP, "detector": {
         "n_perm": 99, "window": None, "decision_threshold": 0.5}})
@@ -530,8 +626,8 @@ def test_sweep_takes_a_detector_setting_at_its_default(tmp_path):
     ("detect", [], {"seed": -2}, "seed must be >= 0, got -2"),
     ("mc", ["--seed", "-3"], SMALL_SWEEP, "seed must be >= 0, got -3"),
     ("sweep", ["--seed", "-3"], SMALL_SWEEP, "seed must be >= 0, got -3"),
-    ("generate", ["--seed", "-5"], {"noise": {"level": "low"}}, "noise seed must be >= 0, got -5"),
-    ("generate", ["--seed", "-5"], {}, "noise seed must be >= 0, got -5"),
+    ("generate", ["--seed", "-5"], {"noise": {"level": "low"}}, "--seed must be >= 0, got -5"),
+    ("generate", ["--seed", "-5"], {}, "--seed must be >= 0, got -5"),
     ("mc", ["--jobs", "0"], SMALL_SWEEP, "jobs must be >= 1, got 0"),
     ("sweep", ["--jobs", "-4"], SMALL_SWEEP, "jobs must be >= 1, got -4"),
 ], ids=["detect --seed", "detect config seed", "mc --seed", "sweep --seed",

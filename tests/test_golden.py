@@ -151,8 +151,8 @@ def test_outputs_match_golden(tmp_path):
 
 
 def test_default_config_matches_golden():
-    # types included: _check_type compares each config value with its
-    # default's type, so a float default must stay a float
+    # types included: the config is written into each report, so a float
+    # default must stay a float
     want = json.loads((GOLDEN / "default_config.json").read_text())
     assert _typed(load_config(None)) == _typed(want)
 

@@ -544,6 +544,15 @@ def test_sweep_budget_enforced():
         sweep(axes, small_cell(), budget=5)
 
 
+def test_sweep_budget_is_checked_before_any_cell_is_made():
+    # 10**12 cells were each made, as a dict, before they were counted
+    values = [0.1 + k / 1000 for k in range(100)]
+    axes = {name: values for name in ("decision_threshold", "alpha_sig", "min_duration_frac",
+                                      "injected_fraction", "logistic_fraction", "t_start")}
+    with pytest.raises(BudgetExceeded, match="1000000000000 cells exceed budget 64"):
+        sweep(axes, small_cell())
+
+
 def test_sweep_rejects_unknown_axis():
     with pytest.raises(InvalidSpec):
         sweep({"mystery": [1, 2]}, small_cell())

@@ -44,8 +44,9 @@ def real(bad_range=st.nothing()):
     return st.one_of(NOT_REAL, bad_range)
 
 
-def whole(ge):
-    return st.one_of(NOT_WHOLE, st.integers(max_value=ge - 1))
+def whole(ge, le=None):
+    above_le = st.nothing() if le is None else st.integers(min_value=le + 1)
+    return st.one_of(NOT_WHOLE, st.integers(max_value=ge - 1), above_le)
 
 
 def reals(n, bad_element):
@@ -68,8 +69,9 @@ PAIR = st.one_of(
 # field the values its contract refuses
 SPECS = {
     "GridSpec": (GridSpec, InvalidSpec, {
-        "t_start": real(), "t_end": real(), "n_points": whole(8)}),
-    "NoiseSpec": (lambda **kw: NoiseSpec(level="low", **kw), InvalidSpec, {
+        "t_start": real(), "t_end": real(), "n_points": whole(8, le=100_000)}),
+    "NoiseSpec": (lambda **kw: NoiseSpec(**{"level": "low", **kw}), InvalidSpec, {
+        "level": st.one_of(st.just(""), NOT_FINITE, st.booleans(), st.integers()),
         "sigma_rel": st.one_of(NOT_FINITE, st.sampled_from(["", "0.5", [1.0]]), st.booleans(),
                                below(0.0, strict=True)),
         "seed": whole(0)}),
@@ -95,13 +97,13 @@ SPECS = {
         "logistic_fraction": real(st.one_of(below(0.0, strict=True), above(1.0, strict=True))),
     }),
     "MCCell": (lambda **kw: MCCell(detector=DetectorConfig(n_perm=99), **kw), InvalidSpec, {
-        "n_trials": whole(1), "master_seed": whole(0)}),
+        "n_trials": whole(1, le=100_000), "master_seed": whole(0)}),
     "DetectorConfig": (DetectorConfig, InvalidSpec, {
         "threshold_peak": real(below(0.0)),
         "min_duration_frac": real(st.one_of(below(0.0), above(1.0, strict=True))),
         "combine_weights": reals(3, st.one_of(NOT_FINITE, NOT_NUMBER, below(0.0, strict=True))),
         "decision_threshold": UNIT_OPEN,
-        "n_perm": whole(99),
+        "n_perm": whole(99, le=10_000),
         "alpha_sig": UNIT_OPEN,
         "seed": whole(0)}),
     "SavitzkyGolay": (SavitzkyGolay, InvalidOrder, {
