@@ -33,8 +33,7 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARS)
     os.environ["OMP_NUM_THREADS"] = "1"
 
 from .detector import DETECTION_POLY_ORDER, DetectorConfig, hybrid_detect
-from .errors import (ConfigError, DataError, JoltlabError, ParseError, SchemaError, Spec, text,
-                     whole)
+from .errors import ConfigError, DataError, JoltlabError, Spec, text, whole
 from .estimation import SavitzkyGolay, default_savgol, estimate_derivatives
 from .metrics import compute_metrics
 from .timeseries import read_csv, write_csv, write_json
@@ -65,18 +64,19 @@ class _Keys(Spec):
     # resident); workers beyond the usable CPUs never start
     jobs: int = whole(1, ge=1, le=256)
     window: int | None = whole(None, ge=5)  # SavitzkyGolay's; null: the default for n
+    poly_order: int = whole(DETECTION_POLY_ORDER, ge=2)  # SavitzkyGolay's; S = (ln C)'' needs 2
     # each cell runs mc.n_trials trials a class: up to 8.2 million detections
     # at the ceiling and the default 1000 trials
     budget: int = whole(64, ge=1, le=4096)
     noise_levels: tuple = dataclasses.field(default=("low", "medium", "high"), metadata={
-        "contract": (_listing(1, "list at least one noise level"), ConfigError)})
+        "contract": _listing(1, "list at least one noise level")})
     family: str = text("logquadratic", among=_FAMILIES)
 
 
-def _section(*specs, skip=(), **defaults) -> dict:
+def _section(*specs, skip=()) -> dict:
     """Config section of the contracted fields of ``specs`` not in ``skip``:
-    each key's default (``defaults``' where given) and contract test."""
-    return {f.name: (defaults.get(f.name, f.default), f.metadata["contract"][0])
+    each key's default and contract test."""
+    return {f.name: (f.default, f.metadata["contract"])
             for spec in specs for f in dataclasses.fields(spec)
             if "contract" in f.metadata and f.name not in skip}
 
@@ -89,9 +89,8 @@ _OWN = _section(_Keys)
 _BASE_CONFIG = {
     **{key: _OWN[key] for key in ("seed", "out", "jobs")},
     "detector": {
-        "window": _OWN["window"],
-        **_section(SavitzkyGolay, DetectorConfig, skip={"window", "seed"},
-                   poly_order=DETECTION_POLY_ORDER),
+        **{key: _OWN[key] for key in ("window", "poly_order")},
+        **_section(DetectorConfig, skip={"seed"}),
     },
     "sweep": {
         "window": ((7, 11, 15, 21), _AXIS),
@@ -300,8 +299,7 @@ def cmd_generate(cfg: dict) -> int:
 def _load_input(path: str):
     try:
         return read_csv(path)
-    except (ParseError, SchemaError, OSError) as exc:
-        # malformed input file is a usage-level error for the CLI
+    except OSError as exc:  # an unreadable input file is a usage error
         raise ConfigError(str(exc)) from None
 
 

@@ -18,8 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (GridMismatch, InvalidSpec, SeriesTooShort, ShapeError, Spec,
-                     TooFewPermutations, TooFewPoints, real, whole)
+from .errors import ConfigError, DataError, Spec, real, whole
 from .estimation import (
     SavitzkyGolay,
     _filter_log,
@@ -42,7 +41,7 @@ class DetectorConfig(Spec, section="detector"):
     decision_threshold: float = real(0.5, gt=0, lt=1)
     # p-values resolve 1/(n_perm + 1); the draw and its gathers hold about
     # 32 * n_perm * (window - 1) bytes: 6.4 MB at the ceiling and n=200
-    n_perm: int = whole(499, ge=99, le=10_000, error=TooFewPermutations)
+    n_perm: int = whole(499, ge=99, le=10_000)
     alpha_sig: float = real(0.05, gt=0, lt=1)
     seed: int = whole(0, ge=0)
 
@@ -50,7 +49,7 @@ class DetectorConfig(Spec, section="detector"):
         super().__post_init__()
         w = self.combine_weights
         if abs(math.fsum(w) - 1.0) > 1e-9:
-            raise InvalidSpec(f"detector combine_weights must sum to 1, got {w!r}")
+            raise ConfigError(f"detector combine_weights must sum to 1, got {w!r}")
 
     def verdict(self, score, p_value):
         """The detection rule, elementwise on arrays: a jolt is reported when
@@ -123,11 +122,11 @@ def _batch(series) -> tuple[list, bool]:
         return [series], True
     rows = list(series)
     if not rows:
-        raise ShapeError("a batch needs at least one series")
+        raise DataError("a batch needs at least one series")
     times = rows[0].times
     for row in rows[1:]:
         if row.times is not times and not np.array_equal(row.times, times):
-            raise GridMismatch("the series of a batch must share one time grid")
+            raise DataError("the series of a batch must share one time grid")
     return rows, False
 
 
@@ -149,7 +148,7 @@ def detection_signal(series, smoother: SavitzkyGolay | None = None) -> Signal:
     grid = rows[0]
     cfg = smoother if smoother is not None else default_savgol(len(grid), DETECTION_POLY_ORDER)
     if cfg.poly_order < 2:
-        raise InvalidSpec("detection signal needs poly_order >= 2")
+        raise ConfigError("detection signal needs poly_order >= 2")
     dt = grid.dt
     logv = grid.log_values if single else np.stack([row.log_values for row in rows])
     logv, (fit, s) = _filter_log(logv, cfg, dt, (0, 2))
@@ -164,7 +163,7 @@ def detection_signal(series, smoother: SavitzkyGolay | None = None) -> Signal:
 
 def _require_points(s: np.ndarray) -> None:
     if s.shape[-1] < 8:
-        raise TooFewPoints(f"need at least 8 unmasked signal points, got {s.shape[-1]}")
+        raise DataError(f"need at least 8 unmasked signal points, got {s.shape[-1]}")
 
 
 def _median(x: np.ndarray) -> np.ndarray:
@@ -218,8 +217,9 @@ def pattern_match_score(s: np.ndarray):
     _require_points(s)
     n = s.shape[-1]
     sd = s.std(axis=-1, keepdims=True)
-    # constant up to filter rounding jitter counts as constant
-    flat = sd <= 1e-9 * np.maximum(1.0, np.max(np.abs(s), axis=-1, keepdims=True))
+    # constant up to filter rounding jitter counts as constant; the test is
+    # relative, so it does not move with the time unit (S has units 1/time^2)
+    flat = sd <= 1e-9 * np.max(np.abs(s), axis=-1, keepdims=True)
     z = (s - s.mean(axis=-1, keepdims=True)) / np.where(flat, 1.0, sd)
     c1 = np.zeros(s.shape[:-1] + (n + 1,))
     c2 = np.zeros(c1.shape)
@@ -340,8 +340,8 @@ def _surrogate_stats(signal: Signal, dt: float, index: np.ndarray):
     hi = max(n - lo, lo)
     width = index.shape[-1]
     if width != n and not 2 * lo <= width < n:
-        raise ShapeError(f"a permutation index of {width} columns does not hold the first "
-                         f"and last {lo} of {n} that window {cfg.window} reads")
+        raise DataError(f"a permutation index of {width} columns does not hold the first "
+                        f"and last {lo} of {n} that window {cfg.window} reads")
     w, resid_scale = _permutation_weights(n, cfg.window, cfg.poly_order)
     w = w / dt**2
     resid = (logv - signal.fit) * resid_scale
@@ -438,12 +438,12 @@ def _detect(groups) -> list:
     one draw is held at a time."""
     n = len(_batch([one for _, series, _ in groups for one in series])[0][0])
     if n < 32:
-        raise SeriesTooShort(f"need >= 32 points, got {n}")
+        raise DataError(f"need >= 32 points, got {n}")
     scored = []
     draws = {}  # (seed, n_perm) -> (group, its rows) that use the draw
     for g, (config, series, seeds) in enumerate(groups):
         if len(seeds) != len(series):
-            raise ShapeError(f"{len(series)} series need one seed each, got {len(seeds)}")
+            raise DataError(f"{len(series)} series need one seed each, got {len(seeds)}")
         signal = detection_signal(series, config.smoother)
         s = signal.unmasked
         subs = (peak_ratio_score(s, config.threshold_peak), pattern_match_score(s),

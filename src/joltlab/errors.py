@@ -1,19 +1,23 @@
-"""Exception hierarchy for joltlab, and the field contracts of its specs.
+"""The error classes of joltlab, and the field contracts of its specs.
 
-Every error raised by the library derives from JoltlabError so callers can
-catch library failures with a single except clause. The CLI maps subclasses
-onto exit codes (config errors -> 2, data contract violations -> 3).
+Every error the library raises is one of four classes, each a JoltlabError,
+so one except clause catches them all, and the message names the cause. The
+class says which exit code the CLI gives:
+
+- DataError: a series or file breaks an input contract; exit 3.
+- ConfigError: a config key, flag or argument is wrong; exit 2.
+- ParseError: a ConfigError for a malformed input file, with its ``line``.
 
 A spec is a dataclass deriving from :class:`Spec`. It declares each field's
 contract once, in the field's metadata, as one of four kinds: :func:`real`,
 a finite real number, optionally bounded (``gt``, ``ge``, ``lt``, ``le``);
 :func:`whole`, a whole number in [``ge``, ``le``]; :func:`pair`, a (lo, hi)
-pair of finite reals with lo <= hi; :func:`text`, a non-empty string.
-``Spec.__post_init__`` is the one checker: from a plan read once per class,
-it raises the first failing field's error (InvalidSpec unless it names
-another) naming the class or its config section, the field and the value.
-A spec's own ``__post_init__`` calls it first, then checks the cross-field
-rules.
+pair of finite reals with lo <= hi; :func:`text`, a non-empty string. The
+metadata's ``contract`` is the test: None for a good value, else what the
+value must be. ``Spec.__post_init__`` is the one checker: from a plan read
+once per class, it raises a ConfigError for the first failing field, naming
+the class or its config section, the field and the value. A spec's own
+``__post_init__`` calls it first, then checks the cross-field rules.
 """
 
 import math
@@ -26,96 +30,23 @@ class JoltlabError(Exception):
     """Base class for all joltlab errors."""
 
 
-# --- data contract violations -------------------------------------------------
-
 class DataError(JoltlabError):
-    """A series or file violates an input contract."""
+    """A series or file violates an input contract (the CLI exits 3)."""
 
 
-class NonMonotonicTime(DataError):
-    pass
+class ConfigError(JoltlabError):
+    """Invalid configuration or usage: an unknown key, a bad value (the CLI
+    exits 2)."""
 
 
-class NonFiniteValue(DataError):
-    pass
+class ParseError(ConfigError):
+    """A malformed input file; ``line`` is the 1-based line at fault, if any."""
 
-
-class ShapeError(DataError):
-    """Times and values are not two 1-D arrays of one non-zero length."""
-
-
-class NonPositiveValue(DataError):
-    pass
-
-
-class ParseError(DataError):
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class SchemaError(DataError):
-    pass
-
-
-class GridMismatch(DataError):
-    pass
-
-
-class NonUniformGrid(DataError):
-    pass
-
-
-class SeriesTooShort(DataError):
-    pass
-
-
-class TooFewPoints(DataError):
-    pass
-
-
-class NonPositiveCapability(DataError):
-    pass
-
-
-class EmptyCell(DataError):
-    pass
-
-
-# --- configuration / usage errors ---------------------------------------------
-
-class ConfigError(JoltlabError):
-    """Invalid configuration (unknown key, bad value)."""
-
-
-class InvalidSpec(ConfigError):
-    pass
-
-
-class WindowTooLarge(ConfigError):
-    pass
-
-
-class InvalidOrder(ConfigError):
-    pass
-
-
-class OrderExceedsPoly(ConfigError):
-    pass
-
-
-class TooFewPermutations(InvalidSpec):
-    pass
-
-
-class ScheduleViolation(ConfigError):
-    pass
-
-
-class BudgetExceeded(ConfigError):
-    pass
 
 
 # --- spec field contracts -----------------------------------------------------
@@ -153,11 +84,10 @@ def real(default=MISSING, *, gt=None, ge=None, lt=None, le=None, n=None):
             return None
         return f"be {n} finite numbers {where}".rstrip()
 
-    return field(default=default,
-                 metadata={"contract": (test if n is None else test_each, InvalidSpec)})
+    return field(default=default, metadata={"contract": test if n is None else test_each})
 
 
-def whole(default, *, ge, le=None, error=InvalidSpec):
+def whole(default, *, ge, le=None):
     """A field holding a whole number >= ``ge`` and <= any ``le``; a bool is
     not one. A None default admits None."""
 
@@ -170,7 +100,7 @@ def whole(default, *, ge, le=None, error=InvalidSpec):
             return f"be >= {ge}"
         return None if le is None or x <= le else f"be <= {le}"
 
-    return field(default=default, metadata={"contract": (test, error)})
+    return field(default=default, metadata={"contract": test})
 
 
 def text(default, *, among=None):
@@ -180,7 +110,7 @@ def text(default, *, among=None):
     def test(x):
         return None if isinstance(x, str) and x and (among is None or x in among) else wanted
 
-    return field(default=default, metadata={"contract": (test, InvalidSpec)})
+    return field(default=default, metadata={"contract": test})
 
 
 def pair(default):
@@ -191,13 +121,12 @@ def pair(default):
             return None
         return "be two finite numbers lo <= hi"
 
-    return field(default=default, metadata={"contract": (test, InvalidSpec)})
+    return field(default=default, metadata={"contract": test})
 
 
 @cache
-def _plan(cls) -> tuple:  # (name, test, error) of each field with a contract
-    return tuple((f.name, *f.metadata["contract"])
-                 for f in fields(cls) if "contract" in f.metadata)
+def _plan(cls) -> tuple:  # (name, test) of each field with a contract
+    return tuple((f.name, f.metadata["contract"]) for f in fields(cls) if "contract" in f.metadata)
 
 
 class Spec:
@@ -209,7 +138,7 @@ class Spec:
         cls._section = section or cls.__name__
 
     def __post_init__(self):
-        for name, test, error in _plan(type(self)):
-            wrong = test(getattr(self, name))
-            if wrong is not None:
-                raise error(f"{self._section} {name} must {wrong}, got {getattr(self, name)!r}")
+        for name, test in _plan(type(self)):
+            value = getattr(self, name)
+            if (wrong := test(value)) is not None:
+                raise ConfigError(f"{self._section} {name} must {wrong}, got {value!r}")

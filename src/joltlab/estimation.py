@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidOrder, OrderExceedsPoly, SeriesTooShort, Spec, WindowTooLarge, whole
+from .errors import ConfigError, DataError, Spec, whole
 from .timeseries import TimeSeries, write_exact
 
 DERIVATIVE_CSV_HEADER = "t,c,c1,c2,c3,c3_lo,c3_hi,edge"
@@ -34,14 +34,14 @@ DERIVATIVE_CSV_HEADER = "t,c,c1,c2,c3,c3_lo,c3_hi,edge"
 class SavitzkyGolay(Spec):
     """Local polynomial smoother config: odd window >= 5, poly_order < window."""
 
-    window: int = whole(11, ge=5, error=InvalidOrder)
-    poly_order: int = whole(4, ge=0, error=InvalidOrder)
+    window: int = whole(11, ge=5)
+    poly_order: int = whole(4, ge=0)
 
     def __post_init__(self):
         super().__post_init__()
         if self.window % 2 == 0 or self.poly_order >= self.window:
-            raise InvalidOrder(f"SavitzkyGolay needs an odd window and poly_order < window, "
-                               f"got window {self.window}, poly_order {self.poly_order}")
+            raise ConfigError(f"SavitzkyGolay needs an odd window and poly_order < window, "
+                              f"got window {self.window}, poly_order {self.poly_order}")
 
 
 _MIN_DEFAULT_WINDOW = SavitzkyGolay.window
@@ -51,11 +51,11 @@ def default_savgol(n: int, poly_order: int = SavitzkyGolay.poly_order) -> Savitz
     """Default detection pipeline smoother: window = max(11, ~n/10, odd).
 
     A series shorter than the window floor of 11 has no default smoother:
-    it raises SeriesTooShort naming n rather than shrinking the window until
+    it raises a DataError naming n rather than shrinking the window until
     every point is a boundary point.
     """
     if n < _MIN_DEFAULT_WINDOW:
-        raise SeriesTooShort(
+        raise DataError(
             f"series has {n} points; the default smoother needs at least "
             f"{_MIN_DEFAULT_WINDOW}"
         )
@@ -99,7 +99,7 @@ def _savgol_operator(window: int, poly_order: int, deriv: int):
     the filter row of a point at offset j; ``kernel`` is the centre row.
     """
     if deriv > poly_order:
-        raise OrderExceedsPoly(
+        raise ConfigError(
             f"derivative order {deriv} exceeds poly_order {poly_order}"
         )
     h = window // 2
@@ -129,7 +129,7 @@ def _savgol_filter(x: np.ndarray, window: int, poly_order: int, deriv: int) -> n
     """
     n = x.shape[-1]
     if window > n:
-        raise WindowTooLarge(f"window {window} exceeds series length {n}")
+        raise ConfigError(f"window {window} exceeds series length {n}")
     coef, kernel, deriv_at = _savgol_operator(window, poly_order, deriv)
     h = window // 2
     out = np.empty(x.shape)
@@ -162,7 +162,7 @@ def savgol_smooth(series: TimeSeries, config: SavitzkyGolay) -> TimeSeries:
 
 def savgol_derivative(series: TimeSeries, config: SavitzkyGolay, order: int) -> TimeSeries:
     if order not in (1, 2, 3):
-        raise InvalidOrder("derivative order must be 1, 2 or 3")
+        raise ConfigError("derivative order must be 1, 2 or 3")
     return series.with_values(savgol_apply(series, config, order))
 
 
@@ -226,7 +226,7 @@ def estimate_derivatives(
         config = default_savgol(n)
     w, p = config.window, config.poly_order
     if p < 3:
-        raise OrderExceedsPoly("third-derivative estimation needs poly_order >= 3")
+        raise ConfigError("third-derivative estimation needs poly_order >= 3")
     dt = series.dt
     centred, (l0, l1, l2, l3) = _filter_log(logv, config, dt, range(4))
     c = np.exp(l0 + logv.mean())

@@ -18,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidSpec, ScheduleViolation, Spec, real, text, whole
-from .timeseries import TimeSeries
+from .errors import ConfigError, DataError, Spec, real, text, whole
+from .timeseries import DT_RANGE, TimeSeries
 
 NOISE_SIGMAS = {"none": 0.0, "low": 0.01, "medium": 0.05, "high": 0.10}
 
@@ -37,7 +37,12 @@ class GridSpec(Spec, section="grid"):
     def __post_init__(self):
         super().__post_init__()
         if not self.t_end > self.t_start:
-            raise InvalidSpec("grid needs t_end > t_start")
+            raise ConfigError("grid needs t_end > t_start")
+        lo, hi = DT_RANGE
+        step = (self.t_end - self.t_start) / (self.n_points - 1)
+        if not lo <= step <= hi:
+            raise ConfigError(f"grid step (t_end - t_start) / (n_points - 1) must lie in "
+                              f"[{lo:g}, {hi:g}], got {step:g}")
 
     def times(self) -> np.ndarray:
         """Read-only grid times, one array per grid: the series generated on a
@@ -63,7 +68,7 @@ class NoiseSpec(Spec, section="noise"):
     def __post_init__(self):
         super().__post_init__()
         if self.sigma_rel is None and self.level not in NOISE_SIGMAS:
-            raise InvalidSpec(f"unknown noise level {self.level!r}")
+            raise ConfigError(f"unknown noise level {self.level!r}")
 
     @property
     def sigma(self) -> float:
@@ -111,7 +116,7 @@ class InjectedJolt(Spec):
     def __post_init__(self):
         super().__post_init__()
         if not self.jolt_end > self.jolt_start:
-            raise InvalidSpec("InjectedJolt requires jolt_end > jolt_start")
+            raise ConfigError("InjectedJolt requires jolt_end > jolt_start")
 
 
 @dataclass(frozen=True)
@@ -129,9 +134,9 @@ class InteractionSpec:
         for (_i, _j), term in self.terms:
             vals = term(times) if callable(term) else np.asarray(term, float)
             if vals.shape != times.shape:
-                raise GridMismatch("interaction term length != grid length")
+                raise DataError("interaction term length != grid length")
             if not np.all(np.isfinite(vals)):
-                raise InvalidSpec("interaction term must be finite")
+                raise ConfigError("interaction term must be finite")
             total = total + vals
         return total
 
@@ -145,7 +150,7 @@ class Composite:
 
     def __post_init__(self):
         if not self.factors:
-            raise InvalidSpec("Composite requires at least one factor")
+            raise ConfigError("Composite requires at least one factor")
 
 
 @dataclass(frozen=True)
@@ -191,7 +196,7 @@ def evaluate(family, times: np.ndarray) -> np.ndarray:
         for w, sub in family.factors:
             total = total + w * evaluate(sub, times)
         return total
-    raise InvalidSpec(f"unknown growth family {type(family).__name__}")
+    raise ConfigError(f"unknown growth family {type(family).__name__}")
 
 
 def _family_label(family, grid: GridSpec) -> bool:
@@ -206,7 +211,7 @@ def _family_label(family, grid: GridSpec) -> bool:
         t = grid.times()
         logv = np.log(evaluate(family, t))
         return bool(np.all(np.diff(logv, 2) > 0))
-    raise InvalidSpec(f"unknown growth family {type(family).__name__}")
+    raise ConfigError(f"unknown growth family {type(family).__name__}")
 
 
 def generate(spec: GrowthModelSpec) -> tuple[TimeSeries, bool]:
@@ -214,7 +219,7 @@ def generate(spec: GrowthModelSpec) -> tuple[TimeSeries, bool]:
     t = spec.grid.times()
     values = evaluate(spec.family, t)
     if not np.all(values > 0):
-        raise InvalidSpec("generated trajectory is not strictly positive")
+        raise ConfigError("generated trajectory is not strictly positive")
     return add_noise(TimeSeries(t, values), spec.noise), spec.label
 
 
@@ -224,7 +229,7 @@ def add_noise(series: TimeSeries, noise: NoiseSpec) -> TimeSeries:
     Draws that would produce a non-positive value are resampled. Identity
     for sigma 0; bitwise deterministic for a fixed seed.
     """
-    series.log_values  # raises NonPositiveValue: no draw makes a C <= 0 positive
+    series.log_values  # raises a DataError: no draw makes a C <= 0 positive
     sigma = noise.sigma
     if sigma == 0.0:
         return series
@@ -246,12 +251,12 @@ def compose(factors, interaction: InteractionSpec | None = None) -> TimeSeries:
     ``factors`` is a list of (weight, TimeSeries) sharing one grid.
     """
     if not factors:
-        raise InvalidSpec("compose requires at least one factor")
+        raise ConfigError("compose requires at least one factor")
     times = factors[0][1].times
     total = np.zeros_like(times)
     for w, s in factors:
         if not np.array_equal(s.times, times):
-            raise GridMismatch("factor series must share one time grid")
+            raise DataError("factor series must share one time grid")
         total = total + w * s.values
     if interaction is not None:
         total = total + interaction.sampled(times)
@@ -271,11 +276,11 @@ class ResourceSchedule(Spec):
         t = np.asarray(self.times, dtype=float)
         u = np.asarray(self.utilization, dtype=float)
         if t.shape != u.shape:
-            raise GridMismatch("schedule grid/utilization length mismatch")
+            raise DataError("schedule grid/utilization length mismatch")
         if np.any(u < 0):
-            raise ScheduleViolation("resource utilization must be >= 0")
+            raise ConfigError("resource utilization must be >= 0")
         if np.any(u > self.r_max):
-            raise ScheduleViolation("resource utilization exceeds r_max")
+            raise ConfigError("resource utilization exceeds r_max")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "utilization", u)
 
@@ -283,6 +288,6 @@ class ResourceSchedule(Spec):
 def apply_resource_damping(jolt: TimeSeries, schedule: ResourceSchedule) -> TimeSeries:
     """Damp a jolt series by (r_max - R(t)) / r_max pointwise."""
     if not np.array_equal(jolt.times, schedule.times):
-        raise GridMismatch("jolt series and schedule must share one grid")
+        raise DataError("jolt series and schedule must share one grid")
     factor = (schedule.r_max - schedule.utilization) / schedule.r_max
     return jolt.with_values(jolt.values * factor)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveCapability
+from .errors import DataError
 from .estimation import DerivativeEstimate
 from .timeseries import write_exact
 
@@ -46,7 +46,7 @@ class JoltMetrics:
 
 def _require_positive_capability(d: DerivativeEstimate) -> None:
     if not np.all(d.c > 0):
-        raise NonPositiveCapability("capability estimates must be > 0")
+        raise DataError("capability estimates must be > 0")
 
 
 def jolt_magnitude(d: DerivativeEstimate) -> np.ndarray:

@@ -44,7 +44,7 @@ import numpy as np
 import numpy.random  # noqa: F401  loaded once here, not in each forked worker
 
 from .detector import DETECTION_POLY_ORDER, DetectorConfig, hybrid_detect
-from .errors import BudgetExceeded, EmptyCell, InvalidSpec, JoltlabError, Spec, pair, real, whole
+from .errors import ConfigError, DataError, JoltlabError, Spec, pair, real, whole
 from .estimation import SavitzkyGolay, default_savgol
 from .growth import (
     Exponential,
@@ -341,7 +341,7 @@ def _outcomes(cells, jobs: int = 1) -> list:
     by one, so the outcome does not depend on ``jobs``.
     """
     if jobs < 1:
-        raise InvalidSpec(f"jobs must be >= 1, got {jobs}")
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     # no more workers than the CPUs this process may run on
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(jobs, cpus or 1)
@@ -406,7 +406,7 @@ def summarize(counts: ConfusionCounts) -> RateSummary:
     n_pos = counts.tp + counts.fn
     n_neg = counts.fp + counts.tn
     if n_pos == 0 or n_neg == 0:
-        raise EmptyCell("cell has no trials in one of the classes")
+        raise DataError("cell has no trials in one of the classes")
     tpr = counts.tp / n_pos
     fpr = counts.fp / n_neg
     tnr = 1.0 - fpr
@@ -432,12 +432,12 @@ _AXIS_SPECS = {"detector.smoother": SavitzkyGolay, "detector": DetectorConfig,
 def axis_paths(names) -> dict:
     """The path from a cell to the spec of each sweep axis in ``names``, a scalar
     field of its detector, smoother, mix or grid, named bare. Any other name,
-    such as the detector's seed, which each trial replaces, raises InvalidSpec."""
+    such as the detector's seed, which each trial replaces, raises a ConfigError."""
     paths = {f.name: path for path, spec in _AXIS_SPECS.items() for f in dataclasses.fields(spec)
              if isinstance(f.default, numbers.Real) and f.name != "seed"}
     for name in names:
         if name not in paths:
-            raise InvalidSpec(f"unknown sweep axis {name!r}")
+            raise ConfigError(f"unknown sweep axis {name!r}")
     return {name: paths[name] for name in names}
 
 
@@ -458,9 +458,9 @@ def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> MCReport:
     templates: one report of a :class:`CellResult` per (template, assignment),
     in that order, their :func:`best_configuration`, and ``{"runs": [...]}``,
     one run per template. With no axes each template is one cell, ``params ==
-    {}``, as ``joltlab mc`` runs it. A value its field refuses raises
-    InvalidSpec naming the axis and the value, before the budget check; values
-    that conflict inside one spec raise InvalidSpec naming every axis and
+    {}``, as ``joltlab mc`` runs it. A value its field refuses raises a
+    ConfigError naming the axis and the value, before the budget check; values
+    that conflict inside one spec raise one naming every axis and
     value of the cell, before any trial. An n_points axis keeps the window
     its template resolved when it was built.
 
@@ -471,16 +471,16 @@ def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> MCReport:
     paths = axis_paths(axes)
     for name, values in axes.items():
         if len(values) < 2:
-            raise InvalidSpec(f"sweep axis {name!r} needs at least 2 values")
+            raise ConfigError(f"sweep axis {name!r} needs at least 2 values")
         for template, value in itertools.product(templates, values):
-            try:  # the field's contract; the smoother raises InvalidOrder
+            try:  # the field's contract, or the smoother's window rule
                 replace(attrgetter(paths[name])(template), **{name: value})
             except JoltlabError as exc:
-                raise InvalidSpec(f"sweep axis {name!r} value {value!r} "
+                raise ConfigError(f"sweep axis {name!r} value {value!r} "
                                   f"is not valid: {exc}") from None
     count = math.prod(len(values) for values in axes.values())  # before any cell is made
     if count > budget:
-        raise BudgetExceeded(f"{count} cells exceed budget {budget}")
+        raise ConfigError(f"{count} cells exceed budget {budget}")
     combos = [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
     pairs = list(itertools.product(templates, combos))
@@ -490,7 +490,7 @@ def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> MCReport:
             cells.append(apply_axes(template, assignment, paths))
         except JoltlabError as exc:
             named = ", ".join(f"{name}={value!r}" for name, value in assignment.items())
-            raise InvalidSpec(f"sweep cell {named} is not valid: {exc}") from None
+            raise ConfigError(f"sweep cell {named} is not valid: {exc}") from None
     results = [
         CellResult(noise=template.noise, params=dict(assignment),
                    counts=counts, rates=summarize(counts))

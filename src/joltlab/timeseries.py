@@ -1,12 +1,14 @@
 """Canonical time-series container, CSV I/O and the format of every output.
 
 A TimeSeries is the currency of the whole pipeline and owns its contract.
-Construction rejects times and values that are not two 1-D arrays of one
-non-zero length (ShapeError), non-finite times or values (NonFiniteValue) and
-times that do not strictly increase (NonMonotonicTime). Cached read-only
-properties give the grid spacing ``dt`` (else NonUniformGrid) and ln C,
-``log_values`` (else NonPositiveValue), once per series. Instances are
-immutable: a writable input array is copied, so the caller's stays writable.
+Construction raises a DataError for times and values that are not two 1-D
+arrays of one non-zero length, non-finite times or values and times that do
+not strictly increase. Cached read-only properties give the grid spacing
+``dt`` and ln C, ``log_values``, once per series; each raises a DataError
+for a grid that is not uniform or whose step is outside ``DT_RANGE``, and
+for a value that is not positive. Instances are immutable: a writable input
+array is copied, so the caller's stays writable. A malformed CSV file raises
+a ParseError.
 
 Every file joltlab writes goes through the three writers at the end of this
 module, so each is UTF-8 with LF line endings: ``write_table`` formats a
@@ -23,19 +25,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    NonFiniteValue,
-    NonMonotonicTime,
-    NonPositiveValue,
-    NonUniformGrid,
-    ParseError,
-    SchemaError,
-    ShapeError,
-)
+from .errors import DataError, ParseError
 
 CSV_HEADER = "t,value"
 
 GRID_REL_TOL = 1e-9  # largest deviation of a step from dt, relative to dt
+# the time steps a result holds for in any time unit: a third derivative
+# divides by dt**3, which stays within float range for these
+DT_RANGE = (1e-30, 1e30)
 
 
 def _read_only(x) -> np.ndarray:
@@ -58,19 +55,19 @@ class TimeSeries:
         t = _read_only(self.times)
         v = _read_only(self.values)
         if t.ndim != 1 or v.ndim != 1:
-            raise ShapeError("times and values must be one-dimensional")
+            raise DataError("times and values must be one-dimensional")
         if t.size != v.size:
-            raise ShapeError(
+            raise DataError(
                 f"length mismatch: {t.size} times vs {v.size} values"
             )
         if t.size < 1:
-            raise ShapeError("series must contain at least one point")
+            raise DataError("series must contain at least one point")
         if not np.all(np.isfinite(t)):
-            raise NonFiniteValue("non-finite timestamp")
+            raise DataError("non-finite timestamp")
         if not np.all(np.diff(t) > 0):
-            raise NonMonotonicTime("timestamps must be strictly increasing")
+            raise DataError("timestamps must be strictly increasing")
         if not np.all(np.isfinite(v)):
-            raise NonFiniteValue("non-finite value in series")
+            raise DataError("non-finite value in series")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -79,14 +76,17 @@ class TimeSeries:
 
     @cached_property
     def dt(self) -> float:
-        """Mean grid spacing; raises NonUniformGrid beyond ``GRID_REL_TOL``."""
+        """Mean grid spacing; raises a DataError for a mean outside
+        ``DT_RANGE``, or for a step beyond ``GRID_REL_TOL`` of it."""
         if self.times.size < 2:
-            raise NonUniformGrid("need at least two points to define a spacing")
+            raise DataError("need at least two points to define a spacing")
         d = np.diff(self.times)
         dt = d.mean()
+        if not DT_RANGE[0] <= dt <= DT_RANGE[1]:
+            raise DataError(f"time step {dt:g} is outside [{DT_RANGE[0]:g}, {DT_RANGE[1]:g}]")
         worst = float(np.max(np.abs(d - dt)))
         if worst > GRID_REL_TOL * dt:
-            raise NonUniformGrid(
+            raise DataError(
                 f"grid spacing deviates from uniform by {worst / dt:.3g} of dt, "
                 f"beyond rel_tol {GRID_REL_TOL:g}"
             )
@@ -94,9 +94,9 @@ class TimeSeries:
 
     @cached_property
     def log_values(self) -> np.ndarray:
-        """Read-only ln C; raises NonPositiveValue unless every value is > 0."""
+        """Read-only ln C; raises a DataError unless every value is > 0."""
         if not np.all(self.values > 0):
-            raise NonPositiveValue("series values must be strictly positive")
+            raise DataError("series values must be strictly positive")
         logv = np.log(self.values)
         logv.setflags(write=False)
         return logv
@@ -111,9 +111,9 @@ def read_csv(path) -> TimeSeries:
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines:
-        raise SchemaError(f"{path}: empty file, expected header '{CSV_HEADER}'")
+        raise ParseError(f"{path}: empty file, expected header '{CSV_HEADER}'")
     if lines[0].strip() != CSV_HEADER:
-        raise SchemaError(
+        raise ParseError(
             f"{path}: missing or malformed header, expected '{CSV_HEADER}'"
         )
     times, values = [], []
@@ -129,7 +129,7 @@ def read_csv(path) -> TimeSeries:
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
     if not times:
-        raise SchemaError(f"{path}: no data records")
+        raise ParseError(f"{path}: no data records")
     return TimeSeries(np.array(times), np.array(values))
 
 

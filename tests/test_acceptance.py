@@ -273,3 +273,43 @@ def test_acceptance_9_scale_shift_invariance():
             ok &= abs(got.p_value - ref.p_value) <= 1e-9
     _report(9, "×1e6 value scaling and +1000 time shift leave verdict, score "
                "and p-value unchanged to 1e-9", ok)
+
+
+# Acceptance 9 scales values and shifts time; this scales time itself, as a
+# change of time unit does (seconds, hours, years). S has units 1/time^2, so
+# every threshold on it must move with the unit, and no result may.
+TIME_SCALES = (1e-6, 1e-3, 8766.0, 3.15576e7, 1e9)
+
+
+def _time_scaling_cases():
+    """(label, series, config): 40 drawn trials per class of a medium-noise
+    Monte Carlo cell, each with its own detector seed, and two noiseless series."""
+    from dataclasses import replace
+
+    from joltlab.growth import generate
+    from joltlab.montecarlo import MCCell, sample_trial_spec
+
+    cell = MCCell(noise="medium", master_seed=42)
+    for is_positive in (True, False):
+        for i in range(40):
+            spec, seed = sample_trial_spec(cell, is_positive, i)
+            yield (f"{'pos' if is_positive else 'neg'} {i}", generate(spec)[0],
+                   replace(cell.detector, seed=seed))
+    t = cell.grid.times()
+    yield "exponential", TimeSeries(t, np.exp(0.1 * t)), cell.detector
+    yield "log-quadratic", TimeSeries(t, np.exp(0.05 * t + 0.01 * t**2)), cell.detector
+
+
+def test_time_scaling_leaves_verdict_p_value_and_scores_unchanged():
+    differ = []
+    for label, series, config in _time_scaling_cases():
+        ref = hybrid_detect(series, config)
+        for scale in TIME_SCALES:
+            got = hybrid_detect(TimeSeries(scale * series.times, series.values), config)
+            same = (got.verdict == ref.verdict and got.p_value == ref.p_value
+                    and abs(got.score - ref.score) <= 1e-9
+                    and all(abs(got.sub_scores[k] - ref.sub_scores[k]) <= 1e-9
+                            for k in ref.sub_scores))
+            if not same:
+                differ.append((label, scale, ref.sub_scores, got.sub_scores))
+    assert not differ, f"{len(differ)} results moved with the time unit, first: {differ[0]}"

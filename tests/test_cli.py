@@ -80,7 +80,7 @@ OUTSIDE = [
     ("seed", -1), ("seed", "abc"), ("seed", True), ("out", ""), ("out", 5), ("jobs", 0),
     ("jobs", 257),
     ("detector.window", 7.0), ("detector.window", "x"), ("detector.window", 3),
-    ("detector.poly_order", -1), ("detector.threshold_peak", 0),
+    ("detector.poly_order", -1), ("detector.poly_order", 1), ("detector.threshold_peak", 0),
     ("detector.min_duration_frac", 1.5), ("detector.combine_weights", 1),
     ("detector.decision_threshold", 1), ("detector.n_perm", 199.5), ("detector.n_perm", "abc"),
     ("detector.n_perm", BIG), ("detector.alpha_sig", 0),
@@ -266,6 +266,17 @@ def test_detect_steep_or_stepped_growth_exit_0(tmp_path, values):
     assert run(["detect", str(path), "--out", str(out)]) == 0
     for name in ("detection.json", "metrics.csv", "derivatives.csv"):
         assert (out / name).exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "metrics"])
+def test_a_time_step_outside_the_stated_range_exits_3_naming_it(tmp_path, capsys, command):
+    # a step of 1e103 exited 1 with an OverflowError traceback from dt**3
+    path = tmp_path / "series.csv"
+    path.write_text("t,value\n" + "".join(f"{i * 1e103!r},{1.05 ** i!r}\n" for i in range(100)))
+    out = tmp_path / "out"
+    assert run([command, str(path), "--out", str(out)]) == 3
+    assert "error: time step 1e+103 is outside [1e-30, 1e+30]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_detect_malformed_csv_exit_2(tmp_path):
@@ -479,8 +490,13 @@ def test_non_finite_or_non_numeric_setting_exit_2(tmp_path, capsys, command, pay
     ("mc", {"mc": {"injected_fraction": 1.5}}, "injected_fraction must lie in [0, 1], got 1.5"),
     ("mc", {"detector": {"n_perm": 199.5}},
      "config key detector.n_perm must be a whole number, got 199.5"),
+    # poly_order 1 failed in a worker's first trial, naming no key
+    ("mc", {"detector": {"poly_order": 1}}, "config key detector.poly_order must be >= 2, got 1"),
+    # t_end 1e200 exited 1 with an OverflowError traceback from dt**k
+    ("mc", {"grid": {"t_end": 1.0e200}}, "grid step (t_end - t_start) / (n_points - 1) must lie "
+                                        "in [1e-30, 1e+30], got 5.02513e+197"),
 ], ids=["mc t_end inf", "generate t_end inf", "k_range inf", "k_range one bound",
-        "injected_fraction 1.5", "n_perm 199.5"])
+        "injected_fraction 1.5", "n_perm 199.5", "poly_order 1", "t_end 1e200"])
 def test_bad_grid_mix_or_detector_setting_exits_2_before_any_trial(tmp_path, capsys, monkeypatch,
                                                                    command, payload, named):
     # an infinite t_end exited 0 with a TPR of 0 and a warning per trial; a

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from joltlab.detector import smoothstep
-from joltlab.errors import GridMismatch, InvalidSpec, ScheduleViolation
+from joltlab.errors import ConfigError, DataError
 from joltlab.growth import (
     Composite,
     Exponential,
@@ -23,7 +23,7 @@ from joltlab.growth import (
     evaluate,
     generate,
 )
-from joltlab.timeseries import TimeSeries
+from joltlab.timeseries import DT_RANGE, TimeSeries
 
 
 # --- closed-form family values ------------------------------------------------
@@ -76,15 +76,15 @@ def test_composite_evaluates_weighted_sum():
 
 
 def test_invalid_specs_rejected():
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigError, match="Exponential c0 must be > 0, got -1.0"):
         Exponential(c0=-1.0)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigError, match="Logistic l must be > 0, got 0.0"):
         Logistic(l=0.0)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigError, match="InjectedJolt requires jolt_end > jolt_start"):
         InjectedJolt(jolt_start=5.0, jolt_end=5.0)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigError, match="grid needs t_end > t_start"):
         GridSpec(t_start=1.0, t_end=1.0)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigError, match="unknown noise level 'extreme'"):
         NoiseSpec(level="extreme")
 
 
@@ -100,9 +100,27 @@ def test_invalid_specs_rejected():
 def test_grid_needs_finite_bounds_and_whole_n_points(kwargs, named):
     # an infinite t_end gave an all-NaN grid: every Monte Carlo trial failed
     # with a warning and the command still exited 0
-    with pytest.raises(InvalidSpec, match=re.escape(named)):
+    with pytest.raises(ConfigError, match=re.escape(named)):
         GridSpec(**kwargs)
     assert GridSpec(t_start=np.float64(1.0), n_points=np.int64(50)).times().size == 50
+
+
+@pytest.mark.parametrize("kwargs, step", [
+    ({"t_end": 1.0e200}, "5.02513e+197"),
+    ({"t_start": -1.0e308, "t_end": 1.0e308}, "inf"),
+    ({"t_end": 1.0e-30}, "5.02513e-33"),
+])
+def test_grid_step_outside_the_stated_range_is_refused_naming_the_keys(kwargs, step):
+    # t_end 1e200 raised OverflowError from dt**k in the first detection
+    named = f"grid step (t_end - t_start) / (n_points - 1) must lie in [1e-30, 1e+30], got {step}"
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        GridSpec(**kwargs)
+
+
+@pytest.mark.parametrize("step", [DT_RANGE[0] * (1 + 1e-9), DT_RANGE[1] * (1 - 1e-9)])
+def test_grid_step_just_inside_the_stated_range_generates(step):
+    flat = GrowthModelSpec(family=Exponential(k=0.0), grid=GridSpec(0.0, 7 * step, 8))
+    assert generate(flat)[0].dt == pytest.approx(step, rel=1e-12)
 
 
 # --- smoothstep ---------------------------------------------------------------
@@ -185,7 +203,7 @@ def test_compose_with_interaction_terms():
 def test_compose_grid_mismatch():
     a = TimeSeries([0, 1, 2], [1, 1, 1])
     b = TimeSeries([0, 1, 3], [1, 1, 1])
-    with pytest.raises(GridMismatch):
+    with pytest.raises(DataError, match="factor series must share one time grid"):
         compose([(1.0, a), (1.0, b)])
 
 
@@ -211,5 +229,5 @@ def test_damping_half_utilization():
 
 
 def test_schedule_over_cap_rejected():
-    with pytest.raises(ScheduleViolation):
+    with pytest.raises(ConfigError, match="resource utilization exceeds r_max"):
         ResourceSchedule(np.array([0.0, 1.0]), np.array([0.5, 3.0]), r_max=2.0)

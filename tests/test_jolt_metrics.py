@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from joltlab.errors import NonPositiveCapability
+from joltlab.errors import DataError
 from joltlab.estimation import DerivativeEstimate, estimate_derivatives
 from joltlab.growth import (
     Logistic,
@@ -59,7 +59,7 @@ def test_cubic_jolt_direct_substitution():
 def test_jolt_requires_positive_capability():
     t = np.linspace(0, 5, 10)
     d = analytic_estimate(t, t - 2.0, np.ones(10), np.ones(10), np.ones(10))
-    with pytest.raises(NonPositiveCapability):
+    with pytest.raises(DataError, match="capability estimates must be > 0"):
         jolt_magnitude(d)
 
 

@@ -13,14 +13,7 @@ import pytest
 
 from joltlab import montecarlo
 from joltlab.detector import DETECTION_POLY_ORDER, DetectorConfig, hybrid_detect
-from joltlab.errors import (
-    BudgetExceeded,
-    EmptyCell,
-    InvalidSpec,
-    NonFiniteValue,
-    SeriesTooShort,
-    WindowTooLarge,
-)
+from joltlab.errors import ConfigError, DataError
 from joltlab.estimation import SavitzkyGolay
 from joltlab.growth import (
     Exponential,
@@ -84,7 +77,7 @@ def test_rate_arithmetic_medium_row():
 
 
 def test_empty_cell_rejected():
-    with pytest.raises(EmptyCell):
+    with pytest.raises(DataError, match="cell has no trials in one of the classes"):
         summarize(ConfusionCounts(tp=0, fn=0, fp=5, tn=95))
 
 
@@ -180,7 +173,7 @@ def test_trial_mix_with_list_ranges():
 def test_trial_mix_rejects_bad_ranges_and_fractions(kwargs, named):
     # an infinite bound raised OverflowError and a one-element range
     # IndexError, each from inside the trials
-    with pytest.raises(InvalidSpec, match=re.escape(named)):
+    with pytest.raises(ConfigError, match=re.escape(named)):
         TrialMix(**kwargs)
 
 
@@ -205,7 +198,7 @@ def test_cell_resolves_default_smoother_for_its_grid():
 def test_cell_on_grid_below_default_window_rejected():
     # trials on a grid under 11 points could not resolve a smoother; the
     # cell says so at construction instead of failing every trial
-    with pytest.raises(SeriesTooShort, match="10 points"):
+    with pytest.raises(DataError, match="10 points"):
         small_cell(grid=GridSpec(0.0, 20.0, 10))
 
 
@@ -216,7 +209,7 @@ def test_cell_on_grid_below_default_window_rejected():
     (lambda: run_cell(small_cell(), jobs=0), "jobs must be >= 1, got 0"),
 ], ids=["DetectorConfig.seed", "NoiseSpec.seed", "MCCell.master_seed", "run_cell.jobs"])
 def test_negative_seed_or_no_jobs_rejected(build, named):
-    with pytest.raises(InvalidSpec, match=named):
+    with pytest.raises(ConfigError, match=named):
         build()
 
 
@@ -231,7 +224,7 @@ def test_negative_seed_or_no_jobs_rejected(build, named):
 def test_seed_or_trial_count_that_is_not_a_whole_number_rejected(build, named):
     # each passed construction, then raised TypeError from the trial loop
     # or from SeedSequence, or (nan) ran on
-    with pytest.raises(InvalidSpec, match=named):
+    with pytest.raises(ConfigError, match=named):
         build()
     assert small_cell(n_trials=np.int64(2), master_seed=np.uint64(3)).n_trials == 2
 
@@ -306,7 +299,7 @@ def test_failed_generation_logged_once_per_affected_cell(monkeypatch, caplog):
 
     def generate_fails_at_5_percent(spec):
         if spec.noise.sigma_rel == 0.05:
-            raise NonFiniteValue("non-finite value in series")
+            raise DataError("non-finite value in series")
         return real_generate(spec)
 
     monkeypatch.setattr(montecarlo, "generate", generate_fails_at_5_percent)
@@ -362,18 +355,19 @@ def test_failed_detection_logged_once_and_counted_negative(monkeypatch, caplog):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("bad, error", [
+@pytest.mark.parametrize("bad, error, named", [
     ({"detector": replace(FAST, smoother=SavitzkyGolay(101, DETECTION_POLY_ORDER))},
-     WindowTooLarge),
-    ({"detector": replace(FAST, smoother=SavitzkyGolay(7, 1))}, InvalidSpec),
-    ({"grid": GridSpec(0.0, 20.0, 20)}, SeriesTooShort),
+     ConfigError, "window 101 exceeds series length 100"),
+    ({"detector": replace(FAST, smoother=SavitzkyGolay(7, 1))}, ConfigError,
+     "detection signal needs poly_order >= 2"),
+    ({"grid": GridSpec(0.0, 20.0, 20)}, DataError, "need >= 32 points, got 20"),
 ], ids=["window 101 on 100 points", "poly_order 1", "20-point grid"])
-def test_cell_the_detector_cannot_run_fails_the_run(caplog, jobs, bad, error):
+def test_cell_the_detector_cannot_run_fails_the_run(caplog, jobs, bad, error, named):
     # no trial of such a cell is evidence, so the run raises the detector's
     # own error instead of counting its rows as negative verdicts
     cells = [small_cell(n_trials=4), small_cell(n_trials=4, **bad)]
     with caplog.at_level(logging.WARNING, logger=montecarlo.__name__):
-        with pytest.raises(error):
+        with pytest.raises(error, match=named):
             run_cells(cells, jobs=jobs)
     assert not [r for r in caplog.records if "trial failed" in r.getMessage()]
 
@@ -383,7 +377,7 @@ def test_cell_the_detector_cannot_run_fails_the_run(caplog, jobs, bad, error):
     (-0.5, "sigma_rel must be >= 0, got -0.5"),
 ])
 def test_cell_with_unknown_noise_level_rejected(noise, named):
-    with pytest.raises(InvalidSpec, match=named):
+    with pytest.raises(ConfigError, match=named):
         small_cell(noise=noise)
 
 
@@ -476,7 +470,7 @@ def test_every_scalar_field_is_an_axis_whose_cells_match_run_cell(path, name):
     "smoother", "combine_weights", "k_range", "ramp_len_range",  # not scalars
 ])
 def test_a_cell_field_seed_or_sequence_is_not_an_axis(name):
-    with pytest.raises(InvalidSpec, match=f"unknown sweep axis '{name}'"):
+    with pytest.raises(ConfigError, match=f"unknown sweep axis '{name}'"):
         sweep({name: [1, 2]}, small_cell())
 
 
@@ -540,7 +534,7 @@ def test_sweeps_with_no_axes_is_one_result_per_cell():
 
 def test_sweep_budget_enforced():
     axes = {"decision_threshold": [0.3, 0.4, 0.5], "alpha_sig": [0.01, 0.05]}
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(ConfigError, match="6 cells exceed budget 5"):
         sweep(axes, small_cell(), budget=5)
 
 
@@ -549,12 +543,12 @@ def test_sweep_budget_is_checked_before_any_cell_is_made():
     values = [0.1 + k / 1000 for k in range(100)]
     axes = {name: values for name in ("decision_threshold", "alpha_sig", "min_duration_frac",
                                       "injected_fraction", "logistic_fraction", "t_start")}
-    with pytest.raises(BudgetExceeded, match="1000000000000 cells exceed budget 64"):
+    with pytest.raises(ConfigError, match="1000000000000 cells exceed budget 64"):
         sweep(axes, small_cell())
 
 
 def test_sweep_rejects_unknown_axis():
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigError, match="unknown sweep axis 'mystery'"):
         sweep({"mystery": [1, 2]}, small_cell())
 
 
@@ -567,12 +561,12 @@ def test_sweep_rejects_unknown_axis():
     {"alpha_sig": [None, 0.05]},
 ])
 def test_sweep_rejects_values_their_field_cannot_hold(axes):
-    with pytest.raises(InvalidSpec, match="value"):
+    with pytest.raises(ConfigError, match="value"):
         sweep(axes, small_cell())
 
 
 def test_sweep_rejects_single_value_axis():
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigError, match="'decision_threshold' needs at least 2 values"):
         sweep({"decision_threshold": [0.5]}, small_cell())
 
 
@@ -713,12 +707,12 @@ def test_forked_map_returns_results_in_task_order(deadline):
 def test_forked_map_reraises_a_workers_error_as_it_is(deadline):
     def fail_on_3(task):
         if task == 3:
-            raise WindowTooLarge("window 301 exceeds series length 200")
+            raise ConfigError("window 301 exceeds series length 200")
         return task
 
-    with pytest.raises(WindowTooLarge) as info:
+    with pytest.raises(ConfigError) as info:
         montecarlo._forked_map(fail_on_3, list(range(6)), 2)
-    assert type(info.value) is WindowTooLarge
+    assert type(info.value) is ConfigError
     assert str(info.value) == "window 301 exceeds series length 200"
     _assert_no_child_left()
 
@@ -742,13 +736,13 @@ def test_forked_map_kills_the_workers_still_running(deadline, first):
         if k == 1:
             time.sleep(60)
         elif first == "raises":
-            raise InvalidSpec("worker 0 failed")
+            raise ConfigError("worker 0 failed")
         else:
             time.sleep(0.2)  # the parent is reading worker 0's pipe by now
             os.kill(os.getppid(), signal.SIGINT)
         return k
 
-    with pytest.raises(InvalidSpec if first == "raises" else KeyboardInterrupt):
+    with pytest.raises(ConfigError if first == "raises" else KeyboardInterrupt):
         montecarlo._forked_map(task, [0, 1], 2)
     _assert_no_child_left()
 

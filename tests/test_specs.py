@@ -1,5 +1,5 @@
 """Every spec field's contract, checked at construction: a value outside it
-raises the spec's error naming the field, before any cross-field rule."""
+raises a ConfigError naming the field, before any cross-field rule."""
 
 import math
 import re
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from joltlab.detector import DetectorConfig
-from joltlab.errors import InvalidOrder, InvalidSpec
+from joltlab.errors import ConfigError
 from joltlab.estimation import SavitzkyGolay
 from joltlab.growth import (
     Exponential,
@@ -65,30 +65,30 @@ PAIR = st.one_of(
     st.tuples(above(0.0, strict=True), st.just(0.0)),  # lo > hi
 )
 
-# per spec: a factory from keyword arguments, its error, and per contracted
-# field the values its contract refuses
+# per spec: a factory from keyword arguments, and per contracted field the
+# values its contract refuses
 SPECS = {
-    "GridSpec": (GridSpec, InvalidSpec, {
+    "GridSpec": (GridSpec, {
         "t_start": real(), "t_end": real(), "n_points": whole(8, le=100_000)}),
-    "NoiseSpec": (lambda **kw: NoiseSpec(**{"level": "low", **kw}), InvalidSpec, {
+    "NoiseSpec": (lambda **kw: NoiseSpec(**{"level": "low", **kw}), {
         "level": st.one_of(st.just(""), NOT_FINITE, st.booleans(), st.integers()),
         "sigma_rel": st.one_of(NOT_FINITE, st.sampled_from(["", "0.5", [1.0]]), st.booleans(),
                                below(0.0, strict=True)),
         "seed": whole(0)}),
-    "Exponential": (Exponential, InvalidSpec, {
+    "Exponential": (Exponential, {
         "c0": real(below(0.0)), "k": real()}),
-    "Logistic": (Logistic, InvalidSpec, {
+    "Logistic": (Logistic, {
         "l": real(below(0.0)), "r": real(below(0.0)), "t0": real()}),
-    "LogQuadratic": (LogQuadratic, InvalidSpec, {
+    "LogQuadratic": (LogQuadratic, {
         "c0": real(below(0.0)), "a": real(), "b": real()}),
-    "InjectedJolt": (InjectedJolt, InvalidSpec, {
+    "InjectedJolt": (InjectedJolt, {
         "jolt_start": real(), "jolt_end": real(),
         "ramp_strength": real(below(0.0, strict=True))}),
     "ResourceSchedule": (
         lambda **kw: ResourceSchedule(**{"times": np.arange(3.0), "utilization": np.zeros(3),
                                          "r_max": 1.0, **kw}),
-        InvalidSpec, {"r_max": real(below(0.0))}),
-    "TrialMix": (TrialMix, InvalidSpec, {
+        {"r_max": real(below(0.0))}),
+    "TrialMix": (TrialMix, {
         **{name: PAIR for name in ("b_range", "k_range", "r_range", "t0_range",
                                    "ramp_strength_range", "ramp_start_range",
                                    "ramp_len_range")},
@@ -96,9 +96,9 @@ SPECS = {
         "injected_fraction": real(st.one_of(below(0.0, strict=True), above(1.0, strict=True))),
         "logistic_fraction": real(st.one_of(below(0.0, strict=True), above(1.0, strict=True))),
     }),
-    "MCCell": (lambda **kw: MCCell(detector=DetectorConfig(n_perm=99), **kw), InvalidSpec, {
+    "MCCell": (lambda **kw: MCCell(detector=DetectorConfig(n_perm=99), **kw), {
         "n_trials": whole(1, le=100_000), "master_seed": whole(0)}),
-    "DetectorConfig": (DetectorConfig, InvalidSpec, {
+    "DetectorConfig": (DetectorConfig, {
         "threshold_peak": real(below(0.0)),
         "min_duration_frac": real(st.one_of(below(0.0), above(1.0, strict=True))),
         "combine_weights": reals(3, st.one_of(NOT_FINITE, NOT_NUMBER, below(0.0, strict=True))),
@@ -106,19 +106,19 @@ SPECS = {
         "n_perm": whole(99, le=10_000),
         "alpha_sig": UNIT_OPEN,
         "seed": whole(0)}),
-    "SavitzkyGolay": (SavitzkyGolay, InvalidOrder, {
+    "SavitzkyGolay": (SavitzkyGolay, {
         "window": whole(5), "poly_order": whole(0)}),
 }
-FIELDS = [(spec, name) for spec, (_, _, fields) in SPECS.items() for name in fields]
+FIELDS = [(spec, name) for spec, (_, fields) in SPECS.items() for name in fields]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_a_value_outside_its_field_contract_is_refused_naming_the_field(data):
     spec, name = data.draw(st.sampled_from(FIELDS), label="field")
-    build, error, fields = SPECS[spec]
+    build, fields = SPECS[spec]
     value = data.draw(fields[name], label=name)
-    with pytest.raises(error, match=rf"\b{name} must \w") as info:
+    with pytest.raises(ConfigError, match=rf"\b{name} must \w") as info:
         build(**{name: value})
     assert str(info.value).endswith(f", got {value!r}")
 
@@ -126,7 +126,7 @@ def test_a_value_outside_its_field_contract_is_refused_naming_the_field(data):
 def test_every_spec_builds_from_its_defaults():
     # the bad values above are bad for the field's contract, not for want of
     # another field
-    for build, _, _ in SPECS.values():
+    for build, _ in SPECS.values():
         build()
 
 
@@ -157,7 +157,7 @@ def test_every_spec_builds_from_its_defaults():
 def test_values_that_once_passed_construction_are_refused(build, named):
     # each of these was built, and failed later or ran on: NaN rates blamed
     # the trajectory's sign, a string threshold raised a bare TypeError
-    with pytest.raises(InvalidSpec, match=re.escape(named)):
+    with pytest.raises(ConfigError, match=re.escape(named)):
         build()
 
 
@@ -172,7 +172,7 @@ def test_values_that_once_passed_construction_are_refused(build, named):
 ])
 def test_savgol_names_the_field_at_fault(kwargs, named):
     # a NaN window blamed poly_order, and a float one failed in the detection
-    with pytest.raises(InvalidOrder, match=re.escape(named)):
+    with pytest.raises(ConfigError, match=re.escape(named)):
         SavitzkyGolay(**kwargs)
 
 
