@@ -7,8 +7,9 @@ declared once, in ``_COMMANDS`` (its help, input CSV, flags and config
 sections), and each flag in ``_FLAGS`` (the config key it overrides and its
 help). Unknown config keys are rejected (fail-closed). Once the file and the
 flags are merged, every key of every section is checked once, whatever the
-command, by the contract of the spec field it sets; ``_Keys`` declares the
-keys of the CLI alone. The error names the key, or the flag that set it.
+command, by the contract of the spec field it sets: a section is its spec's
+own fields, and ``_Keys`` declares the keys of the CLI alone. The error names
+the key, or the flag that set it.
 
 Exit codes: 0 success, 2 usage/config error, 3 data contract violation.
 Detection verdicts never drive exit codes.
@@ -32,9 +33,9 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "
 if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARS):
     os.environ["OMP_NUM_THREADS"] = "1"
 
-from .detector import DETECTION_POLY_ORDER, DetectorConfig, hybrid_detect
+from .detector import DetectorConfig, hybrid_detect
 from .errors import ConfigError, DataError, JoltlabError, Spec, text, whole
-from .estimation import SavitzkyGolay, default_savgol, estimate_derivatives
+from .estimation import estimate_derivatives
 from .metrics import compute_metrics
 from .timeseries import read_csv, write_csv, write_json
 
@@ -56,15 +57,13 @@ _AXIS = _listing(2, "list at least two values")  # any sweep key but budget
 
 @dataclasses.dataclass(init=False, repr=False, eq=False)  # never built: its fields are read
 class _Keys(Spec):
-    """The config keys of the CLI alone, by last name (detector.window, ...)."""
+    """The config keys of the CLI alone, by last name (sweep.budget, ...)."""
 
     seed: int = whole(0, ge=0)
     out: str = text(".")
     # at most 256 forked workers, each a copy of this process (about 40 MB
     # resident); workers beyond the usable CPUs never start
     jobs: int = whole(1, ge=1, le=256)
-    window: int | None = whole(None, ge=5)  # SavitzkyGolay's; null: the default for n
-    poly_order: int = whole(DETECTION_POLY_ORDER, ge=2)  # SavitzkyGolay's; S = (ln C)'' needs 2
     # each cell runs mc.n_trials trials a class: up to 8.2 million detections
     # at the ceiling and the default 1000 trials
     budget: int = whole(64, ge=1, le=4096)
@@ -88,10 +87,7 @@ _OWN = _section(_Keys)
 # not import.
 _BASE_CONFIG = {
     **{key: _OWN[key] for key in ("seed", "out", "jobs")},
-    "detector": {
-        **{key: _OWN[key] for key in ("window", "poly_order")},
-        **_section(DetectorConfig, skip={"seed"}),
-    },
+    "detector": _section(DetectorConfig, skip={"seed"}),
     "sweep": {
         "window": ((7, 11, 15, 21), _AXIS),
         "decision_threshold": ((0.3, 0.4, 0.5, 0.6, 0.7), _AXIS),
@@ -240,12 +236,9 @@ def build_spec(cfg: dict) -> GrowthModelSpec:
 
 
 def build_detector(cfg: dict, n_points: int) -> DetectorConfig:
-    d = cfg["detector"]
-    if d["window"] is None:
-        smoother = default_savgol(n_points, poly_order=d["poly_order"])
-    else:
-        smoother = SavitzkyGolay(window=d["window"], poly_order=d["poly_order"])
-    return _build(DetectorConfig, d, smoother=smoother, seed=cfg["seed"])
+    """The detector of ``cfg``; a null window is the default for each series.
+    ``n_points`` is unused: ``perfbench/`` calls ``build_detector(cfg, n)`` by name."""
+    return _build(DetectorConfig, cfg["detector"], seed=cfg["seed"])
 
 
 def _write_outputs(cfg: dict, writers: dict) -> Path:

@@ -30,11 +30,19 @@ from .estimation import (
 from .timeseries import TimeSeries, write_json
 
 
+# poly_order of the default detection smoother: exact for the log-quadratic
+# signal (log C is degree 2) and far lower in noise variance than higher
+# orders; third-derivative estimation elsewhere still uses poly_order >= 4.
+DETECTION_POLY_ORDER = 2
+
+
 @dataclass(frozen=True)
 class DetectorConfig(Spec, section="detector"):
-    """Hybrid detector hyperparameters."""
+    """Hybrid detector hyperparameters. The SavGol smoother has ``window`` points
+    (null: the default for n) and degree ``poly_order`` (>= 2 for S = (ln C)'')."""
 
-    smoother: SavitzkyGolay | None = None  # None -> window scaled to n
+    window: int | None = whole(None, ge=5)
+    poly_order: int = whole(DETECTION_POLY_ORDER, ge=2)
     threshold_peak: float = real(3.0, gt=0)
     min_duration_frac: float = real(0.25, gt=0, le=1)
     combine_weights: tuple = real((1 / 3, 1 / 3, 1 / 3), ge=0, n=3)
@@ -47,9 +55,15 @@ class DetectorConfig(Spec, section="detector"):
 
     def __post_init__(self):
         super().__post_init__()
+        self.smoother  # a set window meets SavitzkyGolay's rule
         w = self.combine_weights
         if abs(math.fsum(w) - 1.0) > 1e-9:
             raise ConfigError(f"detector combine_weights must sum to 1, got {w!r}")
+
+    @property
+    def smoother(self) -> SavitzkyGolay | None:
+        """The smoother of a set window, or None when the window follows n."""
+        return None if self.window is None else SavitzkyGolay(self.window, self.poly_order)
 
     def verdict(self, score, p_value):
         """The detection rule, elementwise on arrays: a jolt is reported when
@@ -104,11 +118,6 @@ class DetectionResult:
         write_json(path, self.to_dict())
 
 
-# poly_order of the default detection smoother: exact for the log-quadratic
-# signal (log C is degree 2) and far lower in noise variance than higher
-# orders; third-derivative estimation elsewhere still uses poly_order >= 4.
-DETECTION_POLY_ORDER = 2
-
 # the filter's rounding floor per unit of max(1, |centred log C|) / dt^2: the
 # signal snaps |S| at or below it to zero, and the permutation test counts a
 # surrogate within it as a tie, so both read this one factor
@@ -135,6 +144,11 @@ def _by_row(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _smoother(config: DetectorConfig, n: int) -> SavitzkyGolay:
+    """The smoother of ``config`` on ``n`` points: its set window's, else n's default."""
+    return config.smoother or default_savgol(n, config.poly_order)
+
+
 def detection_signal(series, smoother: SavitzkyGolay | None = None) -> Signal:
     """S(t) = d^2/dt^2 ln C(t) via SavGol, with boundary points masked, from
     one pass over centred log C that also gives the permutation test its
@@ -147,8 +161,6 @@ def detection_signal(series, smoother: SavitzkyGolay | None = None) -> Signal:
     rows, single = _batch(series)
     grid = rows[0]
     cfg = smoother if smoother is not None else default_savgol(len(grid), DETECTION_POLY_ORDER)
-    if cfg.poly_order < 2:
-        raise ConfigError("detection signal needs poly_order >= 2")
     dt = grid.dt
     logv = grid.log_values if single else np.stack([row.log_values for row in rows])
     logv, (fit, s) = _filter_log(logv, cfg, dt, (0, 2))
@@ -379,7 +391,7 @@ def permutation_test(series, config: DetectorConfig, signal: Signal | None = Non
     therefore tie with its zero observed statistic, giving p = 1. The
     observed statistic is the interior mean of the floored detection signal,
     whose pass over log C also gives the residuals: ``signal`` when given, a
-    signal of ``series``, else ``detection_signal(series, config.smoother)``.
+    signal of ``series``, else the signal of ``config``'s smoother on it.
     p = (1 + #exceedances) / (n_perm + 1).
 
     The null assumes exchangeable residuals, that is serially independent
@@ -400,7 +412,7 @@ def permutation_test(series, config: DetectorConfig, signal: Signal | None = Non
     """
     rows, _ = _batch(series)
     if signal is None:
-        signal = detection_signal(series, config.smoother)
+        signal = detection_signal(series, _smoother(config, len(rows[0])))
     logv, dt = signal.centred_log, rows[0].dt
     observed = signal.unmasked.mean(axis=-1)
     if index is None:
@@ -444,7 +456,7 @@ def _detect(groups) -> list:
     for g, (config, series, seeds) in enumerate(groups):
         if len(seeds) != len(series):
             raise DataError(f"{len(series)} series need one seed each, got {len(seeds)}")
-        signal = detection_signal(series, config.smoother)
+        signal = detection_signal(series, _smoother(config, n))
         s = signal.unmasked
         subs = (peak_ratio_score(s, config.threshold_peak), pattern_match_score(s),
                 duration_score(s, config.min_duration_frac))

@@ -38,14 +38,12 @@ import pickle
 import signal
 from datetime import datetime, timezone
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 
 import numpy as np
 import numpy.random  # noqa: F401  loaded once here, not in each forked worker
 
-from .detector import DETECTION_POLY_ORDER, DetectorConfig, hybrid_detect
+from .detector import DetectorConfig, hybrid_detect
 from .errors import ConfigError, DataError, JoltlabError, Spec, pair, real, whole
-from .estimation import SavitzkyGolay, default_savgol
 from .growth import (
     Exponential,
     GridSpec,
@@ -82,7 +80,8 @@ class TrialMix(Spec, section="mc"):
 
 @dataclass(frozen=True)
 class MCCell(Spec, section="mc"):
-    """One Monte Carlo cell: noise level, detector config and trial budget."""
+    """One Monte Carlo cell: noise level, detector config and trial budget.
+    A detector's null window runs as the default for the cell's grid."""
 
     noise: str | float = "low"
     detector: DetectorConfig = field(default_factory=DetectorConfig)
@@ -96,10 +95,6 @@ class MCCell(Spec, section="mc"):
     def __post_init__(self):
         super().__post_init__()
         _noise_spec(self, 0)  # a bad noise level fails here, not in every trial
-        # the smoother hybrid_detect would resolve, for window and poly_order axes
-        if self.detector.smoother is None:
-            smoother = default_savgol(self.grid.n_points, DETECTION_POLY_ORDER)
-            object.__setattr__(self, "detector", replace(self.detector, smoother=smoother))
 
 
 @dataclass(frozen=True)
@@ -424,17 +419,16 @@ def summarize(counts: ConfusionCounts) -> RateSummary:
 
 # --- sweep over cell fields ---------------------------------------------------
 
-# a cell's specs with axis fields, by path; a spec before the spec holding it
-_AXIS_SPECS = {"detector.smoother": SavitzkyGolay, "detector": DetectorConfig,
-               "mix": TrialMix, "grid": GridSpec}
+# the cell fields whose specs hold axis fields
+_AXIS_SPECS = {"detector": DetectorConfig, "mix": TrialMix, "grid": GridSpec}
 
 
 def axis_paths(names) -> dict:
-    """The path from a cell to the spec of each sweep axis in ``names``, a scalar
-    field of its detector, smoother, mix or grid, named bare. Any other name,
-    such as the detector's seed, which each trial replaces, raises a ConfigError."""
+    """The cell field holding the spec of each sweep axis in ``names``: a scalar
+    field (or the null window) of its detector, mix or grid, named bare. Any other
+    name, such as the detector's seed, which each trial replaces, raises a ConfigError."""
     paths = {f.name: path for path, spec in _AXIS_SPECS.items() for f in dataclasses.fields(spec)
-             if isinstance(f.default, numbers.Real) and f.name != "seed"}
+             if (f.default is None or isinstance(f.default, numbers.Real)) and f.name != "seed"}
     for name in names:
         if name not in paths:
             raise ConfigError(f"unknown sweep axis {name!r}")
@@ -442,15 +436,13 @@ def axis_paths(names) -> dict:
 
 
 def apply_axes(template: MCCell, assignment: dict, paths: dict) -> MCCell:
-    """``template`` with each axis value of ``assignment`` set, uncast, at ``paths``."""
-    changes = {path: {} for path in ("", *_AXIS_SPECS)}
+    """``template`` with each axis value of ``assignment`` set, uncast, in the
+    spec that ``paths`` names: one ``replace`` per spec."""
+    changes = {}
     for name, value in assignment.items():
-        changes[paths[name]][name] = value
-    for path in _AXIS_SPECS:
-        if changes[path]:
-            outer, _, spec = path.rpartition(".")
-            changes[outer][spec] = replace(attrgetter(path)(template), **changes[path])
-    return replace(template, **changes[""])
+        changes.setdefault(paths[name], {})[name] = value
+    return replace(template, **{path: replace(getattr(template, path), **fields)
+                                for path, fields in changes.items()})
 
 
 def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> MCReport:
@@ -458,11 +450,11 @@ def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> MCReport:
     templates: one report of a :class:`CellResult` per (template, assignment),
     in that order, their :func:`best_configuration`, and ``{"runs": [...]}``,
     one run per template. With no axes each template is one cell, ``params ==
-    {}``, as ``joltlab mc`` runs it. A value its field refuses raises a
-    ConfigError naming the axis and the value, before the budget check; values
-    that conflict inside one spec raise one naming every axis and
-    value of the cell, before any trial. An n_points axis keeps the window
-    its template resolved when it was built.
+    {}``, as ``joltlab mc`` runs it. A value its field refuses, or a null
+    one, raises a ConfigError naming the axis and the value, before the
+    budget check; values that conflict inside one spec raise one naming
+    every axis and value of the cell, before any trial. An n_points axis
+    moves a null window with n.
 
     Every cell goes to one :func:`run_cells` call, so all of them run
     on one set of workers, and cells differing only in decision_threshold
@@ -473,8 +465,10 @@ def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> MCReport:
         if len(values) < 2:
             raise ConfigError(f"sweep axis {name!r} needs at least 2 values")
         for template, value in itertools.product(templates, values):
-            try:  # the field's contract, or the smoother's window rule
-                replace(attrgetter(paths[name])(template), **{name: value})
+            try:  # the field's contract, or the detector's window rule
+                if value is None:  # the heatmap and the best cell read each value as a number
+                    raise ConfigError("an axis value cannot be null")
+                replace(getattr(template, paths[name]), **{name: value})
             except JoltlabError as exc:
                 raise ConfigError(f"sweep axis {name!r} value {value!r} "
                                   f"is not valid: {exc}") from None

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -201,11 +202,13 @@ def test_detect_exponential_false(tmp_path):
     assert payload["verdict"] is False
 
 
-def test_detect_short_series_exit_3(tmp_path):
+def test_detect_short_series_exit_3(tmp_path, capsys):
+    # the detector's own floor; the CLI's default smoother named 11 points
     path = tmp_path / "short.csv"
     rows = "\n".join(f"{i},{np.exp(0.1 * i)}" for i in range(10))
     path.write_text("t,value\n" + rows + "\n")
     assert run(["detect", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "need >= 32 points, got 10" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_points", [4, 7])
@@ -351,9 +354,16 @@ def test_sweep_outputs_do_not_depend_on_jobs(tmp_path):
     assert outputs[1] == outputs[2]
 
 
+def test_detector_section_is_the_detector_configs_own_fields():
+    # window and poly_order too: no CLI key restates the detector's defaults
+    want = {f.name: f.default for f in dataclasses.fields(DetectorConfig) if f.name != "seed"}
+    got = load_config(None)["detector"]
+    assert {k: tuple(v) if isinstance(v, list) else v for k, v in got.items()} == want
+
+
 def test_library_sweep_matches_cli_template():
-    # a default-smoother MCCell sweeps window from the smoother its trials
-    # run, the one joltlab sweep builds for the grid
+    # joltlab sweep builds the library's default detector, whose null window
+    # each window axis value replaces
     library = MCCell(noise="medium", detector=DetectorConfig(n_perm=99),
                      n_trials=40, master_seed=3)
     cfg = load_config(None)
@@ -374,13 +384,16 @@ SMALL_SWEEP = {
 
 @pytest.mark.parametrize("payload, named", [
     ({"sweep": {"window": [7.5, 11]}}, "sweep axis 'window' value 7.5 is not valid: "
-     "SavitzkyGolay window must be a whole number, got 7.5"),
+     "detector window must be a whole number or null, got 7.5"),
     ({"sweep": {"window": ["a", 11]}}, "sweep axis 'window' value 'a' is not valid: "
-     "SavitzkyGolay window must be a whole number, got 'a'"),
+     "detector window must be a whole number or null, got 'a'"),
     ({"sweep": {"decision_threshold": ["x", 0.5]}}, "sweep axis 'decision_threshold' value 'x' "
      "is not valid: detector decision_threshold must be a finite number, got 'x'"),
     ({"detector": {"n_perm": 99, "window": 21.5}},
      "config key detector.window must be a whole number or null, got 21.5"),
+    # the window field admits null, the default for n; an axis value may not
+    ({"sweep": {"window": [None, 21]}}, "sweep axis 'window' value None is not valid: "
+     "an axis value cannot be null"),
 ])
 def test_inexact_window_or_axis_value_exit_2(tmp_path, capsys, payload, named):
     cfg = write_config(tmp_path, {**SMALL_SWEEP, **payload})
@@ -927,3 +940,24 @@ def test_pool_forks_after_the_monte_carlo_heap_is_frozen(tmp_path):
     if threads_0 is not None:
         assert [threads_0, threads_1] == [1, 1]
     assert (tmp_path / "s" / "heatmap.csv").exists()
+
+
+def test_an_axis_value_the_detector_refuses_exits_2_before_any_fork(tmp_path, capsys):
+    # poly_order 1 met SavitzkyGolay's contract (>= 0), so the sweep forked
+    # and its workers failed with "detection signal needs poly_order >= 2"
+    refused = {
+        "order": ({"poly_order": [1, 2]}, "sweep axis 'poly_order' value 1 is not valid: "
+                                          "detector poly_order must be >= 2, got 1"),
+        "null": ({"window": [None, 21]}, "sweep axis 'window' value None is not valid: "),
+    }
+    argvs = {name: ["sweep", "--trials", "2", "--jobs", "2", "--out", str(tmp_path / name),
+                    "--config", write_config(tmp_path, {
+                        "mc": {"n_trials": 2, "noise_levels": ["low"]}, "sweep": axes},
+                        f"{name}.yaml")]
+             for name, (axes, _) in refused.items()}
+    calls, _ = _fresh_main(list(argvs.values()), tmp_path)
+    assert [[call[0], call[3]] for call in calls] == [[2, []], [2, []]]
+    for name, (_, named) in refused.items():
+        assert run(argvs[name]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / name).exists()

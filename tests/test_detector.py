@@ -288,8 +288,7 @@ _ORACLE_CASES = {
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
 def test_permutation_matches_dense_reference(case, window):
     values = _ORACLE_CASES[case]
-    smoother = None if window is None else SavitzkyGolay(window, 2)
-    config = DetectorConfig(smoother=smoother, seed=11)
+    config = DetectorConfig(window=window, seed=11)
     for series in (TimeSeries(_T, values), TimeSeries(_T, values * 1e6),
                    TimeSeries(_T + 1000.0, values)):
         assert permutation_test(series, config) == _dense_permutation_p(series, config)
@@ -362,8 +361,7 @@ def test_groups_of_different_windows_share_one_draw_of_the_widest(monkeypatch):
     series = [TimeSeries(t, np.exp(0.06 * t + 0.003 * t**2 + 0.02 * rng.standard_normal(64)))
               for _ in range(2)]
     for windows in ((5, 7, 21, 31), (7, 41)):
-        groups = [(DetectorConfig(smoother=SavitzkyGolay(w, DETECTION_POLY_ORDER), n_perm=199),
-                   series, [3, 3]) for w in windows]
+        groups = [(DetectorConfig(window=w, n_perm=199), series, [3, 3]) for w in windows]
         draws = []
         draw = detector._permutation_index
         monkeypatch.setattr(detector, "_permutation_index",
@@ -511,11 +509,11 @@ def test_noiseless_logquadratic_verdict_true():
 
 def test_window_larger_than_series_raises():
     s = make_series(lambda t: np.exp(0.1 * t), n=35)
-    smoother = SavitzkyGolay(41, 2)
+    config = DetectorConfig(window=41)
     with pytest.raises(ConfigError, match="window 41 exceeds series length 35"):
-        detection_signal(s, smoother)
+        detection_signal(s, config.smoother)
     with pytest.raises(ConfigError, match="window 41 exceeds series length 35"):
-        permutation_test(s, DetectorConfig(smoother=smoother))
+        permutation_test(s, config)
 
 
 def test_series_too_short():
@@ -695,8 +693,7 @@ def test_p_is_one_on_noiseless_exponentials(c0, k, shift, seed):
 def test_hybrid_p_value_is_the_standalone_permutation_test(series, window, seed):
     # hybrid_detect hands its signal to the permutation test, which computes
     # the signal itself when called alone: the two must agree bit for bit
-    smoother = None if window is None else SavitzkyGolay(window, DETECTION_POLY_ORDER)
-    config = DetectorConfig(smoother=smoother, seed=seed)
+    config = DetectorConfig(window=window, seed=seed)
     assert hybrid_detect(series, config).p_value == permutation_test(series, config)
 
 
@@ -718,7 +715,7 @@ def test_batch_detection_is_each_series_on_its_own(n, rows):
         spec = GrowthModelSpec(family, GridSpec(n_points=n), NoiseSpec(level, seed=noise_seed))
         if window is None or window > n - 8:  # at least 8 unmasked points
             window = default_savgol(n).window
-        config = DetectorConfig(smoother=SavitzkyGolay(window, poly_order), n_perm=n_perm)
+        config = DetectorConfig(window=window, poly_order=poly_order, n_perm=n_perm)
         series, seeds = groups.setdefault(config, ([], []))
         series.append(generate(spec)[0])
         seeds.append(seed)

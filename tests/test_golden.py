@@ -18,8 +18,7 @@ import numpy as np
 import yaml
 
 from joltlab.cli import load_config, main
-from joltlab.detector import DETECTION_POLY_ORDER, DetectorConfig
-from joltlab.estimation import SavitzkyGolay
+from joltlab.detector import DetectorConfig
 from joltlab.montecarlo import MCCell, _outcomes
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -65,7 +64,7 @@ def trial_outcomes(jobs: int = 2) -> dict:
     class, trial) with class 0 positive and 1 negative."""
     cells = [
         MCCell(noise=noise, n_trials=TRIALS, master_seed=42,
-               detector=DetectorConfig(smoother=SavitzkyGolay(window, DETECTION_POLY_ORDER)))
+               detector=DetectorConfig(window=window))
         for noise in TRIAL_NOISE
         for window in TRIAL_WINDOWS
     ]

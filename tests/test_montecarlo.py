@@ -6,15 +6,14 @@ import re
 import signal
 import time
 from dataclasses import fields, replace
-from operator import attrgetter
 
 import numpy as np
 import pytest
 
 from joltlab import montecarlo
-from joltlab.detector import DETECTION_POLY_ORDER, DetectorConfig, hybrid_detect
+from joltlab.detector import DetectorConfig, hybrid_detect
 from joltlab.errors import ConfigError, DataError
-from joltlab.estimation import SavitzkyGolay
+from joltlab.estimation import default_savgol
 from joltlab.growth import (
     Exponential,
     GridSpec,
@@ -188,18 +187,13 @@ def test_numeric_noise_level():
     assert c.tp + c.fn == cell.n_trials
 
 
-def test_cell_resolves_default_smoother_for_its_grid():
-    assert MCCell().detector.smoother == SavitzkyGolay(21, DETECTION_POLY_ORDER)
-    assert small_cell().detector.smoother == SavitzkyGolay(11, DETECTION_POLY_ORDER)
-    own = DetectorConfig(smoother=SavitzkyGolay(7, 3), n_perm=99)
+def test_cell_keeps_its_detector_as_given():
+    # the detector resolves a null window for each grid it runs on, so the
+    # cell no longer writes one into its detector
+    assert MCCell().detector == DetectorConfig()
+    assert small_cell().detector.window is None
+    own = DetectorConfig(window=7, poly_order=3, n_perm=99)
     assert small_cell(detector=own).detector == own
-
-
-def test_cell_on_grid_below_default_window_rejected():
-    # trials on a grid under 11 points could not resolve a smoother; the
-    # cell says so at construction instead of failing every trial
-    with pytest.raises(DataError, match="10 points"):
-        small_cell(grid=GridSpec(0.0, 20.0, 10))
 
 
 @pytest.mark.parametrize("build, named", [
@@ -252,7 +246,7 @@ def _mixed_cells():
     another master seed."""
     cells = [
         small_cell(noise=noise, n_trials=n_trials,
-                   detector=replace(FAST, smoother=SavitzkyGolay(window, DETECTION_POLY_ORDER)))
+                   detector=replace(FAST, window=window))
         for noise, window, n_trials in [("low", 7, 6), ("low", 11, 4),
                                         (0.05, 7, 5), (0.05, 11, 3)]
     ]
@@ -356,12 +350,11 @@ def test_failed_detection_logged_once_and_counted_negative(monkeypatch, caplog):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("bad, error, named", [
-    ({"detector": replace(FAST, smoother=SavitzkyGolay(101, DETECTION_POLY_ORDER))},
-     ConfigError, "window 101 exceeds series length 100"),
-    ({"detector": replace(FAST, smoother=SavitzkyGolay(7, 1))}, ConfigError,
-     "detection signal needs poly_order >= 2"),
+    ({"detector": replace(FAST, window=101)}, ConfigError, "window 101 exceeds series length 100"),
     ({"grid": GridSpec(0.0, 20.0, 20)}, DataError, "need >= 32 points, got 20"),
-], ids=["window 101 on 100 points", "poly_order 1", "20-point grid"])
+    # below the default window's 11 points, this cell was refused at construction
+    ({"grid": GridSpec(0.0, 20.0, 10)}, DataError, "need >= 32 points, got 10"),
+], ids=["window 101 on 100 points", "20-point grid", "10-point grid"])
 def test_cell_the_detector_cannot_run_fails_the_run(caplog, jobs, bad, error, named):
     # no trial of such a cell is evidence, so the run raises the detector's
     # own error instead of counting its rows as negative verdicts
@@ -405,34 +398,45 @@ def test_cells_differing_only_in_verdict_share_one_detection(monkeypatch, base, 
 # --- sweep --------------------------------------------------------------------
 
 def test_apply_axes():
-    # the axes replace fields of the cell's resolved smoother, its detector,
-    # its mix and its grid, and nothing else
+    # the axes replace fields of the cell's detector, its mix and its grid,
+    # and nothing else
     template = small_cell()
     assignment = {"window": 21, "decision_threshold": 0.4, "logistic_fraction": 0.0,
                   "n_points": 64}
     cell = apply_axes(template, assignment, axis_paths(assignment))
     assert cell == replace(
         template,
-        detector=replace(template.detector, decision_threshold=0.4,
-                         smoother=SavitzkyGolay(window=21, poly_order=DETECTION_POLY_ORDER)),
+        detector=replace(template.detector, decision_threshold=0.4, window=21),
         mix=replace(template.mix, logistic_fraction=0.0),
         grid=GridSpec(0.0, 20.0, 64),
     )
     poly = apply_axes(template, {"poly_order": 3}, axis_paths(["poly_order"]))
-    assert poly.detector.smoother == SavitzkyGolay(11, 3)
-    # an n_points axis keeps the window resolved for the template's grid
+    assert poly.detector == replace(template.detector, poly_order=3)
+    # an n_points axis leaves the null window, the default for each grid
     wider = apply_axes(template, {"n_points": 400}, axis_paths(["n_points"]))
-    assert wider.detector == template.detector
+    assert wider.detector == template.detector and wider.detector.window is None
 
 
-# each scalar field of the default cell's detector, smoother, mix and grid,
-# as (path from the cell to its spec, field name)
+def test_an_n_points_axis_runs_each_grid_at_its_own_default_window():
+    # windows 11 and 41; the cell once kept the window of the template's grid
+    template = MCCell(detector=FAST, n_trials=4, master_seed=5)
+    report = sweep({"n_points": [64, 400]}, template)
+    for cell, n in zip(report.cells, (64, 400)):
+        grid = GridSpec(n_points=n)
+        assert cell.counts == run_cell(replace(template, grid=grid))
+        window = default_savgol(n, FAST.poly_order).window
+        assert cell.counts == run_cell(replace(template, grid=grid,
+                                               detector=replace(FAST, window=window)))
+
+
+# each scalar field of the default cell's detector, mix and grid, as (the
+# cell field holding its spec, field name); the window's default is null
 _CELL = MCCell()
 _SCALAR_FIELDS = [
     (path, f.name)
-    for path in ("detector", "detector.smoother", "mix", "grid")
-    for f in fields(attrgetter(path)(_CELL))
-    if isinstance(getattr(attrgetter(path)(_CELL), f.name), numbers.Real)
+    for path in ("detector", "mix", "grid")
+    for f in fields(getattr(_CELL, path))
+    if isinstance(getattr(getattr(_CELL, path), f.name), (numbers.Real, type(None)))
 ]
 
 
@@ -443,25 +447,20 @@ def test_scalar_field_names_of_a_cells_specs_are_distinct():
     assert len(names) == len(set(names))
 
 
-def _replaced(spec, path: str, name: str, value):
-    """``spec`` with the field ``name`` of the spec at ``path`` set to ``value``."""
-    if not path:
-        return replace(spec, **{name: value})
-    head, _, rest = path.partition(".")
-    return replace(spec, **{head: _replaced(getattr(spec, head), rest, name, value)})
-
-
 @pytest.mark.parametrize("path, name", [s for s in _SCALAR_FIELDS if s[1] != "seed"],
                          ids=[name for _, name in _SCALAR_FIELDS if name != "seed"])
 def test_every_scalar_field_is_an_axis_whose_cells_match_run_cell(path, name):
     template = small_cell(n_trials=4)
     assert axis_paths([name]) == {name: path}
-    value = getattr(attrgetter(path)(template), name)
+    spec = getattr(template, path)
+    value = getattr(spec, name)
+    if value is None:  # the window, 11 by default on the template's 100 points
+        value = 11
     values = [value, value + (2 if isinstance(value, int) else 0.1)]
     report = sweep({name: values}, template)
     assert [cell.params for cell in report.cells] == [{name: v} for v in values]
     for cell, v in zip(report.cells, values):
-        assert cell.counts == run_cell(_replaced(template, path, name, v))
+        assert cell.counts == run_cell(replace(template, **{path: replace(spec, **{name: v})}))
 
 
 @pytest.mark.parametrize("name", [
@@ -559,6 +558,7 @@ def test_sweep_rejects_unknown_axis():
     {"n_perm": [True, 199]},
     {"decision_threshold": ["0.5", 0.6]},
     {"alpha_sig": [None, 0.05]},
+    {"window": [None, 11]},  # the field admits null, an axis does not
 ])
 def test_sweep_rejects_values_their_field_cannot_hold(axes):
     with pytest.raises(ConfigError, match="value"):

@@ -99,6 +99,8 @@ SPECS = {
     "MCCell": (lambda **kw: MCCell(detector=DetectorConfig(n_perm=99), **kw), {
         "n_trials": whole(1, le=100_000), "master_seed": whole(0)}),
     "DetectorConfig": (DetectorConfig, {
+        "window": whole(5).filter(lambda x: x is not None),  # null: the default for n
+        "poly_order": whole(2),
         "threshold_peak": real(below(0.0)),
         "min_duration_frac": real(st.one_of(below(0.0), above(1.0, strict=True))),
         "combine_weights": reals(3, st.one_of(NOT_FINITE, NOT_NUMBER, below(0.0, strict=True))),
@@ -149,11 +151,13 @@ def test_every_spec_builds_from_its_defaults():
     (lambda: TrialMix(k_range=(0.03, 10**400)), "mc k_range must be two finite numbers lo <= hi"),
     (lambda: DetectorConfig(combine_weights=(10**400, 0, 0)),
      "detector combine_weights must be 3 finite numbers >= 0"),
+    # a SavitzkyGolay(7, 1) smoother failed in the detection signal, naming no field
+    (lambda: DetectorConfig(poly_order=1), "detector poly_order must be >= 2, got 1"),
 ], ids=["Exponential c0", "Logistic l", "LogQuadratic b", "InjectedJolt ramp_strength",
         "GridSpec t_end", "NoiseSpec sigma_rel", "TrialMix injected_fraction",
         "ResourceSchedule r_max", "DetectorConfig decision_threshold",
         "Exponential c0 past float", "TrialMix k_range past float",
-        "DetectorConfig combine_weights past float"])
+        "DetectorConfig combine_weights past float", "DetectorConfig poly_order 1"])
 def test_values_that_once_passed_construction_are_refused(build, named):
     # each of these was built, and failed later or ran on: NaN rates blamed
     # the trajectory's sign, a string threshold raised a bare TypeError
@@ -174,6 +178,15 @@ def test_savgol_names_the_field_at_fault(kwargs, named):
     # a NaN window blamed poly_order, and a float one failed in the detection
     with pytest.raises(ConfigError, match=re.escape(named)):
         SavitzkyGolay(**kwargs)
+
+
+def test_a_set_detector_window_keeps_the_smoother_rule():
+    # SavitzkyGolay's rule on a set window; a null one follows n, whatever the order
+    for window, poly_order in ((12, 2), (5, 5)):
+        with pytest.raises(ConfigError, match=f"got window {window}, poly_order {poly_order}"):
+            DetectorConfig(window=window, poly_order=poly_order)
+    assert DetectorConfig(window=5, poly_order=4).smoother == SavitzkyGolay(5, 4)
+    assert DetectorConfig(poly_order=6).smoother is None
 
 
 def test_bools_count_as_weights_and_numpy_scalars_pass():

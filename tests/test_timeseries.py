@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from joltlab.errors import ConfigError, DataError, ParseError
 from joltlab.cli import main
 from joltlab.detector import DetectorConfig
-from joltlab.estimation import DERIVATIVE_CSV_HEADER, DerivativeEstimate, SavitzkyGolay
+from joltlab.estimation import DERIVATIVE_CSV_HEADER, DerivativeEstimate
 from joltlab.growth import GridSpec
 from joltlab.metrics import METRICS_CSV_HEADER, JoltMetrics
 from joltlab.montecarlo import MCCell, run_cells
@@ -353,7 +353,7 @@ def test_detections_of_one_series_share_its_log_and_spacing(monkeypatch):
         with monkeypatch.context() as patch:
             _count_computations(patch, calls)
             run_cells([MCCell(noise="low", n_trials=2, grid=GridSpec(n_points=100),
-                              detector=DetectorConfig(n_perm=99, smoother=SavitzkyGolay(w, 2)))
+                              detector=DetectorConfig(n_perm=99, window=w))
                        for w in windows])
         counts.append(calls)
     assert counts[0] == counts[1]
