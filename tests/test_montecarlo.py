@@ -349,19 +349,26 @@ def test_failed_detection_logged_once_and_counted_negative(monkeypatch, caplog):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("bad, error, named", [
-    ({"detector": replace(FAST, window=101)}, ConfigError, "window 101 exceeds series length 100"),
-    ({"grid": GridSpec(0.0, 20.0, 20)}, DataError, "need >= 32 points, got 20"),
+@pytest.mark.parametrize("bad, error, named, stage", [
+    (lambda: {"detector": replace(FAST, window=101)}, ConfigError,
+     "window 101 exceeds series length 100", "run"),
+    # a poly_order-1 detector failed every trial; it is now refused when built
+    (lambda: {"detector": replace(FAST, poly_order=1)}, ConfigError,
+     "detector poly_order must be >= 2, got 1", "build"),
+    (lambda: {"grid": GridSpec(0.0, 20.0, 20)}, DataError, "need >= 32 points, got 20", "run"),
     # below the default window's 11 points, this cell was refused at construction
-    ({"grid": GridSpec(0.0, 20.0, 10)}, DataError, "need >= 32 points, got 10"),
-], ids=["window 101 on 100 points", "20-point grid", "10-point grid"])
-def test_cell_the_detector_cannot_run_fails_the_run(caplog, jobs, bad, error, named):
+    (lambda: {"grid": GridSpec(0.0, 20.0, 10)}, DataError, "need >= 32 points, got 10", "run"),
+], ids=["window 101 on 100 points", "poly_order 1", "20-point grid", "10-point grid"])
+def test_cell_the_detector_cannot_run_fails_the_run(caplog, jobs, bad, error, named, stage):
     # no trial of such a cell is evidence, so the run raises the detector's
     # own error instead of counting its rows as negative verdicts
-    cells = [small_cell(n_trials=4), small_cell(n_trials=4, **bad)]
+    reached = "build"
     with caplog.at_level(logging.WARNING, logger=montecarlo.__name__):
         with pytest.raises(error, match=named):
+            cells = [small_cell(n_trials=4), small_cell(n_trials=4, **bad())]
+            reached = "run"
             run_cells(cells, jobs=jobs)
+    assert reached == stage
     assert not [r for r in caplog.records if "trial failed" in r.getMessage()]
 
 
