@@ -34,7 +34,7 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARS)
     os.environ["OMP_NUM_THREADS"] = "1"
 
 from .detector import DetectorConfig, hybrid_detect
-from .errors import ConfigError, DataError, JoltlabError, Spec, text, whole
+from .errors import ConfigError, DataError, JoltlabError, Spec, real, text, whole
 from .estimation import estimate_derivatives
 from .metrics import compute_metrics
 from .timeseries import read_csv, write_csv, write_json
@@ -48,11 +48,17 @@ def _families() -> dict:
     return dict(zip(_FAMILIES, (Exponential, Logistic, LogQuadratic, InjectedJolt)))
 
 
-def _listing(least: int, wording: str):  # each value is checked where it is used
-    return lambda x: None if isinstance(x, list) and len(x) >= least else wording
+def _listing(least: int, wording: str, each=lambda value: True):
+    """The test of a list of at least ``least`` values, each passing ``each``."""
+    return lambda x: (None if isinstance(x, list) and len(x) >= least and all(map(each, x))
+                      else wording)
 
 
+# an axis's values are checked where they are used
 _AXIS = _listing(2, "list at least two values")  # any sweep key but budget
+# a noise level is a name, which NoiseSpec checks when its cell is built
+# (detection does not import growth), or a relative sigma
+_NAME, _SIGMA = text("low").metadata["contract"], real(ge=0).metadata["contract"]
 
 
 @dataclasses.dataclass(init=False, repr=False, eq=False)  # never built: its fields are read
@@ -68,7 +74,8 @@ class _Keys(Spec):
     # at the ceiling and the default 1000 trials
     budget: int = whole(64, ge=1, le=4096)
     noise_levels: tuple = dataclasses.field(default=("low", "medium", "high"), metadata={
-        "contract": _listing(1, "list at least one noise level")})
+        "contract": _listing(1, "list at least one noise level, each a name or a finite "
+                                "number >= 0", lambda v: _NAME(v) is None or _SIGMA(v) is None)})
     family: str = text("logquadratic", among=_FAMILIES)
 
 

@@ -38,8 +38,9 @@ DETECTION_POLY_ORDER = 2
 
 @dataclass(frozen=True)
 class DetectorConfig(Spec, section="detector"):
-    """Hybrid detector hyperparameters. The SavGol smoother has ``window`` points
-    (null: the default for n) and degree ``poly_order`` (>= 2 for S = (ln C)'')."""
+    """Hybrid detector hyperparameters, none in a time unit: detection runs in grid
+    steps. The SavGol smoother has ``window`` points (null: n's default) and degree
+    ``poly_order`` (>= 2 for S = (ln C)'')."""
 
     window: int | None = whole(None, ge=5)
     poly_order: int = whole(DETECTION_POLY_ORDER, ge=2)
@@ -73,9 +74,9 @@ class DetectorConfig(Spec, section="detector"):
 
 @dataclass
 class Signal:
-    """Per-point detection signal with its edge mask, and the pass over log C
-    it came from (smoother, centred log C, order-0 fit) for the permutation
-    test. The per-point arrays hold one row per series of a batch."""
+    """Per-point detection signal S dt^2 (per squared grid step) with its edge
+    mask, and the pass over log C it came from (smoother, centred log C, order-0
+    fit) for the permutation test. Per-point arrays hold a row per series of a batch."""
 
     times: np.ndarray
     values: np.ndarray
@@ -118,9 +119,9 @@ class DetectionResult:
         write_json(path, self.to_dict())
 
 
-# the filter's rounding floor per unit of max(1, |centred log C|) / dt^2: the
-# signal snaps |S| at or below it to zero, and the permutation test counts a
-# surrogate within it as a tie, so both read this one factor
+# the filter's rounding floor, per squared grid step, per unit of max(1,
+# |centred log C|): the signal snaps |S dt^2| at or below it to zero, and the
+# permutation test counts a surrogate within it as a tie, so both read it
 _ROUNDING_FLOOR = 1e-11
 
 
@@ -150,21 +151,21 @@ def _smoother(config: DetectorConfig, n: int) -> SavitzkyGolay:
 
 
 def detection_signal(series, smoother: SavitzkyGolay | None = None) -> Signal:
-    """S(t) = d^2/dt^2 ln C(t) via SavGol, with boundary points masked, from
-    one pass over centred log C that also gives the permutation test its
-    order-0 fit. S below the filter's rounding floor, which comes from the
-    centred log C and so ignores value scale, is snapped to exactly zero:
-    noiseless exponentials give an identically zero signal.
+    """S dt^2 = d^2/dj^2 ln C via SavGol (j the grid index), boundary points
+    masked, from one pass over centred log C that also gives the permutation
+    test its order-0 fit. Values at or below the rounding floor, taken from the
+    centred log C and so free of value scale and time unit, snap to exactly
+    zero: noiseless exponentials give an identically zero signal.
 
     ``series`` may be a sequence of series on one grid; the signal then holds
     one row per series, each the bits that series gets on its own."""
     rows, single = _batch(series)
     grid = rows[0]
     cfg = smoother if smoother is not None else default_savgol(len(grid), DETECTION_POLY_ORDER)
-    dt = grid.dt
+    grid.dt  # a uniform grid whose step is in DT_RANGE; the signal never reads it
     logv = grid.log_values if single else np.stack([row.log_values for row in rows])
-    logv, (fit, s) = _filter_log(logv, cfg, dt, (0, 2))
-    floor = _ROUNDING_FLOOR * np.maximum(1.0, np.max(np.abs(logv), axis=-1, keepdims=True)) / dt**2
+    logv, (fit, s) = _filter_log(logv, cfg, (0, 2))
+    floor = _ROUNDING_FLOOR * np.maximum(1.0, np.max(np.abs(logv), axis=-1, keepdims=True))
     s[np.abs(s) <= floor] = 0.0
     return Signal(grid.times, s, edge_mask(len(grid), cfg.window), cfg, logv, fit)
 
@@ -230,7 +231,7 @@ def pattern_match_score(s: np.ndarray):
     n = s.shape[-1]
     sd = s.std(axis=-1, keepdims=True)
     # constant up to filter rounding jitter counts as constant; the test is
-    # relative, so it does not move with the time unit (S has units 1/time^2)
+    # relative, so it does not move with the signal's scale
     flat = sd <= 1e-9 * np.max(np.abs(s), axis=-1, keepdims=True)
     z = (s - s.mean(axis=-1, keepdims=True)) / np.where(flat, 1.0, sd)
     c1 = np.zeros(s.shape[:-1] + (n + 1,))
@@ -334,7 +335,7 @@ def _permutation_index(seed: int, n: int, n_perm: int, keep: int) -> np.ndarray:
     return idx
 
 
-def _surrogate_stats(signal: Signal, dt: float, index: np.ndarray):
+def _surrogate_stats(signal: Signal, index: np.ndarray):
     """(stats, resid): the permutation test's statistic of each surrogate,
     along the last axis, and the scaled residuals that ``index`` permutes.
 
@@ -355,7 +356,6 @@ def _surrogate_stats(signal: Signal, dt: float, index: np.ndarray):
         raise DataError(f"a permutation index of {width} columns does not hold the first "
                         f"and last {lo} of {n} that window {cfg.window} reads")
     w, resid_scale = _permutation_weights(n, cfg.window, cfg.poly_order)
-    w = w / dt**2
     resid = (logv - signal.fit) * resid_scale
     stats = (w[:lo] @ np.take(resid, index[:, :lo].T, axis=-1)
              + w[hi:] @ np.take(resid, index[:, width - (n - hi):].T, axis=-1))
@@ -373,7 +373,7 @@ def permutation_test(series, config: DetectorConfig, signal: Signal | None = Non
     the null model, and a noiseless jolting series attains the minimum
     p-value. Deterministic for a fixed config seed.
 
-    The statistic, the interior mean of S = M2 log C / dt^2, is linear in
+    The statistic, the interior mean of S dt^2 = M2 log C, is linear in
     log C: one dot product ``w @ x`` per surrogate x, so the permutations are
     never smoothed one by one. The deriv-2 kernel behind ``w`` annihilates
     every polynomial of degree <= poly_order (>= 2), so ``w`` maps the null
@@ -385,8 +385,8 @@ def permutation_test(series, config: DetectorConfig, signal: Signal | None = Non
     (h = window // 2), and only those entries of each surrogate are gathered.
     Ties are stated on the scalar: a surrogate counts as an exceedance when
     ``stat >= observed - floor``, with the filter's rounding floor
-    ``_ROUNDING_FLOOR * max(1, max|logv - mean(logv)| + max|resid|) / dt^2``,
-    which like the signal's floor does not move with the value scale.
+    ``_ROUNDING_FLOOR * max(1, max|logv - mean(logv)| + max|resid|)``, which
+    like the signal's floor moves with neither the value scale nor the time unit.
     Surrogates of a noiseless exponential (statistic zero up to rounding)
     therefore tie with its zero observed statistic, giving p = 1. The
     observed statistic is the interior mean of the floored detection signal,
@@ -413,14 +413,13 @@ def permutation_test(series, config: DetectorConfig, signal: Signal | None = Non
     rows, _ = _batch(series)
     if signal is None:
         signal = detection_signal(series, _smoother(config, len(rows[0])))
-    logv, dt = signal.centred_log, rows[0].dt
     observed = signal.unmasked.mean(axis=-1)
     if index is None:
-        index = _permutation_index(config.seed, logv.shape[-1], config.n_perm,
+        index = _permutation_index(config.seed, len(rows[0]), config.n_perm,
                                    signal.smoother.window - 1)
-    stats, resid = _surrogate_stats(signal, dt, index)
-    spread = np.max(np.abs(logv), axis=-1) + np.max(np.abs(resid), axis=-1)
-    floor = _ROUNDING_FLOOR * np.maximum(1.0, spread) / dt**2
+    stats, resid = _surrogate_stats(signal, index)
+    spread = np.max(np.abs(signal.centred_log), axis=-1) + np.max(np.abs(resid), axis=-1)
+    floor = _ROUNDING_FLOOR * np.maximum(1.0, spread)
     exceed = np.count_nonzero(stats >= (observed - floor)[..., None], axis=-1)
     return _by_row((1 + exceed) / (config.n_perm + 1))
 

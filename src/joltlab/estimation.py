@@ -175,13 +175,13 @@ def edge_mask(n: int, window: int) -> np.ndarray:
     return mask
 
 
-def _filter_log(logv: np.ndarray, config: SavitzkyGolay, dt: float, orders):
-    """Centred log C and its SavGol derivatives of ``orders`` (physical units),
+def _filter_log(logv: np.ndarray, config: SavitzkyGolay, orders):
+    """Centred log C and its SavGol derivatives of ``orders`` per grid step,
     the one place log C is filtered. Centring first keeps a value scale out
     of the derivatives and of rounding floors taken from the centred values.
     Each row of a matrix ``logv`` is centred and filtered on its own."""
     logv, w, p = logv - logv.mean(axis=-1, keepdims=True), config.window, config.poly_order
-    return logv, [_savgol_filter(logv, w, p, k) / dt**k for k in orders]
+    return logv, [_savgol_filter(logv, w, p, k) for k in orders]
 
 
 def _resid_scale(n: int, window: int, poly_order: int) -> float:
@@ -206,10 +206,10 @@ def estimate_derivatives(
 ) -> DerivativeEstimate:
     """SavGol estimates of C..C''' from log C, with a 95% interval on C'''.
 
-    L = log C is filtered once per order k = 0..3, and the chain rule gives
+    Lk, the k-th SavGol derivative of log C per grid step over dt^k, gives
     C = exp(L0), C' = C L1, C'' = C (L2 + L1^2) and
-    C''' = C (L3 + 3 L1 L2 + L1^3). So C is positive, an exponential has
-    J_N = 1, and a log-quadratic is exact up to rounding.
+    C''' = C (L3 + 3 L1 L2 + L1^3) by the chain rule. So C is positive, an
+    exponential has J_N = 1, and a log-quadratic is exact up to rounding.
 
     The interval is the delta method: the half-width is 1.96 sigma |g|, g
     being the gradient of C''' with respect to log C,
@@ -228,7 +228,8 @@ def estimate_derivatives(
     if p < 3:
         raise ConfigError("third-derivative estimation needs poly_order >= 3")
     dt = series.dt
-    centred, (l0, l1, l2, l3) = _filter_log(logv, config, dt, range(4))
+    centred, per_step = _filter_log(logv, config, range(4))
+    l0, l1, l2, l3 = (lk / dt**k for k, lk in enumerate(per_step))
     c = np.exp(l0 + logv.mean())
     c2_over_c = l2 + l1**2
     c3 = c * (l3 + 3 * l1 * l2 + l1**3)

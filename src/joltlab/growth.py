@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DataError, Spec, real, text, whole
-from .timeseries import DT_RANGE, TimeSeries
+from .timeseries import DT_RANGE, MAX_POINTS, TimeSeries
 
 NOISE_SIGMAS = {"none": 0.0, "low": 0.01, "medium": 0.05, "high": 0.10}
 
@@ -30,9 +30,7 @@ NOISE_SIGMAS = {"none": 0.0, "low": 0.01, "medium": 0.05, "high": 0.10}
 class GridSpec(Spec, section="grid"):
     t_start: float = real(0.0)
     t_end: float = real(20.0)
-    # a default detection holds about 1.6 KB a point (n_perm 499, window
-    # n/10): 160 MB at the ceiling
-    n_points: int = whole(200, ge=8, le=100_000)
+    n_points: int = whole(200, ge=8, le=MAX_POINTS)
 
     def __post_init__(self):
         super().__post_init__()

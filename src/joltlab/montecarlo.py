@@ -154,9 +154,12 @@ def _trial_children(cell: MCCell, is_positive: bool, trial_idx: int):
 
 
 def _noise_spec(cell: MCCell, seed: int) -> NoiseSpec:
+    """A named level, else a relative sigma, which ``sigma_rel``'s contract checks."""
     if isinstance(cell.noise, str):
         return NoiseSpec(level=cell.noise, seed=seed)
-    return NoiseSpec(level="none", sigma_rel=float(cell.noise), seed=seed)
+    if cell.noise is None:  # a null sigma_rel would fall back to the level "none"
+        raise ConfigError("mc noise must be a noise level or a sigma_rel, got None")
+    return NoiseSpec(level="none", sigma_rel=cell.noise, seed=seed)
 
 
 def _uniform(rng, lo_hi):

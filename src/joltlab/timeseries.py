@@ -8,7 +8,7 @@ not strictly increase. Cached read-only properties give the grid spacing
 for a grid that is not uniform or whose step is outside ``DT_RANGE``, and
 for a value that is not positive. Instances are immutable: a writable input
 array is copied, so the caller's stays writable. A malformed CSV file raises
-a ParseError.
+a ParseError, and one of more than ``MAX_POINTS`` records a DataError.
 
 Every file joltlab writes goes through the three writers at the end of this
 module, so each is UTF-8 with LF line endings: ``write_table`` formats a
@@ -33,6 +33,9 @@ GRID_REL_TOL = 1e-9  # largest deviation of a step from dt, relative to dt
 # the time steps a result holds for in any time unit: a third derivative
 # divides by dt**3, which stays within float range for these
 DT_RANGE = (1e-30, 1e30)
+# the most points of a series read or generated: a default detection holds
+# about 1.6 KB a point (n_perm 499, window n/10), 160 MB at the ceiling
+MAX_POINTS = 100_000
 
 
 def _read_only(x) -> np.ndarray:
@@ -130,6 +133,8 @@ def read_csv(path) -> TimeSeries:
             raise ParseError(str(exc), line=lineno) from None
     if not times:
         raise ParseError(f"{path}: no data records")
+    if len(times) > MAX_POINTS:
+        raise DataError(f"{path}: {len(times)} data records exceed the ceiling of {MAX_POINTS}")
     return TimeSeries(np.array(times), np.array(values))
 
 

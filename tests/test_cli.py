@@ -16,7 +16,7 @@ from joltlab.cli import build_detector, load_config, main
 from joltlab.detector import DetectorConfig
 from joltlab.errors import DataError
 from joltlab.montecarlo import MCCell, sweep
-from joltlab.timeseries import read_csv
+from joltlab.timeseries import MAX_POINTS, read_csv
 
 
 def run(argv):
@@ -94,6 +94,7 @@ OUTSIDE = [
     ("grid.n_points", BIG),
     ("noise.level", 3), ("noise.sigma_rel", -0.1),
     ("mc.n_trials", 0), ("mc.n_trials", BIG), ("mc.noise_levels", []), ("mc.noise_levels", "low"),
+    ("mc.noise_levels", [None]), ("mc.noise_levels", [True]), ("mc.noise_levels", [-0.1]),
     ("mc.b_range", [0.02, 0.005]), ("mc.k_range", [0.03]), ("mc.r_range", "x"),
     ("mc.t0_range", [8, math.inf]), ("mc.logistic_l", 0), ("mc.injected_fraction", 1.5),
     ("mc.logistic_fraction", -0.5), ("mc.ramp_strength_range", 1),
@@ -282,6 +283,18 @@ def test_a_time_step_outside_the_stated_range_exits_3_naming_it(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["detect", "metrics"])
+def test_a_csv_past_the_point_ceiling_exits_3_naming_it(tmp_path, capsys, command):
+    # a CSV's length had no ceiling, though a detection holds about 1.6 KB a point
+    path = tmp_path / "series.csv"
+    path.write_text("t,value\n" + "".join(f"{i},1\n" for i in range(MAX_POINTS + 1)))
+    out = tmp_path / "out"
+    assert run([command, str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{MAX_POINTS + 1} data records exceed the ceiling of {MAX_POINTS}" in err
+    assert not out.exists()
+
+
 def test_detect_malformed_csv_exit_2(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time;value\n0;1\n")
@@ -454,12 +467,22 @@ def test_cell_the_detector_cannot_run_fails_the_command(tmp_path, capsys, jobs, 
     assert not out.exists()
 
 
+LEVELS = ("config key mc.noise_levels must list at least one noise level, each a name or a "
+          "finite number >= 0")
+
+
 @pytest.mark.parametrize("command, levels, named", [
     ("mc", ["low", "bogus"], "unknown noise level 'bogus'"),
     ("mc", ["bogus", "low"], "unknown noise level 'bogus'"),
-    ("mc", ["low", -0.5], "sigma_rel must be >= 0, got -0.5"),
+    ("mc", ["low", -0.5], f"{LEVELS}, got ['low', -0.5]"),
     ("mc", [], "config key mc.noise_levels must list at least one noise level"),
     ("sweep", [], "config key mc.noise_levels must list at least one noise level"),
+    # each exited 1 with a TypeError from float(), or (true) ran as sigma 1.0
+    ("mc", [None], f"{LEVELS}, got [None]"),
+    ("mc", [[1]], f"{LEVELS}, got [[1]]"),
+    ("mc", [{"a": 1}], f"{LEVELS}, got [{{'a': 1}}]"),
+    ("mc", ["low", True], f"{LEVELS}, got ['low', True]"),
+    ("sweep", [""], f"{LEVELS}, got ['']"),
 ])
 def test_bad_or_empty_noise_levels_exit_2(tmp_path, capsys, command, levels, named):
     payload = {**SMALL_SWEEP, "mc": {"n_trials": 2, "noise_levels": levels}}
@@ -475,7 +498,7 @@ def test_bad_or_empty_noise_levels_exit_2(tmp_path, capsys, command, levels, nam
     ("detect", {"detector": {"combine_weights": [float("nan"), 0.5, 0.5]}}, "combine_weights"),
     ("detect", {"detector": {"combine_weights": ["0.2", "0.3", "0.5"]}}, "combine_weights"),
     ("mc", {**SMALL_SWEEP, "mc": {"n_trials": 2, "noise_levels": ["low", float("nan")]}},
-     "sigma_rel must be a finite number, got nan"),
+     f"{LEVELS}, got ['low', nan]"),
 ], ids=["threshold_peak nan", "threshold_peak inf", "combine_weights nan",
         "combine_weights strings", "noise_levels nan"])
 def test_non_finite_or_non_numeric_setting_exit_2(tmp_path, capsys, command, payload, named):

@@ -60,7 +60,8 @@ def test_logquadratic_signal_is_2b():
     s = make_series(lambda t: np.exp(b * t**2))
     sig = detection_signal(s)
     interior = ~sig.edge_mask
-    np.testing.assert_allclose(sig.values[interior], 2 * b, atol=1e-4)
+    # the signal is per squared grid step
+    np.testing.assert_allclose(sig.values[interior] / s.dt**2, 2 * b, atol=1e-4)
 
 
 def test_logistic_signal_negative_interior():
@@ -343,15 +344,15 @@ def test_surrogate_stats_are_the_same_bits_from_the_kept_columns(n, h, extra, se
     noise = 0.05 * np.random.default_rng(seed).standard_normal((3, n))
     series = [TimeSeries(t, np.exp(0.08 * t + 0.004 * t**2 + row)) for row in noise]
     signal = detection_signal(series, SavitzkyGolay(window, DETECTION_POLY_ORDER))
-    full = detector._surrogate_stats(signal, t[1] - t[0], _permutation_index(seed, n, 199, 0))
+    full = detector._surrogate_stats(signal, _permutation_index(seed, n, 199, 0))
     for keep in (window - 1, window - 1 + extra):
         index = _permutation_index(seed, n, 199, keep)
-        kept = detector._surrogate_stats(signal, t[1] - t[0], index)
+        kept = detector._surrogate_stats(signal, index)
         assert np.array_equal(kept[0], full[0]) and np.array_equal(kept[1], full[1])
     narrow = _permutation_index(seed, n, 199, window - 2)
     if narrow.shape[1] < n:
         with pytest.raises(DataError, match="does not hold the first and last"):
-            detector._surrogate_stats(signal, t[1] - t[0], narrow)
+            detector._surrogate_stats(signal, narrow)
 
 
 def test_groups_of_different_windows_share_one_draw_of_the_widest(monkeypatch):
@@ -388,8 +389,8 @@ def test_surrogate_statistics_have_the_exact_permutation_moments(n, h, seed):
     series = TimeSeries(t, np.exp(0.08 * t + noise))
     signal = detection_signal(series, SavitzkyGolay(window, DETECTION_POLY_ORDER))
     index = _permutation_index(seed, n, 1999, window - 1)
-    stats, resid = detector._surrogate_stats(signal, series.dt, index)
-    w = _permutation_weights(n, window, DETECTION_POLY_ORDER)[0] / series.dt**2
+    stats, resid = detector._surrogate_stats(signal, index)
+    w = _permutation_weights(n, window, DETECTION_POLY_ORDER)[0]
     variance = resid.var() * n / (n - 1) * (w @ w)
     m = stats.size
     assert abs(stats.mean()) <= 5 * math.sqrt(variance / m)

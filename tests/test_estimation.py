@@ -268,10 +268,12 @@ def test_log_exponential_selects_linear():
 
 def test_derivatives_from_quadratic_model_zero_c3():
     # log C = 3 + 0.1 t + 0.01 t^2, centred to mean zero before filtering:
-    # L1 = 0.1 + 0.02 t, L2 = 0.02 and L3 = 0 at every point
+    # L1 = 0.1 + 0.02 t, L2 = 0.02 and L3 = 0 at every point; the filter
+    # works per grid step, so the k-th derivative is divided by dt^k
     t = np.linspace(0, 20, 200)
     s = TimeSeries(t, np.exp(3.0 + 0.1 * t + 0.01 * t**2))
-    centred, (l1, l2, l3) = _filter_log(s.log_values, default_savgol(200), s.dt, (1, 2, 3))
+    centred, per_step = _filter_log(s.log_values, default_savgol(200), (1, 2, 3))
+    l1, l2, l3 = (lk / s.dt**k for k, lk in enumerate(per_step, start=1))
     assert abs(centred.mean()) <= 1e-12
     np.testing.assert_allclose(l1, 0.1 + 0.02 * t, atol=1e-11)
     np.testing.assert_allclose(l2, 0.02, atol=1e-11)

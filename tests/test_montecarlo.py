@@ -375,6 +375,10 @@ def test_cell_the_detector_cannot_run_fails_the_run(caplog, jobs, bad, error, na
 @pytest.mark.parametrize("noise, named", [
     ("bogus", "unknown noise level 'bogus'"),
     (-0.5, "sigma_rel must be >= 0, got -0.5"),
+    # each was cast with float(): True ran as sigma 1.0, the others raised a TypeError
+    (True, "sigma_rel must be a finite number, got True"),
+    ([0.1], r"sigma_rel must be a finite number, got \[0.1\]"),
+    (None, "mc noise must be a noise level or a sigma_rel, got None"),
 ])
 def test_cell_with_unknown_noise_level_rejected(noise, named):
     with pytest.raises(ConfigError, match=named):

@@ -20,6 +20,7 @@ from joltlab.montecarlo import MCCell, run_cells
 from joltlab.timeseries import (
     DT_RANGE,
     GRID_REL_TOL,
+    MAX_POINTS,
     TimeSeries,
     read_csv,
     write_csv,
@@ -155,6 +156,19 @@ def test_read_csv_direct_parse(tmp_path):
     s = read_csv(path)
     np.testing.assert_array_equal(s.times, [0, 1])
     np.testing.assert_array_equal(s.values, [1, 2])
+
+
+def test_read_csv_takes_max_points_records_and_no_more(tmp_path):
+    # the one ceiling on a series' length, which GridSpec.n_points reads too
+    n_points = GridSpec.__dataclass_fields__["n_points"].metadata["contract"]
+    assert n_points(MAX_POINTS) is None and n_points(MAX_POINTS + 1) == f"be <= {MAX_POINTS}"
+    path = tmp_path / "in.csv"
+    path.write_text("t,value\n" + "".join(f"{i},2\n" for i in range(MAX_POINTS)))
+    assert len(read_csv(path)) == MAX_POINTS
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(f"{MAX_POINTS},2\n")
+    with pytest.raises(DataError, match=f"{MAX_POINTS + 1} data records exceed the ceiling"):
+        read_csv(path)
 
 
 def test_csv_round_trip(tmp_path):
