@@ -342,29 +342,32 @@ def _mc_cells(cfg: dict) -> list:
     ]
 
 
-def cmd_mc(cfg: dict) -> int:
-    from .montecarlo import sweeps, write_report_json, write_table1
+def _report(cfg: dict, cells: list, axes: dict, table: str, write_table) -> int:
+    """Run ``cells`` as one sweep over ``axes``; write ``table``, by ``write_table(results,
+    path)``, and ``report.json``, whose metadata is the resolved config the run reads."""
+    from .montecarlo import sweeps, write_report_json
 
-    # a sweep with no axes: one cell per noise level
-    results = sweeps({}, _mc_cells(cfg), jobs=cfg["jobs"]).cells
-    metadata = {
-        "master_seed": cfg["seed"],
-        "n_trials": cfg["mc"]["n_trials"],
-        "noise_levels": list(cfg["mc"]["noise_levels"]),
-        "grid": cfg["grid"],
-        "detector": cfg["detector"],
-        "mix": cfg["mc"],
-    }
+    report = sweeps(axes, cells, budget=cfg["sweep"]["budget"], jobs=cfg["jobs"])
+    # not out or jobs, which move no result, and the sweep section only if swept
+    metadata = {key: cfg[key] for key in ("seed", "detector", "grid", "mc", "sweep")
+                if key != "sweep" or axes}
     out = _write_outputs(cfg, {
-        "table1.csv": lambda path: write_table1(results, path),
-        "report.json": lambda path: write_report_json(results, metadata, path),
+        table: lambda path: write_table(report.cells, path),
+        "report.json": lambda path: write_report_json(report, metadata, path),
     })
-    print(f"wrote {out / 'table1.csv'} and {out / 'report.json'}")
+    print(f"wrote {out / table} and {out / 'report.json'}")
     return 0
 
 
+def cmd_mc(cfg: dict) -> int:
+    from .montecarlo import write_table1
+
+    # a sweep with no axes: one cell per noise level
+    return _report(cfg, _mc_cells(cfg), {}, "table1.csv", write_table1)
+
+
 def cmd_sweep(cfg: dict) -> int:
-    from .montecarlo import sweeps, write_heatmap, write_report_json
+    from .montecarlo import write_heatmap
 
     axes = {k: list(v) for k, v in cfg["sweep"].items() if k != "budget"}
     cells, defaults = _mc_cells(cfg), load_config(None)
@@ -372,15 +375,8 @@ def cmd_sweep(cfg: dict) -> int:
     for section, name in ((s, n) for s in ("detector", "mc", "grid") for n in axes):
         if name in cfg[section] and cfg[section][name] != defaults[section][name]:
             raise ConfigError(f"config key {section}.{name} is replaced by the axis sweep.{name}")
-    report = sweeps(axes, cells, budget=cfg["sweep"]["budget"], jobs=cfg["jobs"])
-    metadata = {**report.metadata, "detector": cfg["detector"]}
-    out = _write_outputs(cfg, {
-        "heatmap.csv": lambda path: write_heatmap(report.cells, list(axes), path),
-        "report.json": lambda path: write_report_json(report.cells, metadata, path,
-                                                      best=report.best),
-    })
-    print(f"wrote {out / 'heatmap.csv'} and {out / 'report.json'}")
-    return 0
+    return _report(cfg, cells, axes, "heatmap.csv",
+                   lambda results, path: write_heatmap(results, list(axes), path))
 
 
 # --- entry point --------------------------------------------------------------

@@ -21,7 +21,8 @@ all its cells. Only scores and p-values come back, and each row has the
 bits it would get on its own. A trial whose series cannot be generated,
 or whose log C cannot be taken, counts as a negative verdict with a warning; a
 cell the detector cannot run fails the whole run with the detector's error.
-A sweep is one report with one best, and ``joltlab mc`` is a sweep with no axes.
+A sweep is one report with one best; ``joltlab mc`` is a sweep with no axes
+and so no best.
 At ``jobs`` above 1 the tasks run in worker processes forked directly, one
 pipe each, no more of them than tasks or usable CPUs; see :func:`_forked_map`.
 """
@@ -126,9 +127,11 @@ class CellResult:
 
 @dataclass
 class MCReport:
+    """One sweep's results: a :class:`CellResult` per (template, assignment),
+    in that order, and the best of them, None when no axis was swept."""
+
     cells: list
     best: CellResult | None
-    metadata: dict
 
 
 def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple:
@@ -450,10 +453,10 @@ def apply_axes(template: MCCell, assignment: dict, paths: dict) -> MCCell:
 
 def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> MCReport:
     """Grid sweep over cell fields (see :func:`axis_paths`) for several cell
-    templates: one report of a :class:`CellResult` per (template, assignment),
-    in that order, their :func:`best_configuration`, and ``{"runs": [...]}``,
-    one run per template. With no axes each template is one cell, ``params ==
-    {}``, as ``joltlab mc`` runs it. A value its field refuses, or a null
+    templates: one :class:`MCReport` of a :class:`CellResult` per (template,
+    assignment), in that order, and their :func:`best_configuration`. With no
+    axes each template is one cell, ``params == {}``, and the report has no
+    best, as ``joltlab mc`` runs it. A value its field refuses, or a null
     one, raises a ConfigError naming the axis and the value, before the
     budget check; values that conflict inside one spec raise one naming
     every axis and value of the cell, before any trial. An n_points axis
@@ -493,24 +496,15 @@ def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> MCReport:
                    counts=counts, rates=summarize(counts))
         for (template, assignment), counts in zip(pairs, run_cells(cells, jobs))
     ]
-    metadata = {"runs": [
-        {
-            "master_seed": template.master_seed,
-            "n_trials": template.n_trials,
-            "noise": template.noise,
-            "axes": {k: list(v) for k, v in axes.items()},
-            "grid": dataclasses.asdict(template.grid),
-            "mix": dataclasses.asdict(template.mix),
-        }
-        for template in templates
-    ]}
-    return MCReport(cells=results, best=best_configuration(results, list(axes)), metadata=metadata)
+    return MCReport(cells=results, best=best_configuration(results, list(axes)))
 
 
 def best_configuration(cells, axis_names):
     """Cell of the configuration with the lowest mean error rate across noise
     levels; ties go to the lower mean FPR, then the lower first-axis value,
-    then the first in order."""
+    then the first in order. None when no axis was swept or no cell ran."""
+    if not axis_names or not cells:
+        return None
     by_params = {}
     for cell in cells:
         by_params.setdefault(tuple(cell.params[a] for a in axis_names), []).append(cell)
@@ -519,10 +513,8 @@ def best_configuration(cells, axis_names):
         params, group = item
         mean_err = sum(c.rates.error_rate for c in group) / len(group)
         mean_fpr = sum(c.rates.fpr for c in group) / len(group)
-        return (mean_err, mean_fpr, params[0] if axis_names else 0)
+        return (mean_err, mean_fpr, params[0])
 
-    if not by_params:
-        return None
     return min(by_params.items(), key=key)[1][0]
 
 
@@ -554,7 +546,8 @@ def _cell_payload(res: CellResult) -> dict:
             "counts": dataclasses.asdict(res.counts), **dataclasses.asdict(res.rates)}
 
 
-def write_report_json(results, metadata, path, best=None) -> None:
+def write_report_json(report: MCReport, metadata: dict, path) -> None:
+    """``report`` as JSON, with ``metadata``, the version, the accuracy weights and a timestamp."""
     from . import __version__
 
     payload = {
@@ -562,7 +555,7 @@ def write_report_json(results, metadata, path, best=None) -> None:
         "version": __version__,
         "accuracy_class_weights": ACCURACY_CLASS_WEIGHTS,
         "metadata": metadata,
-        "cells": [_cell_payload(r) for r in results],
-        "best": _cell_payload(best) if best is not None else None,
+        "cells": [_cell_payload(r) for r in report.cells],
+        "best": _cell_payload(report.best) if report.best is not None else None,
     }
     write_json(path, payload)

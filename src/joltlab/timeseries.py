@@ -8,7 +8,8 @@ not strictly increase. Cached read-only properties give the grid spacing
 for a grid that is not uniform or whose step is outside ``DT_RANGE``, and
 for a value that is not positive. Instances are immutable: a writable input
 array is copied, so the caller's stays writable. A malformed CSV file raises
-a ParseError, and one of more than ``MAX_POINTS`` records a DataError.
+a ParseError, and one of more than ``MAX_POINTS`` records a DataError at
+the first record past them.
 
 Every file joltlab writes goes through the three writers at the end of this
 module, so each is UTF-8 with LF line endings: ``write_table`` formats a
@@ -109,32 +110,34 @@ class TimeSeries:
 
 
 def read_csv(path) -> TimeSeries:
-    """Read a ``t,value`` CSV file (see module contract) into a TimeSeries.
-    A UTF-8 byte-order mark, as spreadsheet tools write one, is skipped."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty file, expected header '{CSV_HEADER}'")
-    if lines[0].strip() != CSV_HEADER:
-        raise ParseError(
-            f"{path}: missing or malformed header, expected '{CSV_HEADER}'"
-        )
+    """Read a ``t,value`` CSV file (see module contract) into a TimeSeries,
+    one record at a time, so a file stops at its record ``MAX_POINTS + 1``.
+    A UTF-8 byte-order mark, as spreadsheet tools write one, is skipped, and
+    a record ends at ``\\n``, ``\\r\\n`` or ``\\r``."""
     times, values = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected 2 comma-separated fields", line=lineno)
-        try:
-            times.append(float(parts[0]))
-            values.append(float(parts[1]))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        header = fh.readline()
+        if not header:
+            raise ParseError(f"{path}: empty file, expected header '{CSV_HEADER}'")
+        if header.strip() != CSV_HEADER:
+            raise ParseError(
+                f"{path}: missing or malformed header, expected '{CSV_HEADER}'"
+            )
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            if len(times) == MAX_POINTS:
+                raise DataError(f"{path}: more than {MAX_POINTS} data records, the ceiling")
+            parts = line.rstrip("\r\n").split(",")
+            if len(parts) != 2:
+                raise ParseError(f"expected 2 comma-separated fields", line=lineno)
+            try:
+                times.append(float(parts[0]))
+                values.append(float(parts[1]))
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from None
     if not times:
         raise ParseError(f"{path}: no data records")
-    if len(times) > MAX_POINTS:
-        raise DataError(f"{path}: {len(times)} data records exceed the ceiling of {MAX_POINTS}")
     return TimeSeries(np.array(times), np.array(values))
 
 

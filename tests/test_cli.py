@@ -291,7 +291,7 @@ def test_a_csv_past_the_point_ceiling_exits_3_naming_it(tmp_path, capsys, comman
     out = tmp_path / "out"
     assert run([command, str(path), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert f"{MAX_POINTS + 1} data records exceed the ceiling of {MAX_POINTS}" in err
+    assert f"more than {MAX_POINTS} data records, the ceiling" in err
     assert not out.exists()
 
 
@@ -664,7 +664,30 @@ def test_mc_takes_the_logistic_capacity_of_its_mix(tmp_path):
         "n_trials": 2, "noise_levels": ["low"], "logistic_l": 2.0}})
     out = tmp_path / "out"
     assert run(["mc", "--config", cfg, "--out", str(out)]) == 0
-    assert json.loads((out / "report.json").read_text())["metadata"]["mix"]["logistic_l"] == 2.0
+    assert json.loads((out / "report.json").read_text())["metadata"]["mc"]["logistic_l"] == 2.0
+
+
+@pytest.mark.parametrize("command, sections", [
+    ("mc", ["detector", "grid", "mc", "seed"]),
+    ("sweep", ["detector", "grid", "mc", "seed", "sweep"]),
+])
+def test_report_metadata_is_the_resolved_config_of_the_sections_run(tmp_path, command, sections):
+    # model and noise are not read, and out and jobs move no result: the
+    # reports at --jobs 1 and 2, in two directories, differ in the timestamp alone
+    cfg = write_config(tmp_path, {**SMALL_SWEEP, "seed": 3, "mc": {
+        "noise_levels": ["low", 0.03], "logistic_l": 2.0},
+        "sweep": {"window": [7, 11], "alpha_sig": [0.01, 0.05]}})
+    reports = []
+    for jobs in (1, 2):
+        flags = {"--seed": 4, "--trials": 2, "--jobs": jobs, "--out": str(tmp_path / f"j{jobs}")}
+        argv = [command, "--config", cfg, *(str(x) for pair in flags.items() for x in pair)]
+        assert run(argv) == 0
+        reports.append(json.loads((tmp_path / f"j{jobs}" / "report.json").read_text()))
+        reports[-1].pop("timestamp")
+        resolved = load_config(cfg, command, flags)
+        assert reports[-1]["metadata"] == {key: resolved[key] for key in sections}
+    assert reports[0] == reports[1]
+    assert reports[0]["metadata"]["seed"] == 4 and reports[0]["metadata"]["mc"]["n_trials"] == 2
 
 
 def test_sweep_takes_a_detector_setting_at_its_default(tmp_path):

@@ -165,10 +165,36 @@ def test_read_csv_takes_max_points_records_and_no_more(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text("t,value\n" + "".join(f"{i},2\n" for i in range(MAX_POINTS)))
     assert len(read_csv(path)) == MAX_POINTS
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(f"{MAX_POINTS},2\n")
-    with pytest.raises(DataError, match=f"{MAX_POINTS + 1} data records exceed the ceiling"):
+    for tail in (f"{MAX_POINTS},2\n", "nope\n"):
+        # the read stops at the record past the ceiling: a malformed line
+        # after it raised a ParseError, when the whole file was parsed first
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(tail)
+        with pytest.raises(DataError, match=f"more than {MAX_POINTS} data records, the ceiling"):
+            read_csv(path)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_read_csv_skips_a_bom_and_blank_lines_at_any_record_end(tmp_path, end):
+    path = tmp_path / "in.csv"
+    lines = ["\ufefft,value", "0,1", "", "1,2", " "]
+    path.write_bytes(end.join(lines + [""]).encode("utf-8"))
+    s = read_csv(path)
+    np.testing.assert_array_equal(s.times, [0, 1])
+    np.testing.assert_array_equal(s.values, [1, 2])
+    path.write_bytes(end.join(lines + ["2,x", ""]).encode("utf-8"))
+    with pytest.raises(ParseError, match="could not convert string to float: 'x'$") as err:
         read_csv(path)
+    assert err.value.line == 6
+
+
+def test_read_csv_ends_a_record_only_at_a_line_end(tmp_path):
+    # str.splitlines also split at a form feed, \x1c-\x1e, \x85 and \u2028
+    path = tmp_path / "in.csv"
+    path.write_text("t,value\n0,1\x0c1,2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="expected 2 comma-separated fields") as err:
+        read_csv(path)
+    assert err.value.line == 2
 
 
 def test_csv_round_trip(tmp_path):
