@@ -6,7 +6,7 @@ metrics, detecting superexponential regimes with a hybrid detector, and
 validating the detector with a Monte Carlo harness.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 # Every export loads on first use (PEP 562), so ``import joltlab`` loads no
 # numpy and ``joltlab.cli`` runs before numpy does; detect and metrics never

@@ -145,23 +145,20 @@ def _by_row(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _smoother(config: DetectorConfig, n: int) -> SavitzkyGolay:
-    """The smoother of ``config`` on ``n`` points: its set window's, else n's default."""
-    return config.smoother or default_savgol(n, config.poly_order)
-
-
-def detection_signal(series, smoother: SavitzkyGolay | None = None) -> Signal:
-    """S dt^2 = d^2/dj^2 ln C via SavGol (j the grid index), boundary points
-    masked, from one pass over centred log C that also gives the permutation
-    test its order-0 fit. Values at or below the rounding floor, taken from the
-    centred log C and so free of value scale and time unit, snap to exactly
-    zero: noiseless exponentials give an identically zero signal.
+def detection_signal(series, config: DetectorConfig | None = None) -> Signal:
+    """S dt^2 = d^2/dj^2 ln C via ``config``'s SavGol (j the grid index; None:
+    ``DetectorConfig()``), boundary points masked, from one pass over centred
+    log C that also gives the permutation test its order-0 fit. Values at or
+    below the rounding floor, taken from the centred log C and so free of value
+    scale and time unit, snap to exactly zero: noiseless exponentials give an
+    identically zero signal.
 
     ``series`` may be a sequence of series on one grid; the signal then holds
     one row per series, each the bits that series gets on its own."""
     rows, single = _batch(series)
     grid = rows[0]
-    cfg = smoother if smoother is not None else default_savgol(len(grid), DETECTION_POLY_ORDER)
+    config = DetectorConfig() if config is None else config
+    cfg = config.smoother or default_savgol(len(grid), config.poly_order)
     grid.dt  # a uniform grid whose step is in DT_RANGE; the signal never reads it
     logv = grid.log_values if single else np.stack([row.log_values for row in rows])
     logv, (fit, s) = _filter_log(logv, cfg, (0, 2))
@@ -391,7 +388,7 @@ def permutation_test(series, config: DetectorConfig, signal: Signal | None = Non
     therefore tie with its zero observed statistic, giving p = 1. The
     observed statistic is the interior mean of the floored detection signal,
     whose pass over log C also gives the residuals: ``signal`` when given, a
-    signal of ``series``, else the signal of ``config``'s smoother on it.
+    signal of ``series``, else ``detection_signal(series, config)``.
     p = (1 + #exceedances) / (n_perm + 1).
 
     The null assumes exchangeable residuals, that is serially independent
@@ -410,12 +407,11 @@ def permutation_test(series, config: DetectorConfig, signal: Signal | None = Non
     series and smoother tested on it. Without it the test draws its own,
     keeping the ``window - 1`` columns on each side that its smoother reads.
     """
-    rows, _ = _batch(series)
     if signal is None:
-        signal = detection_signal(series, _smoother(config, len(rows[0])))
+        signal = detection_signal(series, config)
     observed = signal.unmasked.mean(axis=-1)
     if index is None:
-        index = _permutation_index(config.seed, len(rows[0]), config.n_perm,
+        index = _permutation_index(config.seed, signal.values.shape[-1], config.n_perm,
                                    signal.smoother.window - 1)
     stats, resid = _surrogate_stats(signal, index)
     spread = np.max(np.abs(signal.centred_log), axis=-1) + np.max(np.abs(resid), axis=-1)
@@ -455,7 +451,7 @@ def _detect(groups) -> list:
     for g, (config, series, seeds) in enumerate(groups):
         if len(seeds) != len(series):
             raise DataError(f"{len(series)} series need one seed each, got {len(seeds)}")
-        signal = detection_signal(series, _smoother(config, n))
+        signal = detection_signal(series, config)
         s = signal.unmasked
         subs = (peak_ratio_score(s, config.threshold_peak), pattern_match_score(s),
                 duration_score(s, config.min_duration_frac))

@@ -1,12 +1,13 @@
 """The error classes of joltlab, and the field contracts of its specs.
 
-Every error the library raises is one of four classes, each a JoltlabError,
-so one except clause catches them all, and the message names the cause. The
-class says which exit code the CLI gives:
+Every error the library raises is a DataError or a ConfigError, each a
+JoltlabError, so one except clause catches them all, and the message names
+the cause. The class says which exit code the CLI gives:
 
 - DataError: a series or file breaks an input contract; exit 3.
-- ConfigError: a config key, flag or argument is wrong; exit 2.
-- ParseError: a ConfigError for a malformed input file, with its ``line``.
+- ConfigError: a config key, flag or argument is wrong, or an input file is
+  malformed (its message then begins ``line N: `` when a line is at fault);
+  exit 2.
 
 A spec is a dataclass deriving from :class:`Spec`. It declares each field's
 contract once, in the field's metadata, as one of four kinds: :func:`real`,
@@ -35,18 +36,8 @@ class DataError(JoltlabError):
 
 
 class ConfigError(JoltlabError):
-    """Invalid configuration or usage: an unknown key, a bad value (the CLI
-    exits 2)."""
-
-
-class ParseError(ConfigError):
-    """A malformed input file; ``line`` is the 1-based line at fault, if any."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """Invalid configuration or usage: an unknown key, a bad value, a malformed
+    input file (the CLI exits 2)."""
 
 
 # --- spec field contracts -----------------------------------------------------

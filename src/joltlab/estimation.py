@@ -62,8 +62,8 @@ def default_savgol(n: int, poly_order: int = SavitzkyGolay.poly_order) -> Savitz
     w = int(round(n / 10))
     if w % 2 == 0:
         w += 1
+    # at most max(11, n/10 + 1.5), so never wider than the series
     w = max(_MIN_DEFAULT_WINDOW, w)
-    w = min(w, n if n % 2 == 1 else n - 1)
     return SavitzkyGolay(window=w, poly_order=poly_order)
 
 

@@ -8,7 +8,7 @@ not strictly increase. Cached read-only properties give the grid spacing
 for a grid that is not uniform or whose step is outside ``DT_RANGE``, and
 for a value that is not positive. Instances are immutable: a writable input
 array is copied, so the caller's stays writable. A malformed CSV file raises
-a ParseError, and one of more than ``MAX_POINTS`` records a DataError at
+a ConfigError, and one of more than ``MAX_POINTS`` records a DataError at
 the first record past them.
 
 Every file joltlab writes goes through the three writers at the end of this
@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import ConfigError, DataError
 
 CSV_HEADER = "t,value"
 
@@ -118,9 +118,9 @@ def read_csv(path) -> TimeSeries:
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header = fh.readline()
         if not header:
-            raise ParseError(f"{path}: empty file, expected header '{CSV_HEADER}'")
+            raise ConfigError(f"{path}: empty file, expected header '{CSV_HEADER}'")
         if header.strip() != CSV_HEADER:
-            raise ParseError(
+            raise ConfigError(
                 f"{path}: missing or malformed header, expected '{CSV_HEADER}'"
             )
         for lineno, line in enumerate(fh, start=2):
@@ -130,14 +130,14 @@ def read_csv(path) -> TimeSeries:
                 raise DataError(f"{path}: more than {MAX_POINTS} data records, the ceiling")
             parts = line.rstrip("\r\n").split(",")
             if len(parts) != 2:
-                raise ParseError(f"expected 2 comma-separated fields", line=lineno)
+                raise ConfigError(f"line {lineno}: expected 2 comma-separated fields")
             try:
                 times.append(float(parts[0]))
                 values.append(float(parts[1]))
             except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+                raise ConfigError(f"line {lineno}: {exc}") from None
     if not times:
-        raise ParseError(f"{path}: no data records")
+        raise ConfigError(f"{path}: no data records")
     return TimeSeries(np.array(times), np.array(values))
 
 

@@ -71,6 +71,34 @@ def test_logistic_signal_negative_interior():
     assert np.all(sig.values[late] < 0)
 
 
+def _assert_same_signal(got, want):
+    for name in ("values", "centred_log", "fit", "edge_mask"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.smoother == want.smoother
+
+
+@pytest.mark.parametrize("window", [None, 15])
+@pytest.mark.parametrize("poly_order", [2, 3, 4])
+def test_detection_signal_is_the_signal_hybrid_detect_scores(poly_order, window):
+    # one resolver of the smoother: a null window is n's default at the
+    # config's poly_order, in the signal alone as in the detection
+    rng = np.random.default_rng(poly_order)
+    s = make_series(lambda t: np.exp(0.1 * t + 0.002 * t**2 + 0.02 * rng.standard_normal(t.size)))
+    config = DetectorConfig(window=window, poly_order=poly_order, n_perm=99)
+    signal = detection_signal(s, config)
+    _assert_same_signal(signal, hybrid_detect(s, config).signal)
+    assert signal.smoother == SavitzkyGolay(window or 21, poly_order)
+
+
+def test_no_config_or_the_default_configs_smoother_is_the_default_signal():
+    # the two calls the cold benchmark makes: DetectorConfig().smoother is
+    # None, as is no config, and both mean DetectorConfig()
+    s = make_series(lambda t: np.exp(0.1 * t + 0.002 * t**2))
+    want = hybrid_detect(s).signal
+    for config in (None, DetectorConfig().smoother, DetectorConfig()):
+        _assert_same_signal(detection_signal(s, config), want)
+
+
 # --- sub-scores ---------------------------------------------------------------
 
 def test_peak_score_zero_signal():
@@ -246,7 +274,7 @@ def _dense_permutation_p(series, config):
     """Reference permutation test: every surrogate is pushed through the
     dense deriv-2 operator, floored elementwise like the detection signal,
     reduced to its interior mean and compared with ``>=``."""
-    cfg = config.smoother or default_savgol(len(series), DETECTION_POLY_ORDER)
+    cfg = config.smoother or default_savgol(len(series), config.poly_order)
     dt = series.dt
     logv = np.log(series.values)
     n = logv.size
@@ -343,7 +371,7 @@ def test_surrogate_stats_are_the_same_bits_from_the_kept_columns(n, h, extra, se
     t = np.linspace(0.0, 20.0, n)
     noise = 0.05 * np.random.default_rng(seed).standard_normal((3, n))
     series = [TimeSeries(t, np.exp(0.08 * t + 0.004 * t**2 + row)) for row in noise]
-    signal = detection_signal(series, SavitzkyGolay(window, DETECTION_POLY_ORDER))
+    signal = detection_signal(series, DetectorConfig(window=window))
     full = detector._surrogate_stats(signal, _permutation_index(seed, n, 199, 0))
     for keep in (window - 1, window - 1 + extra):
         index = _permutation_index(seed, n, 199, keep)
@@ -387,7 +415,7 @@ def test_surrogate_statistics_have_the_exact_permutation_moments(n, h, seed):
     t = np.linspace(0.0, 20.0, n)
     noise = 0.05 * np.random.default_rng(seed).standard_normal(n)
     series = TimeSeries(t, np.exp(0.08 * t + noise))
-    signal = detection_signal(series, SavitzkyGolay(window, DETECTION_POLY_ORDER))
+    signal = detection_signal(series, DetectorConfig(window=window))
     index = _permutation_index(seed, n, 1999, window - 1)
     stats, resid = detector._surrogate_stats(signal, index)
     w = _permutation_weights(n, window, DETECTION_POLY_ORDER)[0]
@@ -512,7 +540,7 @@ def test_window_larger_than_series_raises():
     s = make_series(lambda t: np.exp(0.1 * t), n=35)
     config = DetectorConfig(window=41)
     with pytest.raises(ConfigError, match="window 41 exceeds series length 35"):
-        detection_signal(s, config.smoother)
+        detection_signal(s, config)
     with pytest.raises(ConfigError, match="window 41 exceeds series length 35"):
         permutation_test(s, config)
 

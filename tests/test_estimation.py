@@ -27,7 +27,7 @@ from joltlab.growth import (
     NoiseSpec,
     generate,
 )
-from joltlab.timeseries import TimeSeries
+from joltlab.timeseries import MAX_POINTS, TimeSeries
 from savgol_oracle import dense_savgol
 
 
@@ -209,6 +209,10 @@ def test_default_savgol_scales_with_length():
     assert default_savgol(11).window == 11
     with pytest.raises(DataError, match="10 points"):
         default_savgol(10)
+    # odd and no wider than the series at every length a series may have
+    for n in range(11, MAX_POINTS + 1):
+        w = default_savgol(n).window
+        assert w % 2 == 1 and w <= n, (n, w)
 
 
 def test_estimate_derivatives_needs_cubic_capable_order():

@@ -3,14 +3,16 @@
 ``tests/golden/`` holds one directory of outputs per command run by
 :func:`produce`, plus ``default_config.json``, the resolved default config,
 and ``mc_seed42.npz``, the per-trial (score, p_value) of the Monte Carlo
-harness made by :func:`trial_outcomes`. Regenerate it only for a change that
-names the result it moves:
+harness made by :func:`trial_outcomes`. Regenerate only the cases that a
+change names as moved (see ``CASES``); with no case named, the script lists
+them and writes nothing:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py CASE ...
 """
 
 import json
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -43,19 +45,27 @@ def _config(config_dir: Path, name: str, payload: dict) -> str:
     return str(path)
 
 
-def produce(root: Path, config_dir: Path) -> None:
-    """Run every golden command, writing its outputs under ``root``."""
-    for family in FAMILIES:
-        out = str(root / family)
-        cfg = _config(config_dir, family,
-                      {"model": {"family": family}, "noise": {"level": "medium"}})
+def _run(case: str, root: Path, config_dir: Path) -> None:
+    """Run the golden command(s) of one case, writing its outputs in ``root / case``."""
+    out = str(root / case)
+    if case in FAMILIES:
+        cfg = _config(config_dir, case, {"model": {"family": case}, "noise": {"level": "medium"}})
         flags = ["--config", cfg, "--seed", "42", "--out", out]
         assert main(["generate", *flags]) == 0
-        assert main(["detect", str(root / family / "series.csv"), *flags]) == 0
-    cfg = _config(config_dir, "mc", MC_CONFIG)
-    for command in ("mc", "sweep"):
-        out = str(root / command)
-        assert main([command, "--config", cfg, *MC_FLAGS, "--out", out]) == 0
+        assert main(["detect", str(root / case / "series.csv"), *flags]) == 0
+    else:
+        cfg = _config(config_dir, "mc", MC_CONFIG)
+        assert main([case, "--config", cfg, *MC_FLAGS, "--out", out]) == 0
+
+
+COMMANDS = (*FAMILIES, "mc", "sweep")
+CASES = (*COMMANDS, "default_config", "trials")
+
+
+def produce(root: Path, config_dir: Path) -> None:
+    """Run every golden command, writing its outputs under ``root``."""
+    for case in COMMANDS:
+        _run(case, root, config_dir)
 
 
 def trial_outcomes(jobs: int = 2) -> dict:
@@ -165,11 +175,25 @@ def test_trial_outcomes_match_golden():
         np.testing.assert_allclose(got["score"], want["score"], rtol=0, atol=RTOL)
 
 
+def regenerate(case: str) -> None:
+    """Rewrite the committed golden files of one case."""
+    if case == "default_config":
+        (GOLDEN / "default_config.json").write_text(
+            json.dumps(load_config(None), indent=2, sort_keys=True) + "\n"
+        )
+    elif case == "trials":
+        np.savez_compressed(TRIALS_NPZ, **trial_outcomes())
+    else:
+        shutil.rmtree(GOLDEN / case, ignore_errors=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            _run(case, GOLDEN, Path(tmp))
+
+
 if __name__ == "__main__":
-    shutil.rmtree(GOLDEN, ignore_errors=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        produce(GOLDEN, Path(tmp))
-    (GOLDEN / "default_config.json").write_text(
-        json.dumps(load_config(None), indent=2, sort_keys=True) + "\n"
-    )
-    np.savez_compressed(TRIALS_NPZ, **trial_outcomes())
+    cases = sys.argv[1:]
+    unknown = [case for case in cases if case not in CASES]
+    if unknown or not cases:
+        print(f"usage: {sys.argv[0]} CASE ...; the golden cases are: {' '.join(CASES)}")
+        sys.exit(f"unknown golden case(s): {' '.join(unknown)}" if unknown else 0)
+    for case in cases:
+        regenerate(case)
