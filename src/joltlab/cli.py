@@ -63,16 +63,13 @@ _NAME, _SIGMA = text("low").metadata["contract"], real(ge=0).metadata["contract"
 
 @dataclasses.dataclass(init=False, repr=False, eq=False)  # never built: its fields are read
 class _Keys(Spec):
-    """The config keys of the CLI alone, by last name (sweep.budget, ...)."""
+    """The config keys of the CLI alone, by last name (mc.noise_levels, ...)."""
 
     seed: int = whole(0, ge=0)
     out: str = text(".")
     # at most 256 forked workers, each a copy of this process (about 40 MB
     # resident); workers beyond the usable CPUs never start
     jobs: int = whole(1, ge=1, le=256)
-    # each cell runs mc.n_trials trials a class: up to 8.2 million detections
-    # at the ceiling and the default 1000 trials
-    budget: int = whole(64, ge=1, le=4096)
     noise_levels: tuple = dataclasses.field(default=("low", "medium", "high"), metadata={
         "contract": _listing(1, "list at least one noise level, each a name or a finite "
                                 "number >= 0", lambda v: _NAME(v) is None or _SIGMA(v) is None)})
@@ -95,11 +92,6 @@ _OWN = _section(_Keys)
 _BASE_CONFIG = {
     **{key: _OWN[key] for key in ("seed", "out", "jobs")},
     "detector": _section(DetectorConfig, skip={"seed"}),
-    "sweep": {
-        "window": ((7, 11, 15, 21), _AXIS),
-        "decision_threshold": ((0.3, 0.4, 0.5, 0.6, 0.7), _AXIS),
-        "budget": _OWN["budget"],
-    },
 }
 
 
@@ -113,14 +105,24 @@ def _growth_sections() -> dict:
     }
 
 
-def _mc_section() -> dict:
-    from .montecarlo import MCCell, TrialMix
+def _mc_sections() -> dict:
+    from .montecarlo import SWEEP_BUDGET, MCCell, TrialMix
 
-    return {"mc": {"noise_levels": _OWN["noise_levels"],
-                   **_section(MCCell, TrialMix, skip={"master_seed"})}}
+    # each cell runs mc.n_trials trials a class: up to 8.2 million detections
+    # at the budget's ceiling and the default 1000 trials
+    budget = whole(SWEEP_BUDGET, ge=1, le=4096).metadata["contract"]
+    return {
+        "mc": {"noise_levels": _OWN["noise_levels"],
+               **_section(MCCell, TrialMix, skip={"master_seed"})},
+        "sweep": {
+            "window": ((7, 11, 15, 21), _AXIS),
+            "decision_threshold": ((0.3, 0.4, 0.5, 0.6, 0.7), _AXIS),
+            "budget": (SWEEP_BUDGET, budget),
+        },
+    }
 
 
-_ALL_SECTIONS = (_growth_sections, _mc_section)
+_ALL_SECTIONS = (_growth_sections, _mc_sections)
 
 # each command: its help, whether it reads an input CSV, its flags beyond
 # --config and --out, and the config sections it reads beyond the base ones.
@@ -370,7 +372,7 @@ def cmd_sweep(cfg: dict) -> int:
     from .montecarlo import write_heatmap
 
     axes = {k: list(v) for k, v in cfg["sweep"].items() if k != "budget"}
-    cells, defaults = _mc_cells(cfg), load_config(None)
+    cells, defaults = _mc_cells(cfg), _values(_schema("sweep"))
     # every row runs its own axis value, never that of a section a cell is built from
     for section, name in ((s, n) for s in ("detector", "mc", "grid") for n in axes):
         if name in cfg[section] and cfg[section][name] != defaults[section][name]:

@@ -13,7 +13,7 @@ permutation test against an exponential null.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -70,6 +70,12 @@ class DetectorConfig(Spec, section="detector"):
         """The detection rule, elementwise on arrays: a jolt is reported when
         ``score >= decision_threshold`` and ``p_value <= alpha_sig``."""
         return (score >= self.decision_threshold) & (p_value <= self.alpha_sig)
+
+    def scoring(self) -> "DetectorConfig":
+        """This config with the fields :meth:`verdict` reads at their defaults:
+        two configs equal after it give every series the same score and p-value."""
+        cls = type(self)
+        return replace(self, decision_threshold=cls.decision_threshold, alpha_sig=cls.alpha_sig)
 
 
 @dataclass
@@ -388,8 +394,8 @@ def permutation_test(series, config: DetectorConfig, signal: Signal | None = Non
     therefore tie with its zero observed statistic, giving p = 1. The
     observed statistic is the interior mean of the floored detection signal,
     whose pass over log C also gives the residuals: ``signal`` when given, a
-    signal of ``series``, else ``detection_signal(series, config)``.
-    p = (1 + #exceedances) / (n_perm + 1).
+    signal of ``series`` (a DataError if its rows or length differ), else
+    ``detection_signal(series, config)``. p = (1 + #exceedances) / (n_perm + 1).
 
     The null assumes exchangeable residuals, that is serially independent
     noise: a permutation destroys any order the residuals have. The statistic
@@ -409,6 +415,12 @@ def permutation_test(series, config: DetectorConfig, signal: Signal | None = Non
     """
     if signal is None:
         signal = detection_signal(series, config)
+    else:
+        rows, single = _batch(series)
+        shape = (len(rows[0]),) if single else (len(rows), len(rows[0]))
+        if signal.values.shape != shape:
+            raise DataError(f"a signal of shape {signal.values.shape} does not match "
+                            f"its series, of shape {shape}")
     observed = signal.unmasked.mean(axis=-1)
     if index is None:
         index = _permutation_index(config.seed, signal.values.shape[-1], config.n_perm,

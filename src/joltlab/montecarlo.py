@@ -61,6 +61,8 @@ log = logging.getLogger(__name__)
 
 Z95 = 1.959963984540054
 ACCURACY_CLASS_WEIGHTS = (0.5, 0.5)  # of TPR and TNR in balanced accuracy
+# the most cells a sweep makes per template unless its caller sets a budget
+SWEEP_BUDGET = 64
 
 
 @dataclass(frozen=True)
@@ -330,9 +332,10 @@ def _forked_map(fn, tasks, workers: int) -> list:
 def _outcomes(cells, jobs: int = 1) -> list:
     """Per cell, (scores, p_values) arrays per class, ordered by trial index.
 
-    Cells equal up to the verdict's fields (decision_threshold, alpha_sig)
-    have the same rows, so only the first of them runs. Each group of running
-    cells sharing (master_seed, mix, grid) splits each class's trials into
+    Cells equal up to the fields their verdict reads (equal once their
+    detectors are :meth:`~joltlab.detector.DetectorConfig.scoring`) have the
+    same rows, so only the first of them runs. Each group of running cells
+    sharing (master_seed, mix, grid) splits each class's trials into
     about one task per worker, each of whole trials and at most
     ``_TASK_BUDGET`` rows x n items, so memory stays bounded in trials and in
     n. At ``jobs`` above 1 all tasks go through one :func:`_forked_map`, on no
@@ -347,9 +350,8 @@ def _outcomes(cells, jobs: int = 1) -> list:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(jobs, cpus or 1)
     # compared by ==, not by hash: a TrialMix built in code may hold lists
-    verdict_free = [replace(c, detector=replace(c.detector, decision_threshold=0.5, alpha_sig=0.5))
-                    for c in cells]
-    first = [verdict_free.index(cell) for cell in verdict_free]
+    scoring = [replace(c, detector=c.detector.scoring()) for c in cells]
+    first = [scoring.index(cell) for cell in scoring]
     shared = [(cell.master_seed, cell.mix, cell.grid) for cell in cells]
     groups = [[j for j, other in enumerate(shared) if other == key and first[j] == j]
               for k, key in enumerate(shared) if shared.index(key) == k]
@@ -451,7 +453,7 @@ def apply_axes(template: MCCell, assignment: dict, paths: dict) -> MCCell:
                                 for path, fields in changes.items()})
 
 
-def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> MCReport:
+def sweeps(axes: dict, templates, budget: int = SWEEP_BUDGET, jobs: int = 1) -> MCReport:
     """Grid sweep over cell fields (see :func:`axis_paths`) for several cell
     templates: one :class:`MCReport` of a :class:`CellResult` per (template,
     assignment), in that order, and their :func:`best_configuration`. With no
@@ -463,8 +465,8 @@ def sweeps(axes: dict, templates, budget: int = 64, jobs: int = 1) -> MCReport:
     moves a null window with n.
 
     Every cell goes to one :func:`run_cells` call, so all of them run
-    on one set of workers, and cells differing only in decision_threshold
-    / alpha_sig share their trial outcomes there.
+    on one set of workers, and cells differing only in the fields their
+    verdict reads share their trial outcomes there.
     """
     paths = axis_paths(axes)
     for name, values in axes.items():
@@ -518,7 +520,7 @@ def best_configuration(cells, axis_names):
     return min(by_params.items(), key=key)[1][0]
 
 
-def sweep(axes: dict, template: MCCell, budget: int = 64, jobs: int = 1) -> MCReport:
+def sweep(axes: dict, template: MCCell, budget: int = SWEEP_BUDGET, jobs: int = 1) -> MCReport:
     """Grid sweep over cell fields for one cell template; see :func:`sweeps`."""
     return sweeps(axes, [template], budget, jobs)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 import yaml
 
 import joltlab
-from joltlab import cli
+from joltlab import cli, montecarlo
 from joltlab.cli import build_detector, load_config, main
 from joltlab.detector import DetectorConfig
 from joltlab.errors import DataError
@@ -301,6 +302,36 @@ def test_detect_malformed_csv_exit_2(tmp_path):
     assert run(["detect", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+DIRECTORY = object()  # the file is a directory
+
+
+@pytest.mark.parametrize("command, name, contents, named", [
+    ("detect", "config.yaml", None,
+     "cannot read config file: [Errno 2] No such file or directory: 'config.yaml'"),
+    ("detect", "config.yaml", "a: [1\n", "malformed config file: while parsing a flow sequence"),
+    ("detect", "config.yaml", "- 1\n- 2\n", "config file must contain a mapping"),
+    ("detect", "config.yaml", "detector: 5\n", "config key detector must be a mapping"),
+    ("detect", "input", DIRECTORY, "[Errno 21] Is a directory: 'input'"),
+    ("detect", "input", "t,value\n", "input: no data records"),
+    ("metrics", "input", "t,value\n", "input: no data records"),
+], ids=["missing config", "malformed config", "config a list", "detector not a mapping",
+        "input a directory", "detect header only", "metrics header only"])
+def test_an_unreadable_or_malformed_file_exits_2_naming_it(tmp_path, monkeypatch, capsys,
+                                                           input_csv, command, name, contents,
+                                                           named):
+    # a YAML file is the --config of a command on a good input; any other is the input
+    if contents is DIRECTORY:
+        (tmp_path / name).mkdir()
+    elif contents is not None:
+        (tmp_path / name).write_text(contents)
+    argv = [input_csv, "--config", name] if name.endswith(".yaml") else [name]
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    assert run([command, *argv, "--out", "out"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {named}")
+    assert sorted(os.listdir(tmp_path)) == before  # no --out directory
+
+
 def test_metrics_csv_columns(tmp_path):
     gen = write_config(tmp_path, {"model": {"family": "exponential"}})
     out = tmp_path / "out"
@@ -374,6 +405,12 @@ def test_detector_section_is_the_detector_configs_own_fields():
     assert {k: tuple(v) if isinstance(v, list) else v for k, v in got.items()} == want
 
 
+def test_the_sweep_budget_default_is_the_librarys():
+    defaults = {inspect.signature(f).parameters["budget"].default
+                for f in (montecarlo.sweeps, montecarlo.sweep)}
+    assert defaults == {load_config(None)["sweep"]["budget"]}
+
+
 def test_library_sweep_matches_cli_template():
     # joltlab sweep builds the library's default detector, whose null window
     # each window axis value replaces
@@ -407,7 +444,8 @@ SMALL_SWEEP = {
     # the window field admits null, the default for n; an axis value may not
     ({"sweep": {"window": [None, 21]}}, "sweep axis 'window' value None is not valid: "
      "an axis value cannot be null"),
-])
+], ids=["window axis 7.5", "window axis 'a'", "decision_threshold axis 'x'",
+        "detector.window 21.5", "window axis null"])
 def test_inexact_window_or_axis_value_exit_2(tmp_path, capsys, payload, named):
     cfg = write_config(tmp_path, {**SMALL_SWEEP, **payload})
     out = tmp_path / "out"
@@ -483,7 +521,8 @@ LEVELS = ("config key mc.noise_levels must list at least one noise level, each a
     ("mc", [{"a": 1}], f"{LEVELS}, got [{{'a': 1}}]"),
     ("mc", ["low", True], f"{LEVELS}, got ['low', True]"),
     ("sweep", [""], f"{LEVELS}, got ['']"),
-])
+], ids=["mc bogus last", "mc bogus first", "mc negative sigma", "mc empty", "sweep empty",
+        "mc null", "mc list", "mc mapping", "mc bool", "sweep empty name"])
 def test_bad_or_empty_noise_levels_exit_2(tmp_path, capsys, command, levels, named):
     payload = {**SMALL_SWEEP, "mc": {"n_trials": 2, "noise_levels": levels}}
     out = tmp_path / "out"

@@ -270,6 +270,20 @@ def test_permutation_determinism():
     assert permutation_test(s, cfg) == permutation_test(s, cfg)
 
 
+def test_permutation_test_refuses_a_signal_of_other_series():
+    # the test reads only the signal, so a signal of other series gave their p-values
+    s = make_series(lambda t: np.exp(0.1 * t + 0.01 * t**2), n=100)
+    longer = make_series(lambda t: np.exp(0.1 * t), n=120)
+    cfg = DetectorConfig()
+    assert permutation_test(s, cfg, detection_signal(s, cfg)) == permutation_test(s, cfg)
+    for series, signal in [(s, detection_signal(longer, cfg)),
+                           ([s], detection_signal([s, s], cfg)),
+                           ([s, s], detection_signal([s], cfg)),
+                           (s, detection_signal([s], cfg))]:
+        with pytest.raises(DataError, match="does not match its series"):
+            permutation_test(series, cfg, signal)
+
+
 def _dense_permutation_p(series, config):
     """Reference permutation test: every surrogate is pushed through the
     dense deriv-2 operator, floored elementwise like the detection signal,

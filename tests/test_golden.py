@@ -3,15 +3,21 @@
 ``tests/golden/`` holds one directory of outputs per command run by
 :func:`produce`, plus ``default_config.json``, the resolved default config,
 and ``mc_seed42.npz``, the per-trial (score, p_value) of the Monte Carlo
-harness made by :func:`trial_outcomes`. Regenerate only the cases that a
-change names as moved (see ``CASES``); with no case named, the script lists
-them and writes nothing:
+harness made by :func:`trial_outcomes`. ``manifest.json`` records, per case,
+the commit, the numpy version and the :func:`machine` that wrote its files.
+Where the running numpy and machine are those, scores, sub-scores and CSV
+columns must be equal; elsewhere they may differ by ``RTOL``. Regenerate only
+the cases that a change names as moved (see ``CASES``), which also rewrites
+their manifest entries; with no case named, the script lists them and writes
+nothing:
 
     PYTHONPATH=src python tests/test_golden.py CASE ...
 """
 
 import json
+import platform
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -34,6 +40,7 @@ MC_FLAGS = ["--seed", "42", "--trials", "20", "--jobs", "2"]
 BYTE_EQUAL = ("series.csv", "series.json", "table1.csv", "heatmap.csv")
 RTOL = 1e-12
 TRIALS_NPZ = GOLDEN / "mc_seed42.npz"
+MANIFEST = GOLDEN / "manifest.json"
 TRIAL_NOISE = ("low", "medium", "high")
 TRIAL_WINDOWS = (7, 11, 15, 21)
 TRIALS = 50
@@ -87,6 +94,37 @@ def trial_outcomes(jobs: int = 2) -> dict:
             "verdict": DetectorConfig().verdict(score, p_value)}
 
 
+def machine() -> str:
+    """The machine as numpy computes on it: its architecture, its OS and the
+    SIMD targets that numpy dispatches to at run time, whose kernels can round
+    differently."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    simd = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    return f"{platform.machine()} {platform.system()} simd {' '.join(simd) or 'baseline'}"
+
+
+def _writer() -> dict:
+    """The commit, numpy version and machine that write golden files here."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=GOLDEN.parents[1], capture_output=True,
+                              text=True)
+
+    commit = git("rev-parse", "HEAD").stdout.strip() or "unknown"
+    if git("diff", "--quiet", "HEAD", "--", "src").returncode == 1:
+        commit += " with uncommitted changes to src"
+    return {"commit": commit, "numpy": np.__version__, "machine": machine()}
+
+
+def _tolerance(case: str) -> float:
+    """0 where this numpy on this machine wrote ``case``'s files, else ``RTOL``."""
+    writer = json.loads(MANIFEST.read_text())[case]
+    here = {"numpy": np.__version__, "machine": machine()}
+    return 0.0 if {key: writer[key] for key in here} == here else RTOL
+
+
 def _typed(value):
     """``value`` with each leaf paired with its type name, so 1 != 1.0 and a
     tuple differs from a list."""
@@ -102,7 +140,7 @@ def _csv_columns(path: Path):
     return header, np.array([[float(x) for x in row.split(",")] for row in rows]).T
 
 
-def _assert_columns_close(got_path: Path, want_path: Path) -> None:
+def _assert_columns_close(got_path: Path, want_path: Path, tol: float) -> None:
     got_header, got = _csv_columns(got_path)
     want_header, want = _csv_columns(want_path)
     assert got_header == want_header
@@ -110,11 +148,11 @@ def _assert_columns_close(got_path: Path, want_path: Path) -> None:
     for name, g, w in zip(want_header.split(","), got, want):
         finite = w[np.isfinite(w)]
         scale = float(np.max(np.abs(finite))) if finite.size else 0.0
-        np.testing.assert_allclose(g, w, rtol=RTOL, atol=RTOL * scale,
+        np.testing.assert_allclose(g, w, rtol=tol, atol=tol * scale,
                                    equal_nan=True, err_msg=f"{want_path}: {name}")
 
 
-def _assert_detection_equal(got_path: Path, want_path: Path) -> None:
+def _assert_detection_equal(got_path: Path, want_path: Path, tol: float) -> None:
     got = json.loads(got_path.read_text())
     want = json.loads(want_path.read_text())
     assert got.keys() == want.keys()
@@ -124,10 +162,10 @@ def _assert_detection_equal(got_path: Path, want_path: Path) -> None:
     for g, w in [(got["score"], want["score"])] + [
         (got["sub_scores"][k], want["sub_scores"][k]) for k in want["sub_scores"]
     ]:
-        np.testing.assert_allclose(g, w, rtol=RTOL, atol=RTOL)
+        np.testing.assert_allclose(g, w, rtol=tol, atol=tol)
     assert len(got["intervals"]) == len(want["intervals"])
     if want["intervals"]:
-        np.testing.assert_allclose(got["intervals"], want["intervals"], rtol=RTOL)
+        np.testing.assert_allclose(got["intervals"], want["intervals"], rtol=tol)
 
 
 def _assert_report_equal(got_path: Path, want_path: Path) -> None:
@@ -146,13 +184,13 @@ def test_outputs_match_golden(tmp_path):
     produce(out, tmp_path)
     assert _outputs(out) == _outputs(GOLDEN)
     for rel in _outputs(GOLDEN):
-        got, want = out / rel, GOLDEN / rel
+        got, want, tol = out / rel, GOLDEN / rel, _tolerance(rel.parts[0])
         if rel.name in BYTE_EQUAL:
             assert got.read_bytes() == want.read_bytes(), rel
         elif rel.name in ("metrics.csv", "derivatives.csv"):
-            _assert_columns_close(got, want)
+            _assert_columns_close(got, want, tol)
         elif rel.name == "detection.json":
-            _assert_detection_equal(got, want)
+            _assert_detection_equal(got, want, tol)
         elif rel.name == "report.json":
             _assert_report_equal(got, want)
         else:
@@ -172,11 +210,17 @@ def test_trial_outcomes_match_golden():
         assert sorted(want.files) == sorted(got)
         np.testing.assert_array_equal(got["p_value"], want["p_value"])
         np.testing.assert_array_equal(got["verdict"], want["verdict"])
-        np.testing.assert_allclose(got["score"], want["score"], rtol=0, atol=RTOL)
+        np.testing.assert_allclose(got["score"], want["score"], rtol=0, atol=_tolerance("trials"))
+
+
+def test_manifest_names_the_writer_of_every_case():
+    manifest = json.loads(MANIFEST.read_text())
+    assert sorted(manifest) == sorted(CASES)
+    assert all(sorted(writer) == ["commit", "machine", "numpy"] for writer in manifest.values())
 
 
 def regenerate(case: str) -> None:
-    """Rewrite the committed golden files of one case."""
+    """Rewrite the committed golden files of one case, and its manifest entry."""
     if case == "default_config":
         (GOLDEN / "default_config.json").write_text(
             json.dumps(load_config(None), indent=2, sort_keys=True) + "\n"
@@ -187,6 +231,9 @@ def regenerate(case: str) -> None:
         shutil.rmtree(GOLDEN / case, ignore_errors=True)
         with tempfile.TemporaryDirectory() as tmp:
             _run(case, GOLDEN, Path(tmp))
+    manifest = json.loads(MANIFEST.read_text())
+    manifest[case] = _writer()
+    MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

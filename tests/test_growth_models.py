@@ -75,6 +75,25 @@ def test_composite_evaluates_weighted_sum():
     np.testing.assert_allclose(evaluate(fam, t), expect, rtol=1e-12)
 
 
+@pytest.mark.parametrize("factors, label", [
+    (((0.5, LogQuadratic(1.0, 0.05, 0.01)), (0.5, LogQuadratic(2.0, 0.1, 0.005))), True),
+    # ln of a sum of exponentials at distinct rates is strictly convex
+    (((0.5, Exponential(1.0, 0.1)), (0.5, Exponential(2.0, 0.2))), True),
+    (((1.0, Exponential(1.0, 0.1)),), False),
+    (((0.5, Exponential(1.0, 0.1)), (0.5, Exponential(2.0, 0.1))), False),
+], ids=["two log-quadratics", "two exponential rates", "one exponential", "one exponential rate"])
+def test_composite_label_is_sustained_convexity_of_log_c(factors, label):
+    series, got = generate(GrowthModelSpec(Composite(factors), GridSpec(), NoiseSpec("none")))
+    assert got is label
+    np.testing.assert_array_equal(series.values, evaluate(Composite(factors), series.times))
+
+
+def test_composite_that_is_not_positive_is_refused():
+    family = Composite(((2.0, Exponential(1.0, 0.1)), (-1.0, Exponential(1.0, 0.2))))
+    with pytest.raises(ConfigError, match="^generated trajectory is not strictly positive$"):
+        generate(GrowthModelSpec(family, GridSpec(), NoiseSpec("none")))
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(ConfigError, match="Exponential c0 must be > 0, got -1.0"):
         Exponential(c0=-1.0)

@@ -406,6 +406,43 @@ def test_cells_differing_only_in_verdict_share_one_detection(monkeypatch, base, 
     assert rows == 2 * cells[0].n_trials
 
 
+def _fields_the_verdict_reads() -> set:
+    read = set()
+
+    class Probe:
+        def __getattr__(self, name):
+            read.add(name)
+            return getattr(FAST, name)
+
+    DetectorConfig.verdict(Probe(), 0.5, 0.5)
+    return read
+
+
+# a second valid value of each detector field, beside FAST's
+OTHER_VALUE = {"window": 15, "poly_order": 3, "threshold_peak": 2.0, "min_duration_frac": 0.5,
+               "combine_weights": (0.5, 0.25, 0.25), "decision_threshold": 0.3, "n_perm": 100,
+               "alpha_sig": 0.01, "seed": 1}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(DetectorConfig)])
+def test_cells_share_a_detection_exactly_when_they_differ_in_a_verdict_field(monkeypatch, name):
+    assert name in OTHER_VALUE, f"no second value for the detector field {name}"
+    cells = [small_cell(n_trials=2, detector=detector)
+             for detector in (FAST, replace(FAST, **{name: OTHER_VALUE[name]}))]
+    real_detect = montecarlo.hybrid_detect
+    rows = 0
+
+    def counted(groups):
+        nonlocal rows
+        rows += sum(len(series) for _, series, _ in groups)
+        return real_detect(groups)
+
+    monkeypatch.setattr(montecarlo, "hybrid_detect", counted)
+    _outcomes(cells, jobs=1)
+    shared = name in _fields_the_verdict_reads()
+    assert rows == 2 * 2 * (1 if shared else len(cells))  # classes x trials x detected cells
+
+
 # --- sweep --------------------------------------------------------------------
 
 def test_apply_axes():
