@@ -8,8 +8,8 @@ sections), and each flag in ``_FLAGS`` (the config key it overrides and its
 help). Unknown config keys are rejected (fail-closed). Once the file and the
 flags are merged, every key of every section is checked once, whatever the
 command, by the contract of the spec field it sets: a section is its spec's
-own fields, and ``_Keys`` declares the keys of the CLI alone. The error names
-the key, or the flag that set it.
+own fields, and a key of the CLI alone is declared beside its section. The
+error names the key, or the flag that set it.
 
 Exit codes: 0 success, 2 usage/config error, 3 data contract violation.
 Detection verdicts never drive exit codes.
@@ -34,18 +34,10 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARS)
     os.environ["OMP_NUM_THREADS"] = "1"
 
 from .detector import DetectorConfig, hybrid_detect
-from .errors import ConfigError, DataError, JoltlabError, Spec, real, text, whole
+from .errors import ConfigError, DataError, JoltlabError, real, text, whole
 from .estimation import estimate_derivatives
 from .metrics import compute_metrics
 from .timeseries import read_csv, write_csv, write_json
-
-_FAMILIES = ("exponential", "logistic", "logquadratic", "injected_jolt")
-
-
-def _families() -> dict:
-    from .growth import Exponential, InjectedJolt, Logistic, LogQuadratic
-
-    return dict(zip(_FAMILIES, (Exponential, Logistic, LogQuadratic, InjectedJolt)))
 
 
 def _listing(least: int, wording: str, each=lambda value: True):
@@ -61,45 +53,36 @@ _AXIS = _listing(2, "list at least two values")  # any sweep key but budget
 _NAME, _SIGMA = text("low").metadata["contract"], real(ge=0).metadata["contract"]
 
 
-@dataclasses.dataclass(init=False, repr=False, eq=False)  # never built: its fields are read
-class _Keys(Spec):
-    """The config keys of the CLI alone, by last name (mc.noise_levels, ...)."""
-
-    seed: int = whole(0, ge=0)
-    out: str = text(".")
-    # at most 256 forked workers, each a copy of this process (about 40 MB
-    # resident); workers beyond the usable CPUs never start
-    jobs: int = whole(1, ge=1, le=256)
-    noise_levels: tuple = dataclasses.field(default=("low", "medium", "high"), metadata={
-        "contract": _listing(1, "list at least one noise level, each a name or a finite "
-                                "number >= 0", lambda v: _NAME(v) is None or _SIGMA(v) is None)})
-    family: str = text("logquadratic", among=_FAMILIES)
+def _key(spec_field) -> tuple:
+    """One config key: the default and contract test of a contracted field."""
+    return spec_field.default, spec_field.metadata["contract"]
 
 
 def _section(*specs, skip=()) -> dict:
-    """Config section of the contracted fields of ``specs`` not in ``skip``:
-    each key's default and contract test."""
-    return {f.name: (f.default, f.metadata["contract"])
-            for spec in specs for f in dataclasses.fields(spec)
+    """Config section of the contracted fields of ``specs`` not in ``skip``."""
+    return {f.name: _key(f) for spec in specs for f in dataclasses.fields(spec)
             if "contract" in f.metadata and f.name not in skip}
 
-
-_OWN = _section(_Keys)
 
 # the library specs own every other default; a seed field skipped here is set
 # by the top-level seed. These sections need no module that detection does
 # not import.
 _BASE_CONFIG = {
-    **{key: _OWN[key] for key in ("seed", "out", "jobs")},
+    "seed": _key(whole(0, ge=0)),
+    "out": _key(text(".")),
+    # at most 256 forked workers, each a copy of this process (about 40 MB
+    # resident); workers beyond the usable CPUs never start
+    "jobs": _key(whole(1, ge=1, le=256)),
     "detector": _section(DetectorConfig, skip={"seed"}),
 }
 
 
 def _growth_sections() -> dict:
-    from .growth import GridSpec, NoiseSpec
+    from .growth import FAMILIES, GridSpec, NoiseSpec
 
     return {
-        "model": {"family": _OWN["family"], **_section(*_families().values())},
+        "model": {"family": _key(text("logquadratic", among=FAMILIES)),
+                  **_section(*FAMILIES.values())},
         "grid": _section(GridSpec),
         "noise": _section(NoiseSpec, skip={"seed"}),
     }
@@ -108,16 +91,17 @@ def _growth_sections() -> dict:
 def _mc_sections() -> dict:
     from .montecarlo import SWEEP_BUDGET, MCCell, TrialMix
 
-    # each cell runs mc.n_trials trials a class: up to 8.2 million detections
-    # at the budget's ceiling and the default 1000 trials
-    budget = whole(SWEEP_BUDGET, ge=1, le=4096).metadata["contract"]
+    levels = _listing(1, "list at least one noise level, each a name or a finite number >= 0",
+                      lambda v: _NAME(v) is None or _SIGMA(v) is None)
     return {
-        "mc": {"noise_levels": _OWN["noise_levels"],
+        "mc": {"noise_levels": (("low", "medium", "high"), levels),
                **_section(MCCell, TrialMix, skip={"master_seed"})},
         "sweep": {
             "window": ((7, 11, 15, 21), _AXIS),
             "decision_threshold": ((0.3, 0.4, 0.5, 0.6, 0.7), _AXIS),
-            "budget": (SWEEP_BUDGET, budget),
+            # each cell runs mc.n_trials trials a class: up to 8.2 million
+            # detections at the budget's ceiling and the default 1000 trials
+            "budget": _key(whole(SWEEP_BUDGET, ge=1, le=4096)),
         },
     }
 
@@ -231,9 +215,11 @@ def _build(cls, section: dict, **extra):
 
 
 def build_family(model: dict):
-    family, families = model["family"], _families()
-    extra = {"base": _build(families["exponential"], model)} if family == "injected_jolt" else {}
-    return _build(families[family], model, **extra)
+    from .growth import FAMILIES
+
+    family = model["family"]
+    extra = {"base": _build(FAMILIES["exponential"], model)} if family == "injected_jolt" else {}
+    return _build(FAMILIES[family], model, **extra)
 
 
 def build_spec(cfg: dict) -> GrowthModelSpec:

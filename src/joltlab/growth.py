@@ -117,6 +117,11 @@ class InjectedJolt(Spec):
             raise ConfigError("InjectedJolt requires jolt_end > jolt_start")
 
 
+# each family by its config name, the model.family key
+FAMILIES = {"exponential": Exponential, "logistic": Logistic, "logquadratic": LogQuadratic,
+            "injected_jolt": InjectedJolt}
+
+
 @dataclass(frozen=True)
 class InteractionSpec:
     """Pairwise interaction terms keyed by ordered factor index pairs.

@@ -10,8 +10,9 @@ degree of parallelism. Trials run trial-major: the cells that share (master
 seed, mix, grid) share each trial's inputs and permutation draw (common
 random numbers), so a result depends on neither ``--jobs`` nor the other
 cells run with it. On 2 cores this cut the acceptance-1 sweep from 51 to 29 s.
-Cells equal up to the verdict's fields share scores and p-values too; as
-``_outcomes`` owns that, ``run_cells`` gets it as well as ``sweeps``.
+Cells equal up to the verdict's fields and the detector seed share scores
+and p-values too; as ``_outcomes`` owns that, ``run_cells`` gets it as well
+as ``sweeps``.
 
 Each task (about one per worker and class, within a memory budget) sends
 all its detections through one ``hybrid_detect`` call in its group form:
@@ -332,10 +333,11 @@ def _forked_map(fn, tasks, workers: int) -> list:
 def _outcomes(cells, jobs: int = 1) -> list:
     """Per cell, (scores, p_values) arrays per class, ordered by trial index.
 
-    Cells equal up to the fields their verdict reads (equal once their
-    detectors are :meth:`~joltlab.detector.DetectorConfig.scoring`) have the
-    same rows, so only the first of them runs. Each group of running cells
-    sharing (master_seed, mix, grid) splits each class's trials into
+    Cells equal up to the fields their verdict reads and the detector seed,
+    which every trial replaces (equal once their detectors are
+    :meth:`~joltlab.detector.DetectorConfig.scoring` at the default seed),
+    have the same rows, so only the first of them runs. Each group of running
+    cells sharing (master_seed, mix, grid) splits each class's trials into
     about one task per worker, each of whole trials and at most
     ``_TASK_BUDGET`` rows x n items, so memory stays bounded in trials and in
     n. At ``jobs`` above 1 all tasks go through one :func:`_forked_map`, on no
@@ -350,7 +352,8 @@ def _outcomes(cells, jobs: int = 1) -> list:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(jobs, cpus or 1)
     # compared by ==, not by hash: a TrialMix built in code may hold lists
-    scoring = [replace(c, detector=c.detector.scoring()) for c in cells]
+    seed = DetectorConfig.seed
+    scoring = [replace(c, detector=replace(c.detector.scoring(), seed=seed)) for c in cells]
     first = [scoring.index(cell) for cell in scoring]
     shared = [(cell.master_seed, cell.mix, cell.grid) for cell in cells]
     groups = [[j for j, other in enumerate(shared) if other == key and first[j] == j]
@@ -363,7 +366,7 @@ def _outcomes(cells, jobs: int = 1) -> list:
         for is_positive in (True, False):
             for chunk in np.array_split(np.arange(n_trials), n_tasks):
                 keys.append((g, is_positive))
-                tasks.append(([cells[k] for k in members], is_positive, chunk.tolist()))
+                tasks.append(([scoring[k] for k in members], is_positive, chunk.tolist()))
     if jobs == 1:
         chunk_results = [_run_trials(task) for task in tasks]
     else:

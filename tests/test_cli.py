@@ -790,6 +790,15 @@ def test_unwritable_output_exit_2_leaves_no_outputs(tmp_path, capsys, command, b
     assert left == ([] if blocked == "out" else [unwritable.name])
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_commands_help_exits_0(capsys, command):
+    # argparse formats every help string only when --help asks for it
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: joltlab {command} ")
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--jobs", "2"],
     ["generate", "--trials", "5"],

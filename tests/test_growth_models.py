@@ -250,3 +250,33 @@ def test_damping_half_utilization():
 def test_schedule_over_cap_rejected():
     with pytest.raises(ConfigError, match="resource utilization exceeds r_max"):
         ResourceSchedule(np.array([0.0, 1.0]), np.array([0.5, 3.0]), r_max=2.0)
+
+
+T3 = np.array([0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("call, error, named", [
+    (lambda: InteractionSpec(terms=(((0, 1), np.ones(2)),)).sampled(T3), DataError,
+     "interaction term length != grid length"),
+    (lambda: InteractionSpec(terms=(((0, 1), [1.0, np.nan, 1.0]),)).sampled(T3), ConfigError,
+     "interaction term must be finite"),
+    (lambda: Composite(()), ConfigError, "Composite requires at least one factor"),
+    (lambda: compose([]), ConfigError, "compose requires at least one factor"),
+    (lambda: ResourceSchedule(T3, np.zeros(2), r_max=1.0), DataError,
+     "schedule grid/utilization length mismatch"),
+    (lambda: ResourceSchedule(T3, np.array([0.0, -0.5, 0.0]), r_max=1.0), ConfigError,
+     "resource utilization must be >= 0"),
+    (lambda: apply_resource_damping(TimeSeries(T3, np.ones(3)),
+                                    ResourceSchedule(T3 + 1.0, np.zeros(3), r_max=1.0)),
+     DataError, "jolt series and schedule must share one grid"),
+    # a family's config name is not a family
+    (lambda: evaluate("exponential", T3), ConfigError, "unknown growth family str"),
+    (lambda: GrowthModelSpec(family="exponential").label, ConfigError,
+     "unknown growth family str"),
+], ids=["interaction term length", "interaction term not finite", "empty composite",
+        "empty compose", "schedule length", "negative utilization", "damping on another grid",
+        "evaluate a name", "label of a name"])
+def test_a_growth_input_outside_its_contract_raises_its_class_naming_it(call, error, named):
+    with pytest.raises(error, match=re.escape(named)) as raised:
+        call()
+    assert type(raised.value) is error

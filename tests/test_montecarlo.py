@@ -168,7 +168,9 @@ def test_trial_mix_with_list_ranges():
     ({"logistic_fraction": math.nan}, "logistic_fraction must be a finite number, got nan"),
     ({"logistic_l": -1.0}, "logistic_l must be > 0, got -1.0"),
     ({"logistic_l": math.inf}, "logistic_l must be a finite number, got inf"),
-])
+], ids=["k_range inf", "k_range one bound", "b_range reversed", "t0_range nan",
+        "ramp_len_range strings", "r_range scalar", "injected_fraction 1.5",
+        "logistic_fraction -0.1", "logistic_fraction nan", "logistic_l -1", "logistic_l inf"])
 def test_trial_mix_rejects_bad_ranges_and_fractions(kwargs, named):
     # an infinite bound raised OverflowError and a one-element range
     # IndexError, each from inside the trials
@@ -379,7 +381,7 @@ def test_cell_the_detector_cannot_run_fails_the_run(caplog, jobs, bad, error, na
     (True, "sigma_rel must be a finite number, got True"),
     ([0.1], r"sigma_rel must be a finite number, got \[0.1\]"),
     (None, "mc noise must be a noise level or a sigma_rel, got None"),
-])
+], ids=["bogus name", "negative sigma", "bool", "list", "null"])
 def test_cell_with_unknown_noise_level_rejected(noise, named):
     with pytest.raises(ConfigError, match=named):
         small_cell(noise=noise)
@@ -439,7 +441,8 @@ def test_cells_share_a_detection_exactly_when_they_differ_in_a_verdict_field(mon
 
     monkeypatch.setattr(montecarlo, "hybrid_detect", counted)
     _outcomes(cells, jobs=1)
-    shared = name in _fields_the_verdict_reads()
+    # every trial replaces the detector's seed with its own
+    shared = name == "seed" or name in _fields_the_verdict_reads()
     assert rows == 2 * 2 * (1 if shared else len(cells))  # classes x trials x detected cells
 
 
